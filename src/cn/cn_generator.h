@@ -16,22 +16,36 @@
 //
 // The generator is complete (every MTNN of size <= Z belongs to an output CN)
 // and non-redundant (canonical deduplication + the pruning above).
+//
+// Implementation (DESIGN.md §3k): partial networks live in an arena as
+// parent-pointer nodes (one fresh occurrence each), keyword annotations are
+// bitmasks, the three pruning rules are checked only at the occurrence an
+// extension touches, and deduplication hashes a centre-rooted canonical code.
 
 #ifndef XK_CN_CN_GENERATOR_H_
 #define XK_CN_CN_GENERATOR_H_
 
 #include <vector>
 
+#include "common/cancel_token.h"
 #include "common/result.h"
 #include "cn/candidate_network.h"
 
 namespace xk::cn {
 
+/// Keyword annotations are 32-bit masks, so a query has at most this many
+/// keywords (Generate rejects more with InvalidArgument).
+inline constexpr int kMaxKeywords = 32;
+
 struct CnGeneratorOptions {
   /// Maximum MTNN size Z (network edges).
   int max_size = 6;
-  /// Safety valve for pathological schemas.
+  /// Safety valve for pathological schemas: more distinct partial networks
+  /// than this fails the generation with ResourceExhausted.
   size_t max_networks = 200'000;
+  /// Polled every 256 extensions (not owned, may be null); a tripped token
+  /// ends the generation with the token's status.
+  const CancelToken* cancel = nullptr;
 };
 
 /// Input: for each query keyword, the schema nodes whose extension contains
@@ -41,7 +55,8 @@ class CnGenerator {
   CnGenerator(const schema::SchemaGraph* schema, CnGeneratorOptions options);
 
   /// Generates all candidate networks for `keyword_schema_nodes.size()`
-  /// keywords, in nondecreasing size order.
+  /// keywords, in nondecreasing size order. Each keyword's schema-node list
+  /// is read as a set.
   Result<std::vector<CandidateNetwork>> Generate(
       const std::vector<std::vector<schema::SchemaNodeId>>& keyword_schema_nodes)
       const;

@@ -1,6 +1,7 @@
 #include "net/server.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -220,6 +221,10 @@ void Server::AcceptLoop() {
       if (errno == EINTR) continue;
       return;  // listener shut down (Stop) or fatally broken
     }
+    // A streamed reply is a few small frames; without this, Nagle holds each
+    // one back until the client acks the previous (a delayed ACK, ~40 ms).
+    const int one = 1;
+    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
       close(fd);

@@ -9,12 +9,12 @@
 namespace xk::service {
 
 std::string AnswerCache::CanonicalKey(const engine::QueryRequest& request) {
-  // The keyword *bag*: order never affects the answer, multiplicity can
-  // (each keyword contributes its own filter set), so sort but keep
-  // duplicates. '\x1f' (unit separator) cannot appear in keywords coming
-  // from the master index's tokenizer, keeping the encoding unambiguous.
-  std::vector<std::string> keywords = request.keywords;
-  std::sort(keywords.begin(), keywords.end());
+  // The keyword *list*, in request order: the order of each answer's MTTON
+  // objects and the tie order among equal scores follow it, so reordered
+  // keywords are a different answer. '\x1f' (unit separator) cannot appear
+  // in keywords coming from the master index's tokenizer, keeping the
+  // encoding unambiguous.
+  const std::vector<std::string>& keywords = request.keywords;
   std::string key;
   key.reserve(64 + keywords.size() * 12);
   for (const std::string& k : keywords) {

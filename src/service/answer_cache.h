@@ -8,8 +8,9 @@
 // materialized connection relations and partial-result cache (Section 6).
 //
 // Key canonicalization: two requests share an answer iff they ask the same
-// logical question. The key is built from the sorted keyword bag (keyword
-// order never affects results; duplicate keywords do), the decomposition,
+// logical question. The key is built from the keyword list in request order
+// (the MTTON object order and the order among equal scores follow it, and
+// duplicate keywords add filter sets), the decomposition,
 // the execution mode, and every option that shapes the result list (Z,
 // network-size bound, per-network and global k).
 // Performance knobs (threads, morsel size, partial-result caching, Bloom

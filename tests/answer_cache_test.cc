@@ -35,9 +35,13 @@ QueryRequest Request(std::vector<std::string> keywords) {
 
 // --- Canonical key -------------------------------------------------------
 
-TEST(AnswerCacheKeyTest, KeywordOrderDoesNotMatterButMultiplicityDoes) {
-  EXPECT_EQ(AnswerCache::CanonicalKey(Request({"gray", "codd"})),
+TEST(AnswerCacheKeyTest, KeywordOrderAndMultiplicityChangeTheKey) {
+  // MTTON object order and ties among equal scores follow the keyword order,
+  // so the two orders are two answers.
+  EXPECT_NE(AnswerCache::CanonicalKey(Request({"gray", "codd"})),
             AnswerCache::CanonicalKey(Request({"codd", "gray"})));
+  EXPECT_EQ(AnswerCache::CanonicalKey(Request({"gray", "codd"})),
+            AnswerCache::CanonicalKey(Request({"gray", "codd"})));
   EXPECT_NE(AnswerCache::CanonicalKey(Request({"gray", "gray", "codd"})),
             AnswerCache::CanonicalKey(Request({"gray", "codd"})));
 }

@@ -1,16 +1,21 @@
 // Randomized property sweeps (TEST_P over generator seeds): for arbitrary
 // DBLP-like instances and keyword pairs, every executor and every
 // decomposition must produce the same result sets, and every result must be
-// a genuine, keyword-complete tree of the target object graph.
+// a genuine, keyword-complete tree of the target object graph. A second
+// sweep checks the CN generator against the copy-per-extension reference
+// over the DBLP, TPC-H and random schemas.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
+#include "cn/cn_generator.h"
 #include "common/random.h"
 #include "datagen/dblp_gen.h"
+#include "datagen/tpch_gen.h"
 #include "engine/xkeyword.h"
+#include "reference_cn_generator.h"
 #include "test_util.h"
 
 namespace xk {
@@ -222,6 +227,105 @@ TEST_P(QueryProperties, PresentationGraphInvariantAfterRandomActions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryProperties, ::testing::Range(1, 7));
+
+// --- CN generator parity ---------------------------------------------------
+
+/// A random schema of 3-7 nodes: a containment tree (some choice nodes, to-one
+/// and to-many edges), plus reference edges (self-loops and to-one included)
+/// and the odd second containment parent.
+void BuildRandomSchema(Random* rng, schema::SchemaGraph* schema) {
+  const int n = static_cast<int>(rng->Uniform(3, 7));
+  for (int v = 0; v < n; ++v) {
+    schema->AddNode("n" + std::to_string(v), rng->OneIn(4) ? schema::NodeKind::kChoice
+                                                           : schema::NodeKind::kAll);
+  }
+  for (int v = 1; v < n; ++v) {
+    XK_CHECK(schema->AddContainmentEdge(static_cast<int>(rng->Uniform(0, v - 1)), v,
+                                        !rng->OneIn(3))
+                 .ok());
+  }
+  const int references = static_cast<int>(rng->Uniform(0, 3));
+  for (int r = 0; r < references; ++r) {
+    XK_CHECK(schema->AddReferenceEdge(static_cast<int>(rng->Uniform(0, n - 1)),
+                                      static_cast<int>(rng->Uniform(0, n - 1)),
+                                      rng->OneIn(2))
+                 .ok());
+  }
+  if (rng->OneIn(3)) {
+    XK_CHECK(schema->AddContainmentEdge(static_cast<int>(rng->Uniform(0, n - 1)),
+                                        static_cast<int>(rng->Uniform(1, n - 1)),
+                                        rng->OneIn(2))
+                 .ok());
+  }
+}
+
+/// 1-4 keywords, each contained in 1-2 random schema nodes (sorted, distinct,
+/// as MasterIndex::SchemaNodesContaining returns them).
+std::vector<std::vector<schema::SchemaNodeId>> RandomMapping(
+    Random* rng, const schema::SchemaGraph& schema) {
+  std::vector<std::vector<schema::SchemaNodeId>> mapping(
+      static_cast<size_t>(rng->Uniform(1, 4)));
+  for (auto& nodes : mapping) {
+    const int count = static_cast<int>(rng->Uniform(1, 2));
+    for (int i = 0; i < count; ++i) {
+      nodes.push_back(static_cast<int>(rng->Uniform(0, schema.NumNodes() - 1)));
+    }
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  }
+  return mapping;
+}
+
+/// Generates `mapping` with both generators and asserts the same outcome:
+/// the same error code, or the same networks in the same order.
+void ExpectParity(const schema::SchemaGraph& schema,
+                  const std::vector<std::vector<schema::SchemaNodeId>>& mapping,
+                  int z) {
+  cn::CnGeneratorOptions options;
+  options.max_size = z;
+  // Small enough to keep the reference fast, and to exercise the bound.
+  options.max_networks = 3000;
+  const Result<std::vector<cn::CandidateNetwork>> expected =
+      testing::ReferenceGenerateCns(schema, options, mapping);
+  const Result<std::vector<cn::CandidateNetwork>> actual =
+      cn::CnGenerator(&schema, options).Generate(mapping);
+  ASSERT_EQ(actual.status().code(), expected.status().code())
+      << actual.status().ToString() << " vs " << expected.status().ToString();
+  if (!expected.ok()) return;
+  ASSERT_EQ(actual->size(), expected->size());
+  for (size_t i = 0; i < expected->size(); ++i) {
+    const cn::CandidateNetwork& a = (*actual)[i];
+    const cn::CandidateNetwork& e = (*expected)[i];
+    ASSERT_TRUE(a.nodes == e.nodes && a.edges == e.edges)
+        << "network " << i << ": " << a.ToString(schema) << " vs "
+        << e.ToString(schema);
+  }
+}
+
+class CnGeneratorParity : public ::testing::TestWithParam<int> {};
+
+TEST_P(CnGeneratorParity, MatchesReferenceOnRandomMappings) {
+  Random rng(static_cast<uint64_t>(GetParam()) * 7919 + 3);
+  schema::SchemaGraph dblp;
+  schema::SchemaGraph tpch;
+  XK_ASSERT_OK(datagen::BuildDblpSchema(&dblp).status());
+  XK_ASSERT_OK(datagen::BuildTpchSchema(&tpch).status());
+  for (int draw = 0; draw < 12; ++draw) {
+    schema::SchemaGraph random;
+    BuildRandomSchema(&rng, &random);
+    for (const schema::SchemaGraph* schema : {&dblp, &tpch, &random}) {
+      const auto mapping = RandomMapping(&rng, *schema);
+      const int z = static_cast<int>(rng.Uniform(2, 8));
+      SCOPED_TRACE(::testing::Message() << "draw " << draw << ", " << mapping.size()
+                                        << " keywords, Z=" << z << ", "
+                                        << schema->NumNodes() << " schema nodes");
+      ExpectParity(*schema, mapping, z);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CnGeneratorParity, ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace xk
