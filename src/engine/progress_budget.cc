@@ -90,6 +90,7 @@ bool ProgressBudget::AdmitPlan(size_t p) {
   }
   if (admit && deadline_mode_) {
     admit = !any_admitted_ ? true : DeadlineAdmit(PlanCost(p));
+    if (!admit) deadline_limited_ = true;
   }
   if (!admit) {
     outcomes_[p] = Outcome::kSkipped;
@@ -146,6 +147,9 @@ void ProgressBudget::OnPlanComplete(size_t p, uint64_t rows_scanned,
 void ProgressBudget::OnPlanInterrupted(size_t p) {
   std::lock_guard<std::mutex> lock(mutex_);
   Record(p, Outcome::kInterrupted);
+  // A row-gate trip or the deadline itself; an explicit cancel is not the
+  // deadline's doing.
+  if (deadline_mode_ && !cancel_->cancel_requested()) deadline_limited_ = true;
 }
 
 void ProgressBudget::MarkUnreachedComplete() {
@@ -160,6 +164,7 @@ void ProgressBudget::MarkUnreachedComplete() {
 Coverage ProgressBudget::Finish() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Coverage cov;
+  cov.deadline_limited = deadline_limited_;
   // exhausted_class = largest C with every active class-<=C plan complete.
   // Computed per class so the formula is order-independent (the kAll path
   // runs plans in index order, the top-k paths in schedule order).

@@ -130,6 +130,7 @@ class ProgressBudget {
   bool pre_admit_done_ = false;
   double spent_ = 0;
   bool any_admitted_ = false;
+  bool deadline_limited_ = false;  // see Coverage::deadline_limited
   // Wall-clock calibration from completed plans.
   bool calibrated_ = false;
   double ewma_ns_per_cost_ = 0;

@@ -237,6 +237,12 @@ struct Coverage {
   /// True iff some plan stopped mid-execution (deadline, cancellation, or a
   /// row-budget trip) — its partial results may be present but incomplete.
   bool interrupted = false;
+  /// True iff the wall-clock deadline, not the deterministic cost budget,
+  /// cost the answer a network: deadline admission skipped a plan, or a plan
+  /// was interrupted while deadline budgeting was on. The engine front-ends
+  /// then report kDeadlineExceeded even when the query returned before the
+  /// deadline itself passed.
+  bool deadline_limited = false;
 
   bool complete() const { return cns_skipped == 0 && !interrupted; }
 };

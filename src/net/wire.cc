@@ -258,6 +258,7 @@ std::string EncodeFinalFrame(uint64_t request_id,
   PutU32(&frame, response.coverage.cns_skipped);
   PutI32(&frame, response.coverage.exhausted_class);
   PutU8(&frame, response.coverage.interrupted ? 1 : 0);
+  PutU8(&frame, response.coverage.deadline_limited ? 1 : 0);
   PutStats(&frame, response.stats);
   PutU64(&frame, static_cast<uint64_t>(tail_start));
   PutMttons(&frame, std::span<const present::Mtton>(response.mttons)
@@ -376,6 +377,7 @@ Result<FinalBody> DecodeFinalBody(std::span<const uint8_t> payload) {
   body.response.coverage.cns_skipped = r.GetU32();
   body.response.coverage.exhausted_class = r.GetI32();
   body.response.coverage.interrupted = r.GetU8() != 0;
+  body.response.coverage.deadline_limited = r.GetU8() != 0;
   engine::ExecutionStats& s = body.response.stats;
   s.probes.probes = r.GetU64();
   s.probes.rows_scanned = r.GetU64();

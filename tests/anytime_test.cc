@@ -11,6 +11,8 @@
 //  * Monotonicity — a larger budget never lowers exhausted_class (the
 //    schedule-prefix admission argument in DESIGN.md Section 3g), and a
 //    budget covering the whole schedule reports kComplete.
+//  * Status — the ledger tells a deadline skip from a cost-budget skip, so
+//    only the former reports kDeadlineExceeded.
 //  * Serving — degraded answers are counted by Metrics, carry a consistent
 //    coverage bound, and are never cached (tsan-labeled: many concurrent
 //    clients degrade at once).
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "datagen/dblp_gen.h"
+#include "engine/progress_budget.h"
 #include "engine/sharded_engine.h"
 #include "engine/xkeyword.h"
 #include "service/query_service.h"
@@ -270,6 +273,46 @@ TEST_F(AnytimeTest, ShardedCostBudgetMatchesSingleEngine) {
       EXPECT_EQ(single.completeness, sharded.completeness) << what;
     }
   }
+}
+
+// A skip forced by the wall-clock deadline marks the coverage
+// deadline_limited (the front-ends then report kDeadlineExceeded); the same
+// skips forced by the deterministic cost budget do not (status stays OK).
+TEST_F(AnytimeTest, DeadlineSkipsAreDeadlineLimitedCostSkipsAreNot) {
+  QueryOptions options;
+  options.max_size_z = 6;
+  XK_ASSERT_OK_AND_ASSIGN(engine::PreparedQuery q,
+                          xk_->Prepare({"gray", "codd"}, "XKeyword", options));
+  ASSERT_GE(q.plans.size(), 2u);
+  const std::vector<bool> active(q.plans.size(), true);
+
+  // Wall clock: plan 0 calibrates at ~30 years per plan, so no later plan
+  // fits the second that is left.
+  CancelToken token;
+  token.SetDeadlineAfter(std::chrono::seconds(1));
+  QueryOptions timed = options;
+  timed.cancel = &token;
+  engine::ProgressBudget wall(q, active, timed);
+  ASSERT_TRUE(wall.AdmitPlan(0));
+  wall.OnPlanComplete(0, /*rows_scanned=*/1, /*elapsed_ns=*/uint64_t{1} << 60);
+  for (size_t p = 1; p < q.plans.size(); ++p) EXPECT_FALSE(wall.AdmitPlan(p));
+  const Coverage wall_cov = wall.Finish();
+  EXPECT_EQ(wall_cov.cns_skipped, q.plans.size() - 1);
+  EXPECT_TRUE(wall_cov.deadline_limited);
+
+  // Cost budget: the first plan always runs, nothing else fits.
+  QueryOptions costed = options;
+  costed.anytime_cost_budget = 1e-9;
+  engine::ProgressBudget cost(q, active, costed);
+  std::vector<size_t> schedule(q.plans.size());
+  for (size_t p = 0; p < schedule.size(); ++p) schedule[p] = p;
+  cost.PreAdmit(schedule);
+  ASSERT_TRUE(cost.AdmitPlan(0));
+  cost.OnPlanComplete(0, 1, 1);
+  for (size_t p = 1; p < q.plans.size(); ++p) EXPECT_FALSE(cost.AdmitPlan(p));
+  const Coverage cost_cov = cost.Finish();
+  EXPECT_EQ(cost_cov.cns_skipped, q.plans.size() - 1);
+  EXPECT_FALSE(cost_cov.deadline_limited);
 }
 
 // Serving layer under concurrent degradation (tsan-labeled): many clients
