@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "engine/query_engine.h"
 
 namespace {
 

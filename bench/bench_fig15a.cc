@@ -7,8 +7,7 @@
 // Workload: DBLP, 2-keyword author queries, Z = 8 (paper Section 7).
 //
 // Two engine-side series beyond the paper's figure:
-//   Fig15aPar/*    — morsel-driven intra-plan parallelism (T = worker
-//                    threads), byte-identical results to T = 1;
+//   Fig15aVec/*    — row-at-a-time vs vectorized execution;
 //   Fig15aPrune/*  — semi-join Bloom pruning on/off (rows_scanned drops,
 //                    bloom_skips counts rejected probes).
 
@@ -21,7 +20,6 @@ namespace {
 
 struct TopKSetup {
   std::string decomposition;
-  int intra_plan_threads = 1;
   bool semijoin_pruning = true;
   bool vectorized = true;
 };
@@ -39,10 +37,8 @@ void BM_TopK(benchmark::State& state, const TopKSetup& setup, size_t k,
   options.per_network_k = k;
   // Single-threaded across plans: the per-CN thread pool improves
   // first-result latency on slow back ends; at in-memory microsecond scale,
-  // pool spawn would dominate the measurement. Intra-plan morsels share one
-  // pool per executor run instead.
+  // pool spawn would dominate the measurement.
   options.num_threads = 1;
-  options.intra_plan_threads = setup.intra_plan_threads;
   options.enable_semijoin_pruning = setup.semijoin_pruning;
   options.vectorized = setup.vectorized;
 
@@ -91,22 +87,6 @@ void RegisterAll() {
     for (int k : {1, 5, 10, 20, 50, 100}) b->Arg(k);
     b->Unit(benchmark::kMillisecond);
     b->Iterations(3);
-  }
-
-  // Morsel-driven intra-plan parallelism, deep per-network result streams
-  // (big K keeps every plan busy long enough for the fan-out to pay off).
-  for (const char* decomposition : {"MinClust", "MinNClustIndx"}) {
-    auto* b = benchmark::RegisterBenchmark(
-        (std::string("Fig15aPar/") + decomposition).c_str(),
-        [decomposition](benchmark::State& state) {
-          TopKSetup setup{decomposition};
-          setup.intra_plan_threads = static_cast<int>(state.range(0));
-          BM_TopK(state, setup, /*k=*/5000, decomposition);
-        });
-    b->ArgName("T");
-    for (int t : {1, 2, 4}) b->Arg(t);
-    b->Unit(benchmark::kMillisecond);
-    b->Iterations(2);
   }
 
   // Vectorized batch execution ablation at K = 100: V:0 is the row-at-a-time

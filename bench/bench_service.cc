@@ -45,10 +45,6 @@ struct LoopSetup {
   /// Queries cycled per client; 0 = the whole fixture workload.
   size_t distinct_queries = 0;
   xk::engine::CacheMode cache_mode = xk::engine::CacheMode::kBypass;
-  /// Serve from the sharded data plane (ShardedDblpBench) instead of the
-  /// single-instance engine; queries then scatter to `num_shards` groups.
-  bool use_sharded_engine = false;
-  int num_shards = 1;
   /// Per-query deadline (0 = unbounded). Armed at admission, so queue wait
   /// counts against it — the overload-degradation series relies on that.
   std::chrono::milliseconds deadline{0};
@@ -64,7 +60,6 @@ QueryRequest MakeRequest(const std::vector<std::string>& keywords,
   request.decomposition = "XKeyword";
   request.options.max_size_z = 6;
   request.options.per_network_k = 10;
-  request.options.num_shards = setup.num_shards;
   request.options.enable_anytime = setup.anytime;
   request.cache_mode = setup.cache_mode;
   if (setup.deadline.count() > 0) request.deadline = setup.deadline;
@@ -88,13 +83,8 @@ void BM_ServiceClosedLoop(benchmark::State& state, const LoopSetup& setup) {
   uint64_t degraded = 0, deadline_exceeded = 0;
   uint64_t hits = 0, misses = 0, coalesced = 0;
   double p50 = 0, p99 = 0;
-  const xk::engine::QueryEngine* engine =
-      setup.use_sharded_engine
-          ? static_cast<const xk::engine::QueryEngine*>(
-                &xk::bench::ShardedDblpBench::Get().engine())
-          : &fixture.xk();
   for (auto _ : state) {
-    auto service = QueryService::Create(engine, options).MoveValueUnsafe();
+    auto service = QueryService::Create(&fixture.xk(), options).MoveValueUnsafe();
     std::vector<std::thread> clients;
     clients.reserve(static_cast<size_t>(setup.clients));
     for (int c = 0; c < setup.clients; ++c) {
@@ -215,26 +205,6 @@ void RegisterAll() {
     r->Unit(benchmark::kMillisecond);
     r->Iterations(2);
     r->UseRealTime();
-  }
-
-  // Sharded data plane behind the service: the same closed loop served by
-  // engine::ShardedEngine, each query scattering to S shard groups. S:1
-  // delegates to the inner single-instance engine, so the pair isolates the
-  // serving-layer effect of per-query scatter-gather parallelism.
-  for (int shards : {1, 4}) {
-    LoopSetup sharded;
-    sharded.clients = 4;
-    sharded.workers = 4;
-    sharded.use_sharded_engine = true;
-    sharded.num_shards = shards;
-    auto* s = benchmark::RegisterBenchmark(
-        ("ServiceSharded/S:" + std::to_string(shards) + "/C:4/W:4").c_str(),
-        [sharded](benchmark::State& state) {
-          BM_ServiceClosedLoop(state, sharded);
-        });
-    s->Unit(benchmark::kMillisecond);
-    s->Iterations(2);
-    s->UseRealTime();
   }
 }
 

@@ -30,7 +30,6 @@
 
 #include "common/logging.h"
 #include "datagen/dblp_gen.h"
-#include "engine/sharded_engine.h"
 #include "engine/xkeyword.h"
 
 namespace xk::bench {
@@ -244,37 +243,6 @@ class DblpBench {
   std::unique_ptr<engine::XKeyword> xk_;
   std::vector<std::vector<std::string>> queries_;
   std::map<std::string, std::vector<engine::PreparedQuery>> prepared_;
-};
-
-/// The sharded data plane over the same DBLP database: 8 physical slices, so
-/// one load serves every shard count up to 8 (a query's num_shards groups
-/// the slices). Shared by bench_shard_topk and the bench_service shard
-/// series; constructed lazily, after (and reusing) DblpBench's database.
-class ShardedDblpBench {
- public:
-  static ShardedDblpBench& Get() {
-    static ShardedDblpBench* instance = new ShardedDblpBench();
-    return *instance;
-  }
-
-  const engine::ShardedEngine& engine() const { return *engine_; }
-
- private:
-  ShardedDblpBench() {
-    const datagen::DblpDatabase& db = DblpBench::Get().db();
-    engine::ShardedEngineOptions options;
-    options.num_slices = 8;
-    engine_ = engine::ShardedEngine::Load(&db.graph(), &db.schema(), &db.tss(),
-                                          options)
-                  .MoveValueUnsafe();
-    XK_CHECK(engine_
-                 ->AddDecomposition(
-                     decomp::MakeXKeyword(db.tss(), /*B=*/2, /*M=*/6)
-                         .MoveValueUnsafe())
-                 .ok());
-  }
-
-  std::unique_ptr<engine::ShardedEngine> engine_;
 };
 
 }  // namespace xk::bench

@@ -2,7 +2,7 @@
 //
 // CancelToken: cooperative cancellation and wall-clock deadlines, shared
 // between a query's owner (the serving layer, a CLI, a test) and the
-// executors running it. Executors poll StopRequested() at morsel / probe
+// executors running it. Executors poll StopRequested() at plan / probe
 // granularity and unwind without producing further results; the owner then
 // reads ToStatus() to classify the stop as kCancelled or kDeadlineExceeded.
 //

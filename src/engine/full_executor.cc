@@ -293,30 +293,6 @@ void RunIndexNestedLoop(
 
 }  // namespace
 
-std::vector<storage::Tuple> FilteredScanTuples(const storage::Table& table,
-                                               const exec::JoinStep& step,
-                                               ExecutionStats* stats) {
-  std::vector<storage::Tuple> rows;
-  exec::ExecOptions no_index{.use_indexes = false};
-  storage::Tuple scratch;
-  exec::ForEachMatch(table, step.const_filters, step.in_filters, no_index,
-                     [&](storage::RowId r) {
-                       storage::TupleView row = table.RowInto(r, &scratch);
-                       rows.emplace_back(row.begin(), row.end());
-                       return true;
-                     },
-                     stats != nullptr ? &stats->probes : nullptr);
-  return rows;
-}
-
-void RunHashJoinOnScans(
-    const opt::CtssnPlan& plan,
-    const std::vector<const std::vector<storage::Tuple>*>& scans,
-    const exec::ExecOptions& exec_options, ExecutionStats* stats,
-    const std::function<bool(const std::vector<storage::ObjectId>&)>& emit) {
-  HashJoinOnScans(plan, scans, /*memo=*/nullptr, exec_options, stats, emit);
-}
-
 Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query,
                                                       ExecutionStats* stats,
                                                       Coverage* coverage) {

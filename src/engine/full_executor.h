@@ -10,7 +10,6 @@
 #ifndef XK_ENGINE_FULL_EXECUTOR_H_
 #define XK_ENGINE_FULL_EXECUTOR_H_
 
-#include <functional>
 #include <vector>
 
 #include "engine/query_context.h"
@@ -41,25 +40,6 @@ class FullExecutor {
  private:
   QueryOptions options_;
 };
-
-/// Keyword-filtered scan of `table` under `step`'s local filters, in row
-/// order. `table` is normally `*step.table` but may be any table with the
-/// same schema — the sharded data plane scans its per-shard slice tables
-/// through the plan's global steps.
-std::vector<storage::Tuple> FilteredScanTuples(const storage::Table& table,
-                                               const exec::JoinStep& step,
-                                               ExecutionStats* stats);
-
-/// Full hash-join evaluation of one plan over caller-provided filtered scans
-/// (scans[i] holds step i's keyword-filtered rows); emit order is the
-/// scan-order nested enumeration of the scans. No prefix memoization — the
-/// sharded union-merge path supplies shard-private step-0 scans, which would
-/// invalidate cross-plan prefix signatures.
-void RunHashJoinOnScans(
-    const opt::CtssnPlan& plan,
-    const std::vector<const std::vector<storage::Tuple>*>& scans,
-    const exec::ExecOptions& exec_options, ExecutionStats* stats,
-    const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
 
 }  // namespace xk::engine
 

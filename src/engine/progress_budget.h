@@ -42,9 +42,9 @@
 
 namespace xk::engine {
 
-/// Shared scan-row allowance of one plan's evaluators (serial, morsel shards,
-/// or shard tasks). Thread-safe; consumption is approximate (evaluators batch
-/// their reports), which only ever lets a plan slightly overrun.
+/// Scan-row allowance of one plan's evaluator. Thread-safe; consumption is
+/// approximate (the evaluator batches its reports), which only ever lets a
+/// plan slightly overrun.
 class RowGate {
  public:
   explicit RowGate(uint64_t cap) : cap_(cap) {}

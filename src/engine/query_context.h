@@ -70,17 +70,6 @@ struct QueryOptions {
   /// Threads of the per-CN thread pool.
   int num_threads = 4;
 
-  /// Morsel-driven intra-plan parallelism: when > 1, the top-k executor runs
-  /// plans one at a time (smallest network first) and splits each plan's
-  /// step-0 driver matches into morsels fanned out over a work-stealing pool
-  /// of this many threads. Results are byte-identical to num_threads = 1
-  /// (morsels merge in driver order; a completed-prefix watermark implements
-  /// the per_network_k / global_k early stop). Use for queries dominated by
-  /// one large candidate network.
-  int intra_plan_threads = 1;
-  /// Step-0 driver rows per morsel.
-  size_t morsel_size = 1024;
-
   /// Semi-join keyword pruning: intersect each step's keyword filter sets and
   /// summarize the join columns later steps probe into Bloom filters, so
   /// probes bound to a value that cannot match skip the table entirely
@@ -90,7 +79,7 @@ struct QueryOptions {
   /// Plan-DAG shared-subplan memoization: join prefixes common to several
   /// candidate networks (equal optimizer prefix signatures) execute once per
   /// query; the materialized prefix rows are replayed by every consuming
-  /// plan. Thread-safe (leader/follower) under both parallelism axes. Never
+  /// plan. Thread-safe (leader/follower) under the per-CN thread pool. Never
   /// changes results: replay order equals the serial nested-loop order.
   bool enable_subplan_reuse = true;
   /// Byte budget of the per-query subplan materialization cache; productions
@@ -118,20 +107,6 @@ struct QueryOptions {
   /// Validate() reject queries that would dispatch to scalar. The level that
   /// actually served the query is reported in ExecutionStats::simd_isa.
   KernelDispatch kernel_dispatch = KernelDispatch::kAuto;
-
-  /// Sharded data plane (engine::ShardedEngine only; the single-instance
-  /// XKeyword facade ignores these). Number of shard groups a query scatters
-  /// to: 1 = the degenerate single-shard path (byte-identical to XKeyword by
-  /// construction), N > 1 groups the engine's loaded slices into at most N
-  /// contiguous target-object ID ranges, each evaluated by its own per-shard
-  /// executor. Results are byte-identical to num_shards = 1 for every value.
-  int num_shards = 1;
-  /// Threads of the scatter pool (0 = one thread per shard group).
-  int shard_parallelism = 0;
-  /// Push the gather stage's global k-th-position watermark back down to the
-  /// shards as a monotonically tightening bound for early termination. Never
-  /// changes results; kept as a knob so benches can A/B the savings.
-  bool shard_bound_pushdown = true;
 
   /// Full-result mode (QueryMode::kAll) only: join strategy.
   FullMode full_mode = FullMode::kAuto;
@@ -166,36 +141,24 @@ struct QueryOptions {
   uint64_t anytime_min_plan_rows = 4096;
 
   /// Cooperative cancellation/deadline token (not owned, may be null). The
-  /// executors poll it at plan, morsel, and probe granularity and return
-  /// whatever results were complete when it tripped. Installed by
+  /// executors poll it at plan and probe granularity and return whatever
+  /// results were complete when it tripped. Installed by
   /// XKeyword::Run / the serving layer; leave null for unbounded queries.
   const CancelToken* cancel = nullptr;
 
-  /// Rejects option combinations that would silently misbehave (zero-size
-  /// morsels, negative thread counts, a zero per-network bound). Called by
+  /// Rejects option combinations that would silently misbehave (negative
+  /// thread counts, a zero per-network bound, a zero subplan budget). Called by
   /// XKeyword::Prepare before any work happens.
   Status Validate() const {
     if (per_network_k == 0) {
       return Status::InvalidArgument("per_network_k must be >= 1");
     }
-    if (morsel_size == 0) {
-      return Status::InvalidArgument("morsel_size must be >= 1");
-    }
     if (num_threads < 0) {
       return Status::InvalidArgument("num_threads must be >= 0");
-    }
-    if (intra_plan_threads < 0) {
-      return Status::InvalidArgument("intra_plan_threads must be >= 0");
     }
     if (enable_subplan_reuse && subplan_cache_budget_bytes == 0) {
       return Status::InvalidArgument(
           "enable_subplan_reuse requires subplan_cache_budget_bytes > 0");
-    }
-    if (num_shards < 1) {
-      return Status::InvalidArgument("num_shards must be >= 1");
-    }
-    if (shard_parallelism < 0) {
-      return Status::InvalidArgument("shard_parallelism must be >= 0");
     }
     if (anytime_cost_budget < 0) {
       return Status::InvalidArgument("anytime_cost_budget must be >= 0");
@@ -265,13 +228,6 @@ struct ExecutionStats {
   uint64_t subplan_misses = 0;
   uint64_t subplan_bytes = 0;
   uint64_t dedup_saved_rows = 0;
-  /// Sharded scatter-gather (engine::ShardedEngine): shard tasks fanned out /
-  /// step-0 driver rows skipped because the gather watermark proved they
-  /// cannot reach the top-k / shard loops that terminated before exhausting
-  /// their driver slice (bound reached, local cap, or cancellation).
-  uint64_t shard_fanout = 0;
-  uint64_t shard_bound_prunes = 0;
-  uint64_t shard_early_stops = 0;
   /// Disk backend (storage::BufferPool): buffer-pool page hits / misses and
   /// page-file bytes read on behalf of this query. All zero on the in-memory
   /// backend.
@@ -279,8 +235,7 @@ struct ExecutionStats {
   uint64_t page_misses = 0;
   uint64_t page_read_bytes = 0;
   /// ISA level the block kernels dispatched to (simd::IsaLevel as an int;
-  /// stringify with simd::IsaLevelToString). Merges take the max so a
-  /// scatter-gather response reports the level its shards actually ran.
+  /// stringify with simd::IsaLevelToString). Merges take the max.
   uint32_t simd_isa = 0;
 
   void Add(const ExecutionStats& o) {
@@ -295,9 +250,6 @@ struct ExecutionStats {
     subplan_misses += o.subplan_misses;
     subplan_bytes = std::max(subplan_bytes, o.subplan_bytes);
     dedup_saved_rows += o.dedup_saved_rows;
-    shard_fanout += o.shard_fanout;
-    shard_bound_prunes += o.shard_bound_prunes;
-    shard_early_stops += o.shard_early_stops;
     page_hits += o.page_hits;
     page_misses += o.page_misses;
     page_read_bytes += o.page_read_bytes;

@@ -81,8 +81,8 @@ struct QueryRequest {
   /// decisions (see QueryOptions) instead of only truncating.
   std::chrono::nanoseconds deadline{0};
 
-  /// Every knob of the request — execution, sharding, full-result mode, and
-  /// the anytime budget — in one struct (QueryOptions::Validate covers it).
+  /// Every knob of the request — execution, full-result mode, and the
+  /// anytime budget — in one struct (QueryOptions::Validate covers it).
   QueryOptions options;
 
   /// Answer-cache interaction under service::QueryService (see CacheMode).

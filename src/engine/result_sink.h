@@ -18,9 +18,9 @@
 // OnBatch may block (the network layer blocks it on a bounded per-connection
 // outbox for backpressure); it is called with the executor's result lock
 // held, so a stalled sink stalls only its own query, never the engine. It is
-// never called concurrently for one query. Engines that cannot prove
-// finalized prefixes (the sharded scatter-gather path, the naive and full
-// executors) simply never call it; the full response then arrives at once.
+// never called concurrently for one query. Executors that cannot prove
+// finalized prefixes (the naive and full executors) simply never call it;
+// the full response then arrives at once.
 
 #ifndef XK_ENGINE_RESULT_SINK_H_
 #define XK_ENGINE_RESULT_SINK_H_

@@ -4,10 +4,6 @@
 
 namespace xk::engine {
 
-namespace {
-thread_local int tls_worker_index = -1;
-}  // namespace
-
 ThreadPool::ThreadPool(int num_threads) {
   XK_CHECK_GT(num_threads, 0);
   queues_.resize(static_cast<size_t>(num_threads));
@@ -25,8 +21,6 @@ ThreadPool::~ThreadPool() {
   work_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
-
-int ThreadPool::CurrentWorkerIndex() { return tls_worker_index; }
 
 void ThreadPool::Submit(std::function<void()> task) {
   {
@@ -66,7 +60,6 @@ bool ThreadPool::PopTask(int worker, std::function<void()>* task) {
 }
 
 void ThreadPool::WorkerLoop(int worker) {
-  tls_worker_index = worker;
   while (true) {
     std::function<void()> task;
     {

@@ -1,9 +1,8 @@
 // Copyright (c) the XKeyword authors.
 //
-// Work-stealing thread pool. Two uses in the engine: "a thread is assigned to
-// each CN starting from the smaller ones" (Section 6), and the morsel-driven
-// intra-plan parallelism of the top-k executor, where one large CTSSN plan is
-// split into driver morsels that idle workers steal. Tasks are submitted
+// Work-stealing thread pool. Two uses: the top-k executor's per-CN pool —
+// "a thread is assigned to each CN starting from the smaller ones"
+// (Section 6) — and the serving layer's worker pool. Tasks are submitted
 // round-robin to per-worker deques; a worker drains its own deque FIFO and,
 // when empty, steals from the back of a sibling's deque.
 
@@ -33,16 +32,6 @@ class ThreadPool {
 
   /// Blocks until every submitted task has finished.
   void Wait();
-  /// Alias of Wait(), matching the morsel scheduler's phrasing: the pool is
-  /// idle once all deques are empty and no task is running.
-  void WaitIdle() { Wait(); }
-
-  int num_threads() const { return static_cast<int>(threads_.size()); }
-
-  /// Index of the calling pool worker in [0, num_threads()), or -1 when the
-  /// caller is not a pool thread. Lets tasks maintain worker-local state
-  /// (e.g. the per-worker suffix caches of the morsel-driven evaluator).
-  static int CurrentWorkerIndex();
 
  private:
   void WorkerLoop(int worker);

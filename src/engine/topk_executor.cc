@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <numeric>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -304,18 +303,6 @@ bool PlanEvaluator::DistinctAcrossSegments(
   return true;
 }
 
-bool PlanEvaluator::EvalDriverRow(
-    storage::RowId r, std::vector<storage::TupleView>* rows,
-    std::vector<storage::ObjectId>* objs,
-    const std::function<bool(const std::vector<storage::ObjectId>&)>& emit) {
-  const exec::JoinStep& step = plan_->query.steps[0];
-  (*rows)[0] = step.table->RowInto(r, &row_scratch_[0]);
-  for (const auto& [node, col] : layout_->nodes_at_[0]) {
-    (*objs)[static_cast<size_t>(node)] = (*rows)[0][static_cast<size_t>(col)];
-  }
-  return Eval(1, rows, objs, emit);
-}
-
 void PlanEvaluator::Run(
     const std::function<bool(const std::vector<storage::ObjectId>&)>& emit) {
   if (plan_->query.steps.empty()) return;  // single-object plans handled elsewhere
@@ -325,37 +312,8 @@ void PlanEvaluator::Run(
   Eval(0, &rows, &objs, emit);
 }
 
-void PlanEvaluator::RunMorsel(
-    std::span<const storage::RowId> driver_rows,
-    const std::function<bool(const std::vector<storage::ObjectId>&)>& emit) {
-  if (plan_->query.steps.empty()) return;
-  std::vector<storage::TupleView> rows(plan_->query.steps.size());
-  std::vector<storage::ObjectId> objs(plan_->node_source.size(),
-                                      storage::kInvalidId);
-  for (storage::RowId r : driver_rows) {
-    if (!EvalDriverRow(r, &rows, &objs, emit)) return;
-  }
-}
-
-void PlanEvaluator::RunDriverRows(
-    std::span<const storage::RowId> driver_rows,
-    const std::function<bool(size_t)>& gate,
-    const std::function<bool(size_t, const std::vector<storage::ObjectId>&)>& emit) {
-  if (plan_->query.steps.empty()) return;
-  std::vector<storage::TupleView> rows(plan_->query.steps.size());
-  std::vector<storage::ObjectId> objs(plan_->node_source.size(),
-                                      storage::kInvalidId);
-  for (size_t i = 0; i < driver_rows.size(); ++i) {
-    if (gate && !gate(i)) return;
-    auto indexed_emit = [&](const std::vector<storage::ObjectId>& o) {
-      return emit(i, o);
-    };
-    if (!EvalDriverRow(driver_rows[i], &rows, &objs, indexed_emit)) return;
-  }
-}
-
 void PlanEvaluator::RunReplay(
-    const exec::MaterializedSubplan& prefix, size_t begin, size_t end,
+    const exec::MaterializedSubplan& prefix,
     const std::function<bool(const std::vector<storage::ObjectId>&)>& emit) {
   if (plan_->query.steps.empty()) return;
   const size_t arity = static_cast<size_t>(prefix.arity());
@@ -363,7 +321,7 @@ void PlanEvaluator::RunReplay(
   std::vector<storage::TupleView> rows(plan_->query.steps.size());
   std::vector<storage::ObjectId> objs(plan_->node_source.size(),
                                       storage::kInvalidId);
-  for (size_t r = begin; r < end; ++r) {
+  for (size_t r = 0; r < prefix.num_rows(); ++r) {
     for (size_t c = 0; c < arity; ++c) {
       const exec::JoinStep& step = plan_->query.steps[c];
       rows[c] =
@@ -374,21 +332,6 @@ void PlanEvaluator::RunReplay(
     }
     if (!Eval(arity, &rows, &objs, emit)) return;
   }
-}
-
-std::vector<storage::RowId> EnumerateDriverMatches(const PlanLayout& layout,
-                                                   const exec::ExecOptions& options,
-                                                   ExecutionStats* stats) {
-  const exec::JoinStep& step = layout.plan().query.steps[0];
-  std::vector<storage::RowId> rows;
-  exec::ForEachMatch(*step.table, step.const_filters, layout.step_filters(0),
-                     layout.step_blooms()[0], options,
-                     [&](storage::RowId r) {
-                       rows.push_back(r);
-                       return true;
-                     },
-                     stats != nullptr ? &stats->probes : nullptr);
-  return rows;
 }
 
 bool MaterializePrefixRows(const PlanLayout& layout, int depth,
@@ -501,17 +444,6 @@ void EvaluateSingleObjectPlan(
 
 // --- TopKExecutor --------------------------------------------------------
 
-/// Serial-order cap on one plan's output: the first `limit` results in
-/// driver/nested-loop order, matching the single-threaded emit semantics
-/// (per_network_k = 0 behaves like 1: the emit that trips the cap is kept).
-size_t PlanResultCap(const QueryOptions& options, size_t results_so_far) {
-  size_t cap = std::max<size_t>(options.per_network_k, 1);
-  if (options.global_k != 0) {
-    cap = std::min(cap, options.global_k - results_so_far);
-  }
-  return cap;
-}
-
 void SortMttons(std::vector<present::Mtton>* results) {
   std::stable_sort(results->begin(), results->end(),
                    [](const present::Mtton& a, const present::Mtton& b) {
@@ -523,140 +455,11 @@ void SortMttons(std::vector<present::Mtton>* results) {
                    });
 }
 
-namespace {
-
-/// Morsel-parallel evaluation of one multi-step plan: partitions the driver
-/// matches, fans the continuations out over `pool`, and appends the first
-/// `limit` results (in serial order) to `out`. Worker-local evaluator shards
-/// carry their own suffix caches and stats; a completed-prefix watermark
-/// cancels morsels that can no longer contribute.
-void RunPlanMorsels(const PlanLayout& layout, const PreparedQuery& query,
-                    const QueryOptions& options,
-                    const exec::ExecOptions& exec_options, size_t plan_index,
-                    size_t limit, ThreadPool* pool,
-                    std::vector<present::Mtton>* out,
-                    ExecutionStats* plan_stats,
-                    const exec::MaterializedSubplan* prefix, RowGate* gate) {
-  const CancelToken* cancel = options.cancel;
-  // The morsel-partitioned work items: materialized prefix rows when a shared
-  // subplan is available (its step-0.. bindings replay instead of probing),
-  // step-0 driver matches otherwise. Both are in serial enumeration order, so
-  // morsel merge order — and thus output — is identical either way.
-  std::vector<storage::RowId> driver;
-  size_t num_items;
-  if (prefix != nullptr) {
-    num_items = prefix->num_rows();
-  } else {
-    driver = EnumerateDriverMatches(layout, exec_options, plan_stats);
-    num_items = driver.size();
-  }
-  const int score = query.ctssns[plan_index].cn_size;
-
-  const size_t morsel = std::max<size_t>(options.morsel_size, 1);
-  const size_t num_morsels = (num_items + morsel - 1) / morsel;
-
-  auto append = [&](const std::vector<storage::ObjectId>& objs) {
-    out->push_back(present::Mtton{static_cast<int>(plan_index), objs, score});
-  };
-
-  if (num_morsels <= 1 || pool == nullptr || pool->num_threads() <= 1) {
-    PlanEvaluator evaluator(&layout, exec_options, options.enable_cache,
-                            options.cache_capacity);
-    evaluator.set_row_gate(gate);
-    size_t taken = 0;
-    auto sink = [&](const std::vector<storage::ObjectId>& objs) {
-      append(objs);
-      return ++taken < limit;
-    };
-    if (prefix != nullptr) {
-      evaluator.RunReplay(*prefix, 0, num_items, sink);
-    } else {
-      evaluator.RunMorsel(std::span<const storage::RowId>(driver), sink);
-    }
-    plan_stats->Add(evaluator.stats());
-    return;
-  }
-
-  std::vector<std::unique_ptr<PlanEvaluator>> shards(
-      static_cast<size_t>(pool->num_threads()));
-  for (auto& shard : shards) {
-    shard = std::make_unique<PlanEvaluator>(&layout, exec_options,
-                                            options.enable_cache,
-                                            options.cache_capacity);
-    shard->set_row_gate(gate);
-  }
-
-  // Per-morsel output slots, merged in morsel order afterwards. `cancelled`
-  // trips once the contiguous prefix of completed morsels already holds
-  // `limit` results — later morsels can never contribute to the first
-  // `limit` results in serial order.
-  std::vector<std::vector<std::vector<storage::ObjectId>>> morsel_out(num_morsels);
-  std::vector<uint8_t> morsel_done(num_morsels, 0);
-  // Buffer-pool traffic per worker thread: each morsel drains its thread's
-  // counters into its worker's slot (only that thread writes the slot), so
-  // disk reads done on pool threads still land in the query's stats.
-  std::vector<ExecutionStats> worker_page_stats(shards.size());
-  std::atomic<bool> cancelled{false};
-  std::mutex watermark_mutex;
-  size_t prefix_done = 0;
-  size_t prefix_results = 0;
-
-  for (size_t m = 0; m < num_morsels; ++m) {
-    pool->Submit([&, m] {
-      if (!cancelled.load(std::memory_order_acquire) &&
-          !(cancel != nullptr && cancel->StopRequested())) {
-        const int worker = ThreadPool::CurrentWorkerIndex();
-        XK_CHECK_GE(worker, 0);
-        std::vector<std::vector<storage::ObjectId>>& slot = morsel_out[m];
-        const size_t begin = m * morsel;
-        const size_t count = std::min(morsel, num_items - begin);
-        auto sink = [&](const std::vector<storage::ObjectId>& objs) {
-          slot.push_back(objs);
-          return slot.size() < limit &&
-                 !cancelled.load(std::memory_order_relaxed);
-        };
-        if (prefix != nullptr) {
-          shards[static_cast<size_t>(worker)]->RunReplay(*prefix, begin,
-                                                         begin + count, sink);
-        } else {
-          shards[static_cast<size_t>(worker)]->RunMorsel(
-              std::span<const storage::RowId>(driver.data() + begin, count),
-              sink);
-        }
-        DrainPageCounters(&worker_page_stats[static_cast<size_t>(worker)]);
-      }
-      std::lock_guard<std::mutex> lock(watermark_mutex);
-      morsel_done[m] = 1;
-      while (prefix_done < num_morsels && morsel_done[prefix_done] != 0) {
-        prefix_results += morsel_out[prefix_done].size();
-        ++prefix_done;
-      }
-      if (prefix_results >= limit) {
-        cancelled.store(true, std::memory_order_release);
-      }
-    });
-  }
-  pool->WaitIdle();
-
-  size_t taken = 0;
-  for (size_t m = 0; m < num_morsels && taken < limit; ++m) {
-    for (const std::vector<storage::ObjectId>& objs : morsel_out[m]) {
-      append(objs);
-      if (++taken == limit) break;
-    }
-  }
-  for (const auto& shard : shards) plan_stats->Add(shard->stats());
-  for (const ExecutionStats& s : worker_page_stats) plan_stats->Add(s);
-}
-
-}  // namespace
-
 Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query,
                                                       const QueryOptions& options,
                                                       ExecutionStats* stats,
                                                       Coverage* coverage,
                                                       ResultSink* sink) {
-  std::vector<present::Mtton> results;
   std::vector<ExecutionStats> per_plan_stats(query.plans.size());
   BloomCache bloom_cache;
   BloomCache* bloom_cache_ptr =
@@ -698,6 +501,36 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
   ProgressBudget budget(query, active, options);
   budget.PreAdmit(order);
 
+  // Per-CN thread pool (Section 6). Each plan emits into its own buffer,
+  // capped at per_network_k, and the answer concatenates the buffers in
+  // schedule order — the order a serial run appends them — so it does not
+  // depend on the interleaving. The global_k stop fires only once the
+  // completed prefix of the schedule holds global_k results: no later plan
+  // can reach the first global_k of that concatenation. `mutex` guards the
+  // completed-prefix state and the stream state; a plan's buffer is written
+  // by its own thread only and read by others once the plan is done.
+  std::vector<std::vector<present::Mtton>> buffers(query.plans.size());
+  std::vector<size_t> position(query.plans.size());
+  for (size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
+  std::vector<uint8_t> done(order.size(), 0);
+  size_t prefix_done = 0;     // schedule positions [0, prefix_done) are done
+  size_t prefix_results = 0;  // results buffered by those plans
+  std::mutex mutex;
+  std::atomic<bool> global_stop{false};
+  auto finish_plan = [&](size_t p) {
+    done[position[p]] = 1;
+    while (prefix_done < order.size() && done[prefix_done] != 0) {
+      prefix_results += buffers[order[prefix_done]].size();
+      ++prefix_done;
+    }
+    if (options.global_k != 0 && prefix_results >= options.global_k) {
+      global_stop.store(true, std::memory_order_relaxed);
+    }
+  };
+  for (size_t p : order) {
+    if (!active[p]) finish_plan(p);
+  }
+
   // Finalized-prefix streaming (engine/result_sink.h): per CN size class, the
   // number of scheduled plans that can still append results. When a plan is
   // done for good — completed, capped, budget-skipped, or interrupted — its
@@ -706,7 +539,7 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
   // response, so the delta past what was already streamed goes to the sink.
   // Plans left unvisited by a global stop never decrement: the watermark
   // simply stalls and the tail rides the final response. Callers must hold
-  // the results lock on the concurrent path.
+  // `mutex`.
   std::map<int, size_t> stream_pending;
   size_t streamed = 0;
   if (sink != nullptr) {
@@ -722,14 +555,18 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
     const int watermark = stream_pending.empty()
                               ? std::numeric_limits<int>::max()
                               : stream_pending.begin()->first - 1;
+    // Every plan of a class <= watermark is done, and the schedule is
+    // nondecreasing in class, so these buffers are a finished schedule
+    // prefix: cut at global_k in schedule order, as the final answer is.
     std::vector<present::Mtton> finalized;
-    for (const present::Mtton& m : results) {
-      if (m.score <= watermark) finalized.push_back(m);
+    for (size_t q : order) {
+      if (query.ctssns[q].cn_size > watermark) continue;
+      for (const present::Mtton& m : buffers[q]) {
+        if (options.global_k != 0 && finalized.size() == options.global_k) break;
+        finalized.push_back(m);
+      }
     }
     SortMttons(&finalized);
-    if (options.global_k != 0 && finalized.size() > options.global_k) {
-      finalized.resize(options.global_k);
-    }
     if (finalized.size() > streamed) {
       sink->OnBatch(
           std::span<const present::Mtton>(finalized).subspan(streamed));
@@ -776,110 +613,42 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
         dag.subplans[static_cast<size_t>(dag.shared_subplan[p])].signature);
   };
 
-  if (options.intra_plan_threads > 1) {
-    // Morsel-driven: plans run serially smallest-first; each multi-step plan
-    // fans its driver morsels out over the pool. Output and early-stop
-    // semantics are byte-identical to the single-threaded path.
-    std::unique_ptr<ThreadPool> pool;
-    for (size_t p : order) {
-      if (stop_requested()) break;  // unvisited plans stay "skipped"
-      if (skip_plan(p)) continue;
-      if (options.global_k != 0 && results.size() >= options.global_k) {
-        budget.MarkUnreachedComplete();
-        break;
-      }
-      if (!budget.AdmitPlan(p)) {  // skip whole CN, try the next
-        stream_plan_done(p);
-        continue;
-      }
-      Stopwatch plan_timer;
-      const uint64_t rows_before = per_plan_stats[p].probes.rows_scanned;
-      auto rows_scanned = [&] {
-        return per_plan_stats[p].probes.rows_scanned - rows_before;
-      };
-      auto elapsed_ns = [&] {
-        return static_cast<uint64_t>(plan_timer.ElapsedMicros()) * 1000;
-      };
-      const size_t limit = PlanResultCap(options, results.size());
-
-      if (query.plans[p].query.steps.empty()) {
-        size_t taken = 0;
-        EvaluateSingleObjectPlan(
-            query, p,
-            [&](const std::vector<storage::ObjectId>& objs) {
-              results.push_back(present::Mtton{static_cast<int>(p), objs,
-                                               query.ctssns[p].cn_size});
-              return ++taken < limit;
-            },
-            &per_plan_stats[p]);
-        budget.OnPlanComplete(p, rows_scanned(), elapsed_ns());
-        stream_plan_done(p);
-        continue;
-      }
-
-      PlanLayout layout(&query.plans[p], options.enable_semijoin_pruning,
-                        bloom_cache_ptr, &per_plan_stats[p]);
-      opt::SubplanCache::SubplanPtr prefix = acquire_prefix(p, layout);
-      if (pool == nullptr) {
-        pool = std::make_unique<ThreadPool>(options.intra_plan_threads);
-      }
-      std::shared_ptr<RowGate> gate = budget.MakeRowGate();
-      RunPlanMorsels(layout, query, options, exec_options, p, limit, pool.get(),
-                     &results, &per_plan_stats[p], prefix.get(), gate.get());
-      release_prefix(p);
-      if (stop_requested() || (gate != nullptr && gate->Exhausted())) {
-        budget.OnPlanInterrupted(p);
-      } else {
-        budget.OnPlanComplete(p, rows_scanned(), elapsed_ns());
-      }
+  auto run_plan = [&](size_t p) {
+    // Order matters for the coverage ledger: a global-k stop leaves the plan
+    // to MarkUnreachedComplete below (the answer needs nothing from it); a
+    // deadline/cancel stop leaves it "skipped".
+    if (global_stop.load(std::memory_order_relaxed)) return;
+    if (stop_requested()) return;
+    if (!active[p]) return;
+    if (!budget.AdmitPlan(p)) {  // skip whole CN, try the next
+      std::lock_guard<std::mutex> lock(mutex);
+      finish_plan(p);
       stream_plan_done(p);
+      return;
     }
-  } else {
-    std::mutex mutex;
-    std::atomic<bool> global_stop{false};
+    Stopwatch plan_timer;
+    auto elapsed_ns = [&] {
+      return static_cast<uint64_t>(plan_timer.ElapsedMicros()) * 1000;
+    };
+    std::vector<present::Mtton>& out = buffers[p];
+    const int score = query.ctssns[p].cn_size;
+    auto emit = [&](const std::vector<storage::ObjectId>& objs) {
+      out.push_back(present::Mtton{static_cast<int>(p), objs, score});
+      if (out.size() >= options.per_network_k) return false;
+      if (options.global_k == 0) return true;
+      if (global_stop.load(std::memory_order_relaxed)) return false;
+      // At the frontier (every earlier plan done) the prefix count is final,
+      // so the plan stops where a serial run would.
+      std::lock_guard<std::mutex> lock(mutex);
+      return prefix_done != position[p] ||
+             prefix_results + out.size() < options.global_k;
+    };
 
-    auto run_plan = [&](size_t p) {
-      // Order matters for the coverage ledger: a global-k stop leaves the
-      // plan to MarkUnreachedComplete below (the answer needs nothing from
-      // it); a deadline/cancel stop leaves it "skipped".
-      if (global_stop.load(std::memory_order_relaxed)) return;
-      if (stop_requested()) return;
-      if (skip_plan(p)) return;
-      if (!budget.AdmitPlan(p)) {  // skip whole CN, try the next
-        std::lock_guard<std::mutex> lock(mutex);
-        stream_plan_done(p);
-        return;
-      }
-      Stopwatch plan_timer;
-      const uint64_t rows_before = per_plan_stats[p].probes.rows_scanned;
-      auto rows_scanned = [&] {
-        return per_plan_stats[p].probes.rows_scanned - rows_before;
-      };
-      auto elapsed_ns = [&] {
-        return static_cast<uint64_t>(plan_timer.ElapsedMicros()) * 1000;
-      };
-      size_t local_count = 0;
-      auto emit = [&](const std::vector<storage::ObjectId>& objs) {
-        std::lock_guard<std::mutex> lock(mutex);
-        results.push_back(present::Mtton{static_cast<int>(p), objs,
-                                         query.ctssns[p].cn_size});
-        ++local_count;
-        if (options.global_k != 0 && results.size() >= options.global_k) {
-          global_stop.store(true, std::memory_order_relaxed);
-          return false;
-        }
-        return local_count < options.per_network_k &&
-               !global_stop.load(std::memory_order_relaxed);
-      };
-
-      if (query.plans[p].query.steps.empty()) {
-        EvaluateSingleObjectPlan(query, p, emit, &per_plan_stats[p]);
-        budget.OnPlanComplete(p, rows_scanned(), elapsed_ns());
-        DrainPageCounters(&per_plan_stats[p]);
-        std::lock_guard<std::mutex> lock(mutex);
-        stream_plan_done(p);
-        return;
-      }
+    if (query.plans[p].query.steps.empty()) {
+      EvaluateSingleObjectPlan(query, p, emit, &per_plan_stats[p]);
+      budget.OnPlanComplete(p, per_plan_stats[p].probes.rows_scanned,
+                            elapsed_ns());
+    } else {
       PlanLayout layout(&query.plans[p], options.enable_semijoin_pruning,
                         bloom_cache_ptr, &per_plan_stats[p]);
       opt::SubplanCache::SubplanPtr prefix = acquire_prefix(p, layout);
@@ -888,7 +657,7 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
                               options.cache_capacity);
       evaluator.set_row_gate(gate.get());
       if (prefix != nullptr) {
-        evaluator.RunReplay(*prefix, 0, prefix->num_rows(), emit);
+        evaluator.RunReplay(*prefix, emit);
       } else {
         evaluator.Run(emit);
       }
@@ -899,33 +668,39 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
       if (stop_requested() || (gate != nullptr && gate->Exhausted())) {
         budget.OnPlanInterrupted(p);
       } else {
-        budget.OnPlanComplete(p, rows_scanned(), elapsed_ns());
+        budget.OnPlanComplete(p, per_plan_stats[p].probes.rows_scanned,
+                              elapsed_ns());
       }
-      // Attribute this pool thread's page traffic to the plan it just ran
-      // (each plan executes on exactly one thread, so the slot is private).
-      DrainPageCounters(&per_plan_stats[p]);
-      std::lock_guard<std::mutex> lock(mutex);
-      stream_plan_done(p);
-    };
+    }
+    // Attribute this pool thread's page traffic to the plan it just ran
+    // (each plan executes on exactly one thread, so the slot is private).
+    DrainPageCounters(&per_plan_stats[p]);
+    std::lock_guard<std::mutex> lock(mutex);
+    finish_plan(p);
+    stream_plan_done(p);
+  };
 
-    if (options.num_threads <= 1 || query.plans.size() <= 1) {
-      for (size_t p : order) run_plan(p);
-    } else {
-      ThreadPool pool(options.num_threads);
-      for (size_t p : order) {
-        pool.Submit([&run_plan, p] { run_plan(p); });
-      }
-      pool.Wait();
+  if (options.num_threads <= 1 || query.plans.size() <= 1) {
+    for (size_t p : order) run_plan(p);
+  } else {
+    ThreadPool pool(options.num_threads);
+    for (size_t p : order) {
+      pool.Submit([&run_plan, p] { run_plan(p); });
     }
-    if (global_stop.load(std::memory_order_relaxed) && !stop_requested()) {
-      budget.MarkUnreachedComplete();
-    }
+    pool.Wait();
+  }
+  if (global_stop.load(std::memory_order_relaxed) && !stop_requested()) {
+    budget.MarkUnreachedComplete();
   }
 
+  std::vector<present::Mtton> results;
+  for (size_t p : order) {
+    for (present::Mtton& m : buffers[p]) {
+      if (options.global_k != 0 && results.size() == options.global_k) break;
+      results.push_back(std::move(m));
+    }
+  }
   SortMttons(&results);
-  if (options.global_k != 0 && results.size() > options.global_k) {
-    results.resize(options.global_k);
-  }
   if (coverage != nullptr) *coverage = budget.Finish();
   if (stats != nullptr) {
     for (const ExecutionStats& s : per_plan_stats) stats->Add(s);

@@ -6,14 +6,10 @@
 // executed since it will produce the same results as before". Disabling the
 // cache yields the naive algorithm of DISCOVER/DBXplorer (naive_executor.h).
 //
-// Two parallelism axes:
-//  * across plans — one thread per candidate network, smallest first
-//    (the paper's thread pool);
-//  * within a plan — morsel-driven: the step-0 driver matches are split into
-//    fixed-size morsels fanned out over a work-stealing pool; each worker
-//    evaluates the Eval(1, ...) continuation with worker-local suffix caches
-//    and stats, and morsel outputs merge in driver order so results are
-//    byte-identical to the serial path.
+// Parallelism is the paper's per-CN thread pool: "a thread is assigned to
+// each CN starting from the smaller ones". Each plan fills its own result
+// buffer and the buffers merge in schedule order, so the answer is
+// byte-identical to a single-threaded run.
 //
 // Semi-join keyword pruning: per plan step, the keyword filter sets are
 // intersected and the join columns later steps probe are summarized into
@@ -28,7 +24,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -66,10 +61,10 @@ class BloomCache {
   std::map<std::string, std::unique_ptr<storage::BloomFilter>> filters_;
 };
 
-/// Immutable per-plan precomputation shared by every evaluator shard of one
-/// plan: step dependencies, occurrence bindings, same-segment groups, plus the
-/// semi-join structures — per-step keyword filters intersected down to one set
-/// per column, and per-step Bloom filters over the probed join columns.
+/// Immutable per-plan precomputation: step dependencies, occurrence bindings,
+/// same-segment groups, plus the semi-join structures — per-step keyword
+/// filters intersected down to one set per column, and per-step Bloom filters
+/// over the probed join columns.
 class PlanLayout {
  public:
   /// `bloom_cache` may be null (disables pruning, as does
@@ -105,9 +100,7 @@ class PlanLayout {
 };
 
 /// Evaluates one CTSSN plan by depth-first nested loops with optional suffix
-/// memoization. Not thread-safe: the morsel-driven path creates one evaluator
-/// shard per pool worker (worker-local caches and stats) over a shared
-/// PlanLayout.
+/// memoization. Not thread-safe: a plan runs on one pool thread.
 class PlanEvaluator {
  public:
   PlanEvaluator(const PlanLayout* layout, exec::ExecOptions exec_options,
@@ -117,30 +110,12 @@ class PlanEvaluator {
   /// `emit` receives the objects per CTSSN occurrence.
   void Run(const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
 
-  /// Evaluates the continuation of a morsel of step-0 driver row ids (as
-  /// enumerated by EnumerateDriverMatches): binds each driver row, then runs
-  /// the nested loops from step 1. Emission order within the morsel equals
-  /// the serial order.
-  void RunMorsel(std::span<const storage::RowId> driver_rows,
-                 const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
-
-  /// Like RunMorsel, but with per-driver-row hooks for callers that need to
-  /// attribute results to rows or stop between rows: `gate(i)` (may be null)
-  /// is consulted before driver_rows[i] is bound — returning false ends the
-  /// run — and `emit` receives the span index of the driver row that produced
-  /// each result. The sharded scatter stage uses the gate to poll the gather
-  /// watermark and the index to tag results with their global position.
-  void RunDriverRows(
-      std::span<const storage::RowId> driver_rows,
-      const std::function<bool(size_t)>& gate,
-      const std::function<bool(size_t, const std::vector<storage::ObjectId>&)>& emit);
-
-  /// Replays prefix rows [begin, end) of a materialized shared subplan: binds
-  /// the prefix steps from the stored row ids (no probes), then runs the
-  /// nested loops from the first unshared step. Replay order equals the
-  /// producer's enumeration order, so output is byte-identical to evaluating
-  /// the prefix directly. `prefix.arity()` must not exceed the plan's steps.
-  void RunReplay(const exec::MaterializedSubplan& prefix, size_t begin, size_t end,
+  /// Replays the rows of a materialized shared subplan: binds the prefix
+  /// steps from the stored row ids (no probes), then runs the nested loops
+  /// from the first unshared step. Replay order equals the producer's
+  /// enumeration order, so output is byte-identical to evaluating the prefix
+  /// directly. `prefix.arity()` must not exceed the plan's steps.
+  void RunReplay(const exec::MaterializedSubplan& prefix,
                  const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
 
   const ExecutionStats& stats() const { return stats_; }
@@ -160,11 +135,6 @@ class PlanEvaluator {
   bool Eval(size_t i, std::vector<storage::TupleView>* rows,
             std::vector<storage::ObjectId>* objs,
             const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
-  /// Binds step 0 to driver row `r`, then evaluates steps 1..n.
-  bool EvalDriverRow(storage::RowId r, std::vector<storage::TupleView>* rows,
-                     std::vector<storage::ObjectId>* objs,
-                     const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
-
   void ProjectToCollectors(const std::vector<storage::ObjectId>& objs);
   std::string CacheKey(size_t i, const std::vector<storage::TupleView>& rows) const;
   /// MTNNs are trees of distinct nodes: occurrences of one segment must bind
@@ -195,12 +165,6 @@ class PlanEvaluator {
   std::vector<storage::Tuple> row_scratch_;
 };
 
-/// Step-0 matches of `plan` in probe order — the driver rows the morsel
-/// scheduler partitions. Scan counters go to `stats` (nullable).
-std::vector<storage::RowId> EnumerateDriverMatches(const PlanLayout& layout,
-                                                   const exec::ExecOptions& options,
-                                                   ExecutionStats* stats);
-
 /// Materializes the join prefix steps [0, depth] of `layout`'s plan into
 /// `out` (one row of per-step base-table row ids per prefix match, serial
 /// nested-loop order). `base` (nullable) is an already-materialized shallower
@@ -214,10 +178,8 @@ bool MaterializePrefixRows(const PlanLayout& layout, int depth,
                            ExecutionStats* stats, exec::MaterializedSubplan* out);
 
 /// Runs all plans of a prepared query with the thread pool, collecting up to
-/// per_network_k results per network (and optionally global_k in total).
-/// With options.intra_plan_threads > 1, plans run smallest-first one at a
-/// time, each parallelized across morsels of its driver matches; the result
-/// list is byte-identical to a single-threaded run.
+/// per_network_k results per network (and optionally global_k in total). The
+/// result list is byte-identical to a single-threaded run.
 /// With options.enable_anytime and a cost budget or armed deadline, whole
 /// plans the budget cannot afford are skipped (cheapest-first schedule order)
 /// and `coverage` (nullable) reports the structured quality bound; with no
@@ -244,11 +206,6 @@ void EvaluateSingleObjectPlan(
     const PreparedQuery& query, size_t plan_index,
     const std::function<bool(const std::vector<storage::ObjectId>&)>& emit,
     ExecutionStats* stats = nullptr);
-
-/// Serial-order cap on one plan's output given the results accumulated by the
-/// plans scheduled before it: the first `cap` results in driver/nested-loop
-/// order. Shared by the top-k executor and the sharded scatter-gather stage.
-size_t PlanResultCap(const QueryOptions& options, size_t results_so_far);
 
 /// Final ranking of every executor: stable sort by (score, ctssn_index,
 /// objects) — a total order on distinct values, so any execution order that

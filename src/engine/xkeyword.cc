@@ -76,8 +76,15 @@ Result<PreparedQuery> XKeyword::Prepare(const std::vector<std::string>& keywords
   XK_ASSIGN_OR_RETURN(std::vector<cn::CandidateNetwork> networks,
                       generator.Generate(keyword_schema_nodes));
 
+  // Deadline/cancel poll between the per-network steps below (the generator
+  // polls on its own); a tripped token fails Prepare with its status.
+  auto stopped = [&] {
+    return options.cancel != nullptr && options.cancel->StopRequested();
+  };
+
   // Reduce each CN to its CTSSN; skip shapes the TSS graph cannot express.
   for (cn::CandidateNetwork& network : networks) {
+    if (stopped()) return options.cancel->ToStatus();
     Result<cn::Ctssn> reduced = cn::ReduceToCtssn(network, *schema_, *tss_);
     if (!reduced.ok()) {
       XK_LOG(Debug) << "skipping CN (" << reduced.status().ToString()
@@ -106,6 +113,7 @@ Result<PreparedQuery> XKeyword::Prepare(const std::vector<std::string>& keywords
   // Per-network node filters and plans.
   opt::Optimizer optimizer(tss_, d, &data_->catalog, &data_->objects);
   for (const cn::Ctssn& ctssn : q.ctssns) {
+    if (stopped()) return options.cancel->ToStatus();
     opt::NodeFilters filters(static_cast<size_t>(ctssn.num_nodes()));
     for (int v = 0; v < ctssn.num_nodes(); ++v) {
       for (const cn::CtssnKeyword& kw :

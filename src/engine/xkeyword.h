@@ -28,13 +28,12 @@
 #include "engine/full_executor.h"
 #include "engine/load_stage.h"
 #include "engine/naive_executor.h"
-#include "engine/query_engine.h"
 #include "engine/query_request.h"
 #include "engine/topk_executor.h"
 
 namespace xk::engine {
 
-class XKeyword : public QueryEngine {
+class XKeyword {
  public:
   /// Loads the database. The graph, schema and TSS graph must outlive the
   /// returned object. `storage` selects the backend: kMemory (default) keeps
@@ -57,7 +56,8 @@ class XKeyword : public QueryEngine {
   /// Keyword discovery + CN generation + reduction + planning. Validates
   /// `options` first (QueryOptions::Validate) and rejects more than
   /// cn::kMaxKeywords keywords. A deadline or cancel on `options.cancel` that
-  /// trips during CN generation fails Prepare with the token's status.
+  /// trips during CN generation, CTSSN reduction or planning fails Prepare
+  /// with the token's status.
   Result<PreparedQuery> Prepare(const std::vector<std::string>& keywords,
                                 const std::string& decomposition,
                                 const QueryOptions& options) const;
@@ -75,10 +75,11 @@ class XKeyword : public QueryEngine {
   /// remaining deadline instead of truncating mid-CN. Hard failures yield an
   /// error Result. `sink` (borrowed, may be null) streams finalized result
   /// prefixes for kTopK queries (engine/result_sink.h); kNaive/kAll deliver
-  /// everything in the response.
+  /// everything in the response. Safe to call from many threads at once
+  /// after loading.
   Result<QueryResponse> Run(const QueryRequest& request,
                             CancelToken* token = nullptr,
-                            ResultSink* sink = nullptr) const override;
+                            ResultSink* sink = nullptr) const;
 
   /// Presentation graph of network `ctssn_index` of a prepared query, seeded
   /// with the given results of that network.
@@ -93,7 +94,7 @@ class XKeyword : public QueryEngine {
   /// state changes (today: AddDecomposition; a future reload path must bump
   /// it too). The serving layer tags every cached answer with the generation
   /// it was computed under, so a bump atomically invalidates stale answers.
-  uint64_t data_generation() const override {
+  uint64_t data_generation() const {
     return generation_.load(std::memory_order_acquire);
   }
 

@@ -6,8 +6,7 @@
 // once and appends one row of per-step base-table row ids per prefix match;
 // every consuming plan then replays the rows — in the producer's enumeration
 // order, so results stay byte-identical to re-executing the prefix — through
-// its own SubplanReplayIterator, or random-accesses them for morsel
-// partitioning.
+// its own SubplanReplayIterator or by random access.
 
 #ifndef XK_EXEC_SUBPLAN_SOURCE_H_
 #define XK_EXEC_SUBPLAN_SOURCE_H_

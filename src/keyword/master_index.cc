@@ -143,53 +143,6 @@ size_t MasterIndex::MemoryBytes() const {
   return bytes;
 }
 
-MasterIndex MasterIndex::Slice(storage::ObjectId begin,
-                               storage::ObjectId end) const {
-  // Walk keywords in arena order (deterministic) and keep the [begin, end)
-  // subrange of each list — lists are sorted by (to_id, node_id), so the
-  // range is one contiguous run found by binary search. Works on both
-  // backends: a spilled list is decoded once here (slicing happens at load,
-  // not per query).
-  std::vector<std::pair<std::string_view, uint32_t>> by_offset(ids_.begin(),
-                                                               ids_.end());
-  std::sort(by_offset.begin(), by_offset.end(),
-            [](const auto& a, const auto& b) {
-              return a.first.data() < b.first.data();
-            });
-
-  MasterIndex slice;
-  size_t arena_size = 0;
-  std::vector<std::pair<std::string_view, std::vector<Posting>>> kept;
-  for (const auto& [keyword, id] : by_offset) {
-    const PostingList list = ListAt(id);
-    auto lo = std::lower_bound(list.begin(), list.end(), begin,
-                               [](const Posting& p, storage::ObjectId v) {
-                                 return p.to_id < v;
-                               });
-    auto hi = std::lower_bound(lo, list.end(), end,
-                               [](const Posting& p, storage::ObjectId v) {
-                                 return p.to_id < v;
-                               });
-    if (lo == hi) continue;
-    arena_size += keyword.size();
-    kept.emplace_back(keyword, std::vector<Posting>(lo, hi));
-  }
-
-  slice.arena_.reserve(arena_size);
-  slice.ids_.reserve(kept.size());
-  slice.lists_.reserve(kept.size());
-  for (auto& [keyword, list] : kept) {
-    const size_t offset = slice.arena_.size();
-    slice.arena_.append(keyword);
-    std::string_view view(slice.arena_.data() + offset, keyword.size());
-    slice.num_postings_ += list.size();
-    slice.ids_.emplace(view, static_cast<uint32_t>(slice.lists_.size()));
-    slice.lists_.push_back(std::move(list));
-  }
-  XK_CHECK_EQ(slice.arena_.size(), arena_size);
-  return slice;
-}
-
 std::vector<schema::SchemaNodeId> MasterIndex::SchemaNodesContaining(
     const std::string& keyword) const {
   std::vector<schema::SchemaNodeId> nodes;

@@ -107,14 +107,6 @@ class MasterIndex {
   std::vector<schema::SchemaNodeId> SchemaNodesContaining(
       const std::string& keyword) const;
 
-  /// The shard-local index owning target objects in [begin, end): every
-  /// containing list restricted to postings with begin <= to_id < end
-  /// ((to_id, node_id) order preserved), keywords whose lists become empty
-  /// dropped, and the arena re-interned so the result is self-contained.
-  /// Slicing the full id range at the same boundaries partitions NumPostings
-  /// exactly.
-  MasterIndex Slice(storage::ObjectId begin, storage::ObjectId end) const;
-
  private:
   /// List `id` on either backend: a view (memory) or decoded copy (disk).
   PostingList ListAt(uint32_t id) const;

@@ -64,17 +64,12 @@ void PutOptions(std::string* out, const engine::QueryOptions& o) {
   PutU8(out, o.enable_cache ? 1 : 0);
   PutU64(out, o.cache_capacity);
   PutI32(out, o.num_threads);
-  PutI32(out, o.intra_plan_threads);
-  PutU64(out, o.morsel_size);
   PutU8(out, o.enable_semijoin_pruning ? 1 : 0);
   PutU8(out, o.enable_subplan_reuse ? 1 : 0);
   PutU64(out, o.subplan_cache_budget_bytes);
   PutU8(out, o.cost_ordered_scheduling ? 1 : 0);
   PutU8(out, o.vectorized ? 1 : 0);
   PutU8(out, static_cast<uint8_t>(o.kernel_dispatch));
-  PutI32(out, o.num_shards);
-  PutI32(out, o.shard_parallelism);
-  PutU8(out, o.shard_bound_pushdown ? 1 : 0);
   PutU8(out, static_cast<uint8_t>(o.full_mode));
   PutU8(out, o.enable_scan_reuse ? 1 : 0);
   PutU8(out, o.enable_anytime ? 1 : 0);
@@ -98,9 +93,6 @@ void PutStats(std::string* out, const engine::ExecutionStats& s) {
   PutU64(out, s.subplan_misses);
   PutU64(out, s.subplan_bytes);
   PutU64(out, s.dedup_saved_rows);
-  PutU64(out, s.shard_fanout);
-  PutU64(out, s.shard_bound_prunes);
-  PutU64(out, s.shard_early_stops);
   PutU32(out, s.simd_isa);
 }
 
@@ -318,8 +310,6 @@ Result<engine::QueryRequest> DecodeQueryBody(std::span<const uint8_t> payload) {
   o.enable_cache = r.GetU8() != 0;
   o.cache_capacity = r.GetU64();
   o.num_threads = r.GetI32();
-  o.intra_plan_threads = r.GetI32();
-  o.morsel_size = r.GetU64();
   o.enable_semijoin_pruning = r.GetU8() != 0;
   o.enable_subplan_reuse = r.GetU8() != 0;
   o.subplan_cache_budget_bytes = r.GetU64();
@@ -330,9 +320,6 @@ Result<engine::QueryRequest> DecodeQueryBody(std::span<const uint8_t> payload) {
     return MalformedError("bad kernel dispatch");
   }
   o.kernel_dispatch = static_cast<engine::KernelDispatch>(kernel_dispatch);
-  o.num_shards = r.GetI32();
-  o.shard_parallelism = r.GetI32();
-  o.shard_bound_pushdown = r.GetU8() != 0;
   const uint8_t full_mode = r.GetU8();
   if (full_mode > static_cast<uint8_t>(engine::FullMode::kHashJoin)) {
     return MalformedError("bad full mode");
@@ -393,9 +380,6 @@ Result<FinalBody> DecodeFinalBody(std::span<const uint8_t> payload) {
   s.subplan_misses = r.GetU64();
   s.subplan_bytes = r.GetU64();
   s.dedup_saved_rows = r.GetU64();
-  s.shard_fanout = r.GetU64();
-  s.shard_bound_prunes = r.GetU64();
-  s.shard_early_stops = r.GetU64();
   s.simd_isa = r.GetU32();
   body.tail_start = r.GetU64();
   body.response.mttons = r.GetMttons();

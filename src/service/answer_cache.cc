@@ -25,20 +25,16 @@ std::string AnswerCache::CanonicalKey(const engine::QueryRequest& request) {
   key += request.decomposition;
   key += '\x1e';
   key += engine::QueryModeToString(request.mode);
-  // Result-shape options only; performance knobs (threads, morsels, the
+  // Result-shape options only; performance knobs (threads, the
   // partial-result cache, Bloom pruning) are byte-identity-preserving and
   // deadlines/cache_mode describe the serving contract, not the answer.
   const engine::QueryOptions& o = request.options;
-  // num_shards is fingerprinted defensively: the sharded data plane is
-  // byte-identical by design, but an answer computed under a different
-  // scatter layout must never mask a regression of that very invariant.
   // The anytime knobs (enable_anytime, anytime_cost_budget, headroom,
   // min_plan_rows) are deliberately absent: only kComplete answers are ever
   // stored, and a complete answer is byte-identical across every anytime
   // setting.
-  key += StrFormat("\x1e" "z=%d;n=%d;k=%zu;g=%zu;s=%d", o.max_size_z,
-                   o.max_network_size, o.per_network_k, o.global_k,
-                   o.num_shards);
+  key += StrFormat("\x1e" "z=%d;n=%d;k=%zu;g=%zu", o.max_size_z,
+                   o.max_network_size, o.per_network_k, o.global_k);
   return key;
 }
 

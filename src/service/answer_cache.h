@@ -13,8 +13,8 @@
 // duplicate keywords add filter sets), the decomposition,
 // the execution mode, and every option that shapes the result list (Z,
 // network-size bound, per-network and global k).
-// Performance knobs (threads, morsel size, partial-result caching, Bloom
-// pruning) are excluded: PR 1 made results byte-identical across them.
+// Performance knobs (threads, partial-result caching, Bloom pruning) are
+// excluded: results are byte-identical across them.
 // Deadlines, cache_mode and the anytime budget knobs are excluded too — a
 // budget changes whether an answer completes, not what the complete answer
 // is (only Completeness::kComplete answers are cached).

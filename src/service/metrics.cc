@@ -167,9 +167,6 @@ MetricsSnapshot Metrics::Snapshot() const {
     snap.subplan_misses += stats.subplan_misses;
     snap.subplan_bytes = std::max(snap.subplan_bytes, stats.subplan_bytes);
     snap.dedup_saved_rows += stats.dedup_saved_rows;
-    snap.shard_fanout += stats.shard_fanout;
-    snap.shard_bound_prunes += stats.shard_bound_prunes;
-    snap.shard_early_stops += stats.shard_early_stops;
     snap.page_hits += stats.page_hits;
     snap.page_misses += stats.page_misses;
     snap.page_read_bytes += stats.page_read_bytes;

@@ -106,13 +106,6 @@ struct MetricsSnapshot {
   uint64_t subplan_bytes = 0;
   uint64_t dedup_saved_rows = 0;
 
-  /// Sharded data-plane totals across all decompositions — the serving-level
-  /// view of engine::ExecutionStats::shard_* (scatter tasks fanned out,
-  /// driver rows skipped by the gather watermark, shard loops stopped early).
-  uint64_t shard_fanout = 0;
-  uint64_t shard_bound_prunes = 0;
-  uint64_t shard_early_stops = 0;
-
   /// Disk-backend buffer-pool totals across all decompositions — the
   /// serving-level view of engine::ExecutionStats::page_* (pool page hits,
   /// misses, and page-file bytes read on behalf of served queries). All zero

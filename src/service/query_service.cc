@@ -167,13 +167,13 @@ void QueryHandle::Cancel() const {
 // --- QueryService --------------------------------------------------------
 
 Result<std::unique_ptr<QueryService>> QueryService::Create(
-    const engine::QueryEngine* engine, QueryServiceOptions options) {
+    const engine::XKeyword* engine, QueryServiceOptions options) {
   if (engine == nullptr) return Status::InvalidArgument("null query engine");
   XK_RETURN_NOT_OK(options.Validate());
   return std::unique_ptr<QueryService>(new QueryService(engine, options));
 }
 
-QueryService::QueryService(const engine::QueryEngine* engine,
+QueryService::QueryService(const engine::XKeyword* engine,
                            QueryServiceOptions options)
     : engine_(engine),
       options_(options),

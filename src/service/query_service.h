@@ -1,8 +1,7 @@
 // Copyright (c) the XKeyword authors.
 //
-// QueryService: the concurrent serving front-end over one shared query
-// engine (engine::QueryEngine — the single-instance XKeyword facade or the
-// sharded scatter-gather ShardedEngine). Keyword-search traffic is dominated by a few expensive
+// QueryService: the concurrent serving front-end over one shared
+// engine::XKeyword. Keyword-search traffic is dominated by a few expensive
 // join-heavy queries among many cheap ones, so the service is built around
 // per-query budgets rather than raw throughput alone:
 //
@@ -25,7 +24,7 @@
 //
 // The engine is immutable at serving time (Load/AddDecomposition happen
 // before the service is built), so workers share it without locks. Cached
-// answers are tagged with QueryEngine::data_generation(); a generation
+// answers are tagged with XKeyword::data_generation(); a generation
 // bump (e.g. a decomposition added between serving sessions) atomically
 // invalidates every older answer.
 //
@@ -47,8 +46,8 @@
 #include <unordered_map>
 #include <utility>
 
-#include "engine/query_engine.h"
 #include "engine/thread_pool.h"
+#include "engine/xkeyword.h"
 #include "service/answer_cache.h"
 #include "service/metrics.h"
 
@@ -121,7 +120,7 @@ class QueryHandle {
 class QueryService {
  public:
   static Result<std::unique_ptr<QueryService>> Create(
-      const engine::QueryEngine* engine, QueryServiceOptions options = {});
+      const engine::XKeyword* engine, QueryServiceOptions options = {});
 
   /// Cancels every live query, drains the workers, and joins them.
   ~QueryService();
@@ -172,12 +171,12 @@ class QueryService {
   const AnswerCache* answer_cache() const { return cache_.get(); }
 
  private:
-  QueryService(const engine::QueryEngine* engine, QueryServiceOptions options);
+  QueryService(const engine::XKeyword* engine, QueryServiceOptions options);
 
   void Execute(const std::shared_ptr<QueryState>& state,
                const std::shared_ptr<CoalesceGroup>& group);
 
-  const engine::QueryEngine* engine_;
+  const engine::XKeyword* engine_;
   const QueryServiceOptions options_;
   /// Shared (not owned by value) so a detached coalesced follower can still
   /// record its outcome through its QueryState after the service is gone.

@@ -44,8 +44,8 @@ struct StorageOptions {
 };
 
 /// Owns the page file and the pool. One tier serves every substrate of one
-/// loaded database (all shard slices included), so a single byte budget
-/// governs the whole process's resident page memory.
+/// loaded database, so a single byte budget governs the whole process's
+/// resident page memory.
 class StorageTier {
  public:
   /// Creates the page file under `options.data_dir` (or a private temp dir).

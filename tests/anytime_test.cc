@@ -1,8 +1,8 @@
 // Differential harness for deadline-aware anytime execution:
 //
 //  * Inertness — with no deadline and no cost budget, enable_anytime on vs.
-//    off must be BYTE-IDENTICAL across every mode x shard count x reuse x
-//    vectorized x thread-count combination (the anytime machinery may exist
+//    off must be BYTE-IDENTICAL across every mode x reuse x vectorized x
+//    thread-count combination (the anytime machinery may exist
 //    only as a ledger there).
 //  * Soundness — under a deterministic cost budget, the result prefix drawn
 //    from CN size classes <= Coverage::exhausted_class must byte-match the
@@ -26,7 +26,6 @@
 
 #include "datagen/dblp_gen.h"
 #include "engine/progress_budget.h"
-#include "engine/sharded_engine.h"
 #include "engine/xkeyword.h"
 #include "service/query_service.h"
 #include "test_util.h"
@@ -40,8 +39,6 @@ using engine::QueryMode;
 using engine::QueryOptions;
 using engine::QueryRequest;
 using engine::QueryResponse;
-using engine::ShardedEngine;
-using engine::ShardedEngineOptions;
 using engine::XKeyword;
 using present::Mtton;
 using std::chrono::milliseconds;
@@ -63,19 +60,9 @@ class AnytimeTest : public ::testing::Test {
               .release();
     XK_ASSERT_OK(xk_->AddDecomposition(
         decomp::MakeXKeyword(db_->tss(), /*B=*/2, /*M=*/6).MoveValueUnsafe()));
-    ShardedEngineOptions sharded_options;
-    sharded_options.num_slices = 4;
-    sharded_ = ShardedEngine::Load(&db_->graph(), &db_->schema(), &db_->tss(),
-                                   sharded_options)
-                   .MoveValueUnsafe()
-                   .release();
-    XK_ASSERT_OK(sharded_->AddDecomposition(
-        decomp::MakeXKeyword(db_->tss(), /*B=*/2, /*M=*/6).MoveValueUnsafe()));
   }
 
   static void TearDownTestSuite() {
-    delete sharded_;
-    sharded_ = nullptr;
     delete xk_;
     xk_ = nullptr;
     delete db_;
@@ -117,55 +104,46 @@ class AnytimeTest : public ::testing::Test {
 
   static datagen::DblpDatabase* db_;
   static XKeyword* xk_;
-  static ShardedEngine* sharded_;
 };
 
 datagen::DblpDatabase* AnytimeTest::db_ = nullptr;
 XKeyword* AnytimeTest::xk_ = nullptr;
-ShardedEngine* AnytimeTest::sharded_ = nullptr;
 
 // With no deadline and no cost budget the anytime knob must be inert:
-// byte-identical responses for every mode/shard/reuse/vectorized/thread
+// byte-identical responses for every mode/reuse/vectorized/thread
 // combination, all reported complete.
 TEST_F(AnytimeTest, UnboundedAnytimeIsByteIdenticalAcrossKnobMatrix) {
   for (QueryMode mode : {QueryMode::kTopK, QueryMode::kNaive, QueryMode::kAll}) {
-    for (int num_shards : {0, 1, 3}) {  // 0 = single-instance engine
-      for (bool reuse : {false, true}) {
-        for (bool vectorized : {false, true}) {
-          for (int threads : {1, 4}) {
-            QueryOptions options;
-            options.max_size_z = 6;
-            options.per_network_k = 50;
-            options.enable_subplan_reuse = reuse;
-            options.enable_scan_reuse = reuse;
-            options.vectorized = vectorized;
-            options.num_threads = threads;
-            options.num_shards = num_shards == 0 ? 1 : num_shards;
-            const engine::QueryEngine& target =
-                num_shards == 0 ? static_cast<const engine::QueryEngine&>(*xk_)
-                                : *sharded_;
+    for (bool reuse : {false, true}) {
+      for (bool vectorized : {false, true}) {
+        for (int threads : {1, 4}) {
+          QueryOptions options;
+          options.max_size_z = 6;
+          options.per_network_k = 50;
+          options.enable_subplan_reuse = reuse;
+          options.enable_scan_reuse = reuse;
+          options.vectorized = vectorized;
+          options.num_threads = threads;
 
-            QueryRequest off = Request(mode, options);
-            off.options.enable_anytime = false;
-            QueryRequest on = Request(mode, options);
-            on.options.enable_anytime = true;
+          QueryRequest off = Request(mode, options);
+          off.options.enable_anytime = false;
+          QueryRequest on = Request(mode, options);
+          on.options.enable_anytime = true;
 
-            const std::string what =
-                (::testing::Message()
-                 << "mode=" << static_cast<int>(mode) << " shards="
-                 << num_shards << " reuse=" << reuse << " vectorized="
-                 << vectorized << " threads=" << threads)
-                    .GetString();
-            XK_ASSERT_OK_AND_ASSIGN(QueryResponse a, target.Run(off));
-            XK_ASSERT_OK_AND_ASSIGN(QueryResponse b, target.Run(on));
-            ASSERT_TRUE(a.status.ok()) << what;
-            ASSERT_TRUE(b.status.ok()) << what;
-            EXPECT_EQ(a.mttons, b.mttons) << what;
-            EXPECT_EQ(a.completeness, Completeness::kComplete) << what;
-            EXPECT_EQ(b.completeness, Completeness::kComplete) << what;
-            EXPECT_TRUE(b.coverage.complete()) << what;
-            EXPECT_EQ(b.coverage.cns_skipped, 0u) << what;
-          }
+          const std::string what =
+              (::testing::Message()
+               << "mode=" << static_cast<int>(mode) << " reuse=" << reuse
+               << " vectorized=" << vectorized << " threads=" << threads)
+                  .GetString();
+          XK_ASSERT_OK_AND_ASSIGN(QueryResponse a, xk_->Run(off));
+          XK_ASSERT_OK_AND_ASSIGN(QueryResponse b, xk_->Run(on));
+          ASSERT_TRUE(a.status.ok()) << what;
+          ASSERT_TRUE(b.status.ok()) << what;
+          EXPECT_EQ(a.mttons, b.mttons) << what;
+          EXPECT_EQ(a.completeness, Completeness::kComplete) << what;
+          EXPECT_EQ(b.completeness, Completeness::kComplete) << what;
+          EXPECT_TRUE(b.coverage.complete()) << what;
+          EXPECT_EQ(b.coverage.cns_skipped, 0u) << what;
         }
       }
     }
@@ -239,38 +217,6 @@ TEST_F(AnytimeTest, ExhaustedClassMonotoneInCostBudget) {
     first = false;
     if (budget >= 1e12) {
       EXPECT_EQ(response.completeness, Completeness::kComplete);
-    }
-  }
-}
-
-// The sharded coordinator admits plans in the same cost-ordered schedule as
-// the single-instance engine, so a deterministic budget yields the same
-// coverage bound and the same guaranteed prefix on both.
-TEST_F(AnytimeTest, ShardedCostBudgetMatchesSingleEngine) {
-  QueryOptions options;
-  options.max_size_z = 6;
-  options.per_network_k = 20;
-  options.enable_anytime = true;
-  for (double budget : {10.0, 1e3, 1e6}) {
-    options.anytime_cost_budget = budget;
-    for (int shards : {1, 3}) {
-      options.num_shards = shards;
-      XK_ASSERT_OK_AND_ASSIGN(QueryResponse single,
-                              xk_->Run(Request(QueryMode::kTopK, options)));
-      XK_ASSERT_OK_AND_ASSIGN(QueryResponse sharded,
-                              sharded_->Run(Request(QueryMode::kTopK, options)));
-      const std::string what =
-          (::testing::Message() << "budget=" << budget << " shards=" << shards)
-              .GetString();
-      EXPECT_EQ(single.mttons, sharded.mttons) << what;
-      EXPECT_EQ(single.coverage.cns_executed, sharded.coverage.cns_executed)
-          << what;
-      EXPECT_EQ(single.coverage.cns_skipped, sharded.coverage.cns_skipped)
-          << what;
-      EXPECT_EQ(single.coverage.exhausted_class,
-                sharded.coverage.exhausted_class)
-          << what;
-      EXPECT_EQ(single.completeness, sharded.completeness) << what;
     }
   }
 }

@@ -325,15 +325,11 @@ TEST_F(EngineTest, PrepareValidatesQueryOptions) {
   EXPECT_TRUE(
       xk_->Prepare({"john"}, "MinClust", options).status().IsInvalidArgument());
   options = QueryOptions();
-  options.morsel_size = 0;
-  EXPECT_TRUE(
-      xk_->Prepare({"john"}, "MinClust", options).status().IsInvalidArgument());
-  options = QueryOptions();
   options.num_threads = -1;
   EXPECT_TRUE(
       xk_->Prepare({"john"}, "MinClust", options).status().IsInvalidArgument());
   options = QueryOptions();
-  options.intra_plan_threads = -3;
+  options.num_threads = -3;
   EXPECT_TRUE(
       RunTopK(*xk_, {"john"}, "MinClust", options).status().IsInvalidArgument());
 }

@@ -66,7 +66,7 @@ TEST(WireTest, QueryFrameRoundTrip) {
   request.options.per_network_k = 7;
   request.options.global_k = 11;
   request.options.vectorized = false;
-  request.options.intra_plan_threads = 3;
+  request.options.num_threads = 3;
   request.options.anytime_cost_budget = 123.5;
   request.options.full_mode = engine::FullMode::kHashJoin;
 
@@ -87,8 +87,7 @@ TEST(WireTest, QueryFrameRoundTrip) {
   EXPECT_EQ(decoded.options.per_network_k, request.options.per_network_k);
   EXPECT_EQ(decoded.options.global_k, request.options.global_k);
   EXPECT_EQ(decoded.options.vectorized, request.options.vectorized);
-  EXPECT_EQ(decoded.options.intra_plan_threads,
-            request.options.intra_plan_threads);
+  EXPECT_EQ(decoded.options.num_threads, request.options.num_threads);
   EXPECT_EQ(decoded.options.anytime_cost_budget,
             request.options.anytime_cost_budget);
   EXPECT_EQ(decoded.options.full_mode, request.options.full_mode);
@@ -304,22 +303,12 @@ TEST_F(NetTest, StreamedResponsesMatchInProcessSubmit) {
         request.options.per_network_k = 5;
         request.options.vectorized = vectorized;
         request.options.global_k = global_k;
-        // Which results exist when the global-k early stop fires depends on
-        // inter-plan scheduling (a slow cheap-class plan can lose the race to
-        // pricier ones) — a pre-existing engine property, not a streaming
-        // one. Two in-process runs diverge the same way, so the differential
-        // pins global-k on the serial schedule, where it is deterministic.
-        if (global_k != 0) request.options.num_threads = 1;
         matrix.push_back(request);
       }
     }
   }
-  // Morsel-driven intra-plan parallelism and the cost-unordered legacy
-  // schedule exercise the streamer's other hook sites.
-  QueryRequest morsel = matrix[0];
-  morsel.options.intra_plan_threads = 3;
-  morsel.options.morsel_size = 8;
-  matrix.push_back(morsel);
+  // The cost-unordered legacy schedule and direct execution without subplan
+  // reuse exercise the streamer's other hook sites.
   QueryRequest legacy_order = matrix[0];
   legacy_order.options.cost_ordered_scheduling = false;
   matrix.push_back(legacy_order);

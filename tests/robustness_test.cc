@@ -170,6 +170,24 @@ TEST_F(PrepareBoundsTest, ExpiredDeadlineStopsCnGeneration) {
   EXPECT_TRUE(response.mttons.empty());
 }
 
+// A one-keyword, Z = 2 query generates too few networks for the generator's
+// periodic poll to fire, so an already-cancelled token must be caught by the
+// polls between CTSSN reductions and plans.
+TEST_F(PrepareBoundsTest, CancelledTokenStopsPrepareAfterCnGeneration) {
+  CancelToken cancelled;
+  cancelled.RequestCancel();
+  engine::QueryOptions options;
+  options.max_size_z = 2;
+  options.cancel = &cancelled;
+  const Status status =
+      xk_->Prepare(Request(1).keywords, "MinClust", options).status();
+  EXPECT_TRUE(status.IsCancelled()) << status.ToString();
+
+  // Unbounded, the same query prepares fine: the stop is the token's doing.
+  options.cancel = nullptr;
+  XK_EXPECT_OK(xk_->Prepare(Request(1).keywords, "MinClust", options).status());
+}
+
 // Unbounded, CN generation for these 8 keywords runs ~400 ms (2.0 GHz x86-64,
 // RelWithDebInfo) before it exceeds max_networks. A 50 ms deadline must bound
 // the query's wall time. On a host fast enough to reach max_networks within

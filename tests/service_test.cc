@@ -9,7 +9,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <random>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -150,8 +154,8 @@ TEST(MetricsTest, MergeFromAggregatesWithoutDoubleCounting) {
   a.OnStart();
   engine::QueryResponse response_a;
   response_a.stats.results = 3;
-  response_a.stats.shard_fanout = 4;
-  response_a.stats.shard_bound_prunes = 10;
+  response_a.stats.subplan_hits = 4;
+  response_a.stats.dedup_saved_rows = 10;
   a.OnFinish("XKeyword", Status::OK(), &response_a, milliseconds(2));
 
   b.OnSubmitted();
@@ -161,8 +165,8 @@ TEST(MetricsTest, MergeFromAggregatesWithoutDoubleCounting) {
   b.OnStart();
   engine::QueryResponse response_b;
   response_b.stats.results = 5;
-  response_b.stats.shard_fanout = 8;
-  response_b.stats.shard_early_stops = 2;
+  response_b.stats.subplan_hits = 8;
+  response_b.stats.subplan_misses = 2;
   response_b.completeness = Completeness::kDegraded;
   response_b.coverage.cns_executed = 2;
   response_b.coverage.cns_skipped = 1;
@@ -180,9 +184,9 @@ TEST(MetricsTest, MergeFromAggregatesWithoutDoubleCounting) {
   EXPECT_EQ(snap.peak_in_flight, 1);  // max, not sum: peaks never add
   ASSERT_TRUE(snap.per_decomposition.contains("XKeyword"));
   EXPECT_EQ(snap.per_decomposition.at("XKeyword").results, 8u);
-  EXPECT_EQ(snap.shard_fanout, 12u);
-  EXPECT_EQ(snap.shard_bound_prunes, 10u);
-  EXPECT_EQ(snap.shard_early_stops, 2u);
+  EXPECT_EQ(snap.subplan_hits, 12u);
+  EXPECT_EQ(snap.dedup_saved_rows, 10u);
+  EXPECT_EQ(snap.subplan_misses, 2u);
   // Degraded count and the per-class coverage histogram merge too.
   EXPECT_EQ(snap.degraded, 1u);
   ASSERT_TRUE(snap.coverage_exhausted_class.contains(2));
@@ -314,13 +318,7 @@ TEST_F(ServiceTest, InvalidOptionsRejectedBeforeExecution) {
   request.options.per_network_k = 0;
   EXPECT_TRUE(xk_->Run(request).status().IsInvalidArgument());
   request = Cheap({"gray"});
-  request.options.morsel_size = 0;
-  EXPECT_TRUE(xk_->Run(request).status().IsInvalidArgument());
-  request = Cheap({"gray"});
   request.options.num_threads = -1;
-  EXPECT_TRUE(xk_->Run(request).status().IsInvalidArgument());
-  request = Cheap({"gray"});
-  request.options.intra_plan_threads = -2;
   EXPECT_TRUE(xk_->Run(request).status().IsInvalidArgument());
   // Shared-subplan execution with a zero byte budget could never materialize
   // anything; Validate rejects the contradiction up front.
@@ -433,6 +431,36 @@ TEST_F(ServiceTest, SubplanCacheStatsFlowIntoMetrics) {
   EXPECT_EQ(snap.dedup_saved_rows, stats.dedup_saved_rows);
 }
 
+/// Holds every streaming query it serves inside its first OnBatch until the
+/// test opens the gate (or a bounded wait runs out), so executions stay in
+/// flight for as long as the test needs to observe them.
+class GateSink final : public engine::ResultSink {
+ public:
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    int arrived = 0;
+    bool open = false;
+  };
+
+  explicit GateSink(Gate* gate) : gate_(gate) {}
+
+  void OnBatch(std::span<const present::Mtton> batch) override {
+    (void)batch;
+    if (held_) return;
+    held_ = true;
+    std::unique_lock<std::mutex> lock(gate_->mutex);
+    ++gate_->arrived;
+    gate_->cv.notify_all();
+    gate_->cv.wait_for(lock, std::chrono::seconds(30),
+                       [this] { return gate_->open; });
+  }
+
+ private:
+  Gate* gate_;
+  bool held_ = false;
+};
+
 TEST_F(ServiceTest, SustainsEightConcurrentInFlightQueries) {
   QueryServiceOptions options;
   options.num_workers = 8;
@@ -440,22 +468,41 @@ TEST_F(ServiceTest, SustainsEightConcurrentInFlightQueries) {
   XK_ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryService> service,
                           QueryService::Create(xk_, options));
 
-  XK_ASSERT_OK_AND_ASSIGN(QueryResponse expected, xk_->Run(Expensive()));
-
-  // kBypass: this test wants eight *independent* executions in flight, not
-  // one leader plus seven coalesced followers.
+  // kTopK so every execution streams into its gate sink; kBypass: this test
+  // wants eight *independent* executions in flight, not one leader plus
+  // seven coalesced followers.
   QueryRequest independent = Expensive();
+  independent.mode = QueryMode::kTopK;
   independent.cache_mode = engine::CacheMode::kBypass;
+  XK_ASSERT_OK_AND_ASSIGN(QueryResponse expected, xk_->Run(independent));
+  ASSERT_FALSE(expected.mttons.empty());
+
+  GateSink::Gate gate;
+  std::vector<std::unique_ptr<GateSink>> sinks;
   std::vector<QueryHandle> handles;
   for (int i = 0; i < 8; ++i) {
-    auto handle = service->Submit(independent);
+    sinks.push_back(std::make_unique<GateSink>(&gate));
+    QueryService::StreamHooks hooks;
+    hooks.sink = sinks.back().get();
+    auto handle = service->Submit(independent, std::move(hooks));
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
     handles.push_back(*handle);
   }
-  // All eight workers pick up a query long before any expensive query ends.
+  // Every query is held in its sink until the gate opens, so all eight are
+  // in flight together however fast the machine runs them.
+  {
+    std::unique_lock<std::mutex> lock(gate.mutex);
+    gate.cv.wait_for(lock, std::chrono::seconds(30),
+                     [&] { return gate.arrived == 8; });
+  }
   EXPECT_TRUE(SpinUntil([&] { return service->metrics().in_flight() >= 8; },
                         milliseconds(10000)));
   EXPECT_GE(service->metrics().peak_in_flight(), 8);
+  {
+    std::lock_guard<std::mutex> lock(gate.mutex);
+    gate.open = true;
+  }
+  gate.cv.notify_all();
 
   for (QueryHandle& handle : handles) {
     XK_ASSERT_OK_AND_ASSIGN(QueryResponse response, handle.Wait());

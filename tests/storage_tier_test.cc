@@ -3,8 +3,8 @@
 // tsan-targeted concurrency hammer), spill round-trips for tables, composite
 // orderings, BLOBs and the master index, and the memory-vs-disk differential
 // matrix — the disk backend must return results BYTE-IDENTICAL to the
-// in-memory default across modes x vectorized x shards x threads while the
-// pool actually evicts (budget far below the page file).
+// in-memory default across modes x vectorized x threads while the pool
+// actually evicts (budget far below the page file).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -20,7 +20,6 @@
 #include "common/random.h"
 #include "datagen/dblp_gen.h"
 #include "decomp/decomposition.h"
-#include "engine/sharded_engine.h"
 #include "engine/xkeyword.h"
 #include "keyword/master_index.h"
 #include "service/metrics.h"
@@ -38,8 +37,6 @@ namespace {
 using engine::QueryMode;
 using engine::QueryOptions;
 using engine::QueryRequest;
-using engine::ShardedEngine;
-using engine::ShardedEngineOptions;
 using engine::XKeyword;
 using storage::BufferPool;
 using storage::EncodedPosting;
@@ -543,12 +540,6 @@ TEST(StorageTierTest, MasterIndexSpillPreservesLists) {
     for (size_t i = 0; i < la.size(); ++i) EXPECT_EQ(la[i], lb[i]) << k;
     EXPECT_EQ(a.SchemaNodesContaining(k), b.SchemaNodesContaining(k)) << k;
   }
-  // Slicing decodes through the pages; posting counts must partition.
-  const storage::ObjectId n =
-      static_cast<storage::ObjectId>(mem->objects().NumObjects());
-  const keyword::MasterIndex lo = b.Slice(0, n / 2);
-  const keyword::MasterIndex hi = b.Slice(n / 2, n);
-  EXPECT_EQ(lo.NumPostings() + hi.NumPostings(), a.NumPostings());
 }
 
 // --- Memory-vs-disk differential matrix ----------------------------------
@@ -638,22 +629,6 @@ TEST_F(DiskBackendDifferential, ByteIdenticalAcrossModesAndKnobs) {
   EXPECT_GT(tier->PoolStats().evictions, 0u);
 }
 
-TEST_F(DiskBackendDifferential, MorselParallelismIdentical) {
-  for (const auto& q : queries_) {
-    QueryOptions options;
-    options.max_size_z = 4;
-    options.num_threads = 1;
-    options.intra_plan_threads = 4;
-    options.morsel_size = 2;
-    const QueryRequest request = MakeRequest(q, QueryMode::kTopK, options);
-    auto expected = oracle_->Run(request);
-    auto actual = disk_->Run(request);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_TRUE(actual.ok());
-    EXPECT_EQ(expected.value().mttons, actual.value().mttons);
-  }
-}
-
 TEST_F(DiskBackendDifferential, PageCountersReachResponseStats) {
   QueryOptions options;
   options.max_size_z = 4;
@@ -676,39 +651,6 @@ TEST_F(DiskBackendDifferential, PageCountersReachResponseStats) {
   EXPECT_EQ(snap.page_hits, on_disk.stats.page_hits);
   EXPECT_EQ(snap.page_misses, on_disk.stats.page_misses);
   EXPECT_EQ(snap.page_read_bytes, on_disk.stats.page_read_bytes);
-}
-
-TEST_F(DiskBackendDifferential, ShardedDiskMatchesMemoryOracle) {
-  StorageOptions disk;
-  disk.backend = StorageBackend::kDisk;
-  disk.buffer_pool_bytes = kPoolBytes;
-  ShardedEngineOptions sharded_options;
-  sharded_options.num_slices = 4;
-  sharded_options.storage = disk;
-  XK_ASSERT_OK_AND_ASSIGN(
-      std::unique_ptr<ShardedEngine> sharded,
-      ShardedEngine::Load(&db_->graph(), &db_->schema(), &db_->tss(),
-                          sharded_options));
-  XK_ASSERT_OK(sharded->AddDecomposition(
-      decomp::MakeXKeyword(db_->tss(), /*B=*/2, /*M=*/4).MoveValueUnsafe()));
-  for (const auto& q : queries_) {
-    for (int num_shards : {1, 2, 4}) {
-      QueryOptions options;
-      options.max_size_z = 4;
-      options.num_threads = 1;
-      options.num_shards = num_shards;
-      const std::string what = q[0] + " " + q[1] + " shards=" +
-                               std::to_string(num_shards);
-      for (QueryMode mode : {QueryMode::kTopK, QueryMode::kAll}) {
-        const QueryRequest request = MakeRequest(q, mode, options);
-        auto expected = oracle_->Run(request);
-        auto actual = sharded->Run(request);
-        ASSERT_TRUE(expected.ok()) << what;
-        ASSERT_TRUE(actual.ok()) << what;
-        EXPECT_EQ(expected.value().mttons, actual.value().mttons) << what;
-      }
-    }
-  }
 }
 
 }  // namespace

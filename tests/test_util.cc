@@ -5,7 +5,7 @@
 namespace xk::testing {
 
 Result<std::vector<present::Mtton>> RunMode(
-    const engine::QueryEngine& engine, engine::QueryMode mode,
+    const engine::XKeyword& engine, engine::QueryMode mode,
     const std::vector<std::string>& keywords, const std::string& decomposition,
     const engine::QueryOptions& options, engine::ExecutionStats* stats) {
   engine::QueryRequest request;

@@ -14,7 +14,7 @@
 
 #include "common/result.h"
 #include "datagen/tpch_gen.h"
-#include "engine/query_engine.h"
+#include "engine/xkeyword.h"
 #include "schema/tss_graph.h"
 #include "xml/xml_graph.h"
 
@@ -58,20 +58,20 @@ struct Figure1Database {
 /// Builds the Figure-1 database. Dies on internal errors (test-only).
 std::unique_ptr<Figure1Database> MakeFigure1Database();
 
-/// One-call query helper over QueryEngine::Run for tests that only care
+/// One-call query helper over XKeyword::Run for tests that only care
 /// about the result list: builds the QueryRequest, runs it, and returns the
 /// mttons. Engine counters accumulate (ExecutionStats::Add) into *stats
 /// across calls, except `results`, which is assigned per call. The
 /// response's own status is discarded — a soft stop (deadline/cancel)
 /// surfaces as a shorter result list, exactly like the response it wraps.
 Result<std::vector<present::Mtton>> RunMode(
-    const engine::QueryEngine& engine, engine::QueryMode mode,
+    const engine::XKeyword& engine, engine::QueryMode mode,
     const std::vector<std::string>& keywords, const std::string& decomposition,
     const engine::QueryOptions& options,
     engine::ExecutionStats* stats = nullptr);
 
 inline Result<std::vector<present::Mtton>> RunTopK(
-    const engine::QueryEngine& engine, const std::vector<std::string>& keywords,
+    const engine::XKeyword& engine, const std::vector<std::string>& keywords,
     const std::string& decomposition, const engine::QueryOptions& options,
     engine::ExecutionStats* stats = nullptr) {
   return RunMode(engine, engine::QueryMode::kTopK, keywords, decomposition,
@@ -79,7 +79,7 @@ inline Result<std::vector<present::Mtton>> RunTopK(
 }
 
 inline Result<std::vector<present::Mtton>> RunNaive(
-    const engine::QueryEngine& engine, const std::vector<std::string>& keywords,
+    const engine::XKeyword& engine, const std::vector<std::string>& keywords,
     const std::string& decomposition, const engine::QueryOptions& options,
     engine::ExecutionStats* stats = nullptr) {
   return RunMode(engine, engine::QueryMode::kNaive, keywords, decomposition,
@@ -87,7 +87,7 @@ inline Result<std::vector<present::Mtton>> RunNaive(
 }
 
 inline Result<std::vector<present::Mtton>> RunAll(
-    const engine::QueryEngine& engine, const std::vector<std::string>& keywords,
+    const engine::XKeyword& engine, const std::vector<std::string>& keywords,
     const std::string& decomposition, const engine::QueryOptions& options,
     engine::ExecutionStats* stats = nullptr) {
   return RunMode(engine, engine::QueryMode::kAll, keywords, decomposition,

@@ -1,5 +1,5 @@
-// Tests for the morsel-driven intra-plan path and semi-join pruning of the
-// top-k executor: byte-identical results vs the serial path across early-stop
+// Tests for the per-CN thread pool and semi-join pruning of the top-k
+// executor: byte-identical results vs the serial path across early-stop
 // settings, pruning that never changes results while skipping probe work, and
 // stats coverage of single-object plans.
 
@@ -49,10 +49,10 @@ class TopKExecutorTest : public ::testing::Test {
 datagen::DblpDatabase* TopKExecutorTest::db_ = nullptr;
 XKeyword* TopKExecutorTest::xk_ = nullptr;
 
-// The morsel-driven path must reproduce the serial result list byte for byte
-// — same Mttons, same order — including under per-network and global early
-// stops, where the completed-prefix watermark decides when workers may quit.
-TEST_F(TopKExecutorTest, ParallelMorselPathIsByteIdentical) {
+// The per-CN pool must reproduce the serial result list byte for byte — same
+// Mttons, same order — including under per-network and global early stops,
+// where the completed schedule prefix decides when plans may quit.
+TEST_F(TopKExecutorTest, PerCnPoolIsByteIdentical) {
   const std::vector<std::vector<std::string>> queries = {
       {"ullman", "widom"}, {"gray", "codd"}, {"stonebraker", "author47"}};
   for (const std::string& decomposition : {std::string("MinClust"),
@@ -63,10 +63,8 @@ TEST_F(TopKExecutorTest, ParallelMorselPathIsByteIdentical) {
       serial.per_network_k = 50;
       serial.global_k = global_k;
       serial.num_threads = 1;
-      serial.intra_plan_threads = 1;
       QueryOptions parallel = serial;
-      parallel.intra_plan_threads = 4;
-      parallel.morsel_size = 8;  // small: forces many morsels per plan
+      parallel.num_threads = 4;
       for (const auto& q : queries) {
         XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> expected,
                                 RunTopK(*xk_, q, decomposition, serial));
@@ -80,17 +78,16 @@ TEST_F(TopKExecutorTest, ParallelMorselPathIsByteIdentical) {
   }
 }
 
-// Morsel scheduling with caching disabled (the naive inner loops) must agree
-// with the serial naive run too — the merge logic is independent of caching.
-TEST_F(TopKExecutorTest, ParallelMatchesSerialWithoutCache) {
+// The pool with caching disabled (the naive inner loops) must agree with the
+// serial naive run too — the merge logic is independent of caching.
+TEST_F(TopKExecutorTest, PoolMatchesSerialWithoutCache) {
   QueryOptions serial;
   serial.max_size_z = 6;
   serial.per_network_k = 50;
   serial.enable_cache = false;
   serial.num_threads = 1;
   QueryOptions parallel = serial;
-  parallel.intra_plan_threads = 4;
-  parallel.morsel_size = 8;
+  parallel.num_threads = 4;
   XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> expected,
                           RunTopK(*xk_, {"ullman", "widom"}, "MinClust", serial));
   XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> actual,
@@ -131,8 +128,8 @@ TEST_F(TopKExecutorTest, PruningPreservesResultsAndSkipsWork) {
   EXPECT_TRUE(any_skips);
 }
 
-// Pruning and morsel parallelism compose without changing results.
-TEST_F(TopKExecutorTest, PruningComposesWithMorselParallelism) {
+// Pruning and the per-CN pool compose without changing results.
+TEST_F(TopKExecutorTest, PruningComposesWithThePool) {
   QueryOptions base;
   base.max_size_z = 6;
   base.per_network_k = 50;
@@ -140,8 +137,7 @@ TEST_F(TopKExecutorTest, PruningComposesWithMorselParallelism) {
   base.enable_semijoin_pruning = false;
   QueryOptions both = base;
   both.enable_semijoin_pruning = true;
-  both.intra_plan_threads = 4;
-  both.morsel_size = 8;
+  both.num_threads = 4;
   XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> expected,
                           RunTopK(*xk_, {"gray", "codd"}, "MinClust", base));
   XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> actual,
@@ -150,7 +146,7 @@ TEST_F(TopKExecutorTest, PruningComposesWithMorselParallelism) {
 }
 
 // Differential harness over the plan-DAG axes: subplan reuse {on, off} ×
-// vectorized {on, off} × intra-plan threads {1, 4} must all produce the
+// vectorized {on, off} × pool threads {1, 4} must all produce the
 // byte-identical result list (replay order equals the serial nested-loop
 // order; the schedule never depends on these knobs), and on queries whose
 // candidate networks share a join prefix the reuse runs must actually dedup
@@ -171,19 +167,18 @@ TEST_F(TopKExecutorTest, SubplanReuseDifferential) {
                               RunTopK(*xk_, q, decomposition, baseline));
       for (bool reuse : {false, true}) {
         for (bool vectorized : {false, true}) {
-          for (int intra : {1, 4}) {
+          for (int threads : {1, 4}) {
             QueryOptions options = baseline;
             options.enable_subplan_reuse = reuse;
             options.vectorized = vectorized;
-            options.intra_plan_threads = intra;
-            options.morsel_size = 8;
+            options.num_threads = threads;
             ExecutionStats stats;
             XK_ASSERT_OK_AND_ASSIGN(
                 std::vector<Mtton> actual,
                 RunTopK(*xk_, q, decomposition, options, &stats));
             EXPECT_EQ(actual, expected)
                 << decomposition << " reuse=" << reuse << " vec=" << vectorized
-                << " intra=" << intra << " " << q[0] << "," << q[1];
+                << " threads=" << threads << " " << q[0] << "," << q[1];
             if (reuse) {
               total_saved += stats.dedup_saved_rows;
             } else {
@@ -268,9 +263,9 @@ TEST_F(TopKExecutorTest, SingleObjectPlansRecordStats) {
   EXPECT_GT(stats.probes.probes, 0u);
   EXPECT_GT(stats.probes.rows_scanned, 0u);
 
-  // The intra-plan scheduler takes the same single-object shortcut.
+  // The pool takes the same single-object shortcut.
   QueryOptions parallel = options;
-  parallel.intra_plan_threads = 4;
+  parallel.num_threads = 4;
   ExecutionStats parallel_stats;
   XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> parallel_results,
                           RunTopK(*xk_, {"ullman"}, "MinClust", parallel, &parallel_stats));
@@ -342,6 +337,73 @@ TEST_F(TopKExecutorTest, RequireSimdValidatesAgainstDetectedIsa) {
         RunTopK(*xk_, {"ullman", "widom"}, "MinClust", options, &stats));
     (void)results;
     EXPECT_GT(stats.simd_isa, static_cast<uint32_t>(simd::IsaLevel::kScalar));
+  }
+}
+
+// global_k under the default pool: the answer is the serial one. Each plan
+// fills its own buffer and the global stop waits for the completed schedule
+// prefix, so no interleaving lets a larger network's results displace a
+// smaller one's. Fixture and queries as in net_test, where the race showed.
+class GlobalKPoolTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    datagen::DblpConfig config;
+    config.num_conferences = 8;
+    config.years_per_conference = 5;
+    config.avg_papers_per_year = 18;
+    config.avg_citations_per_paper = 12.0;
+    config.author_vocab = 150;
+    config.title_vocab = 150;
+    config.seed = 2003;
+    db_ = datagen::DblpDatabase::Generate(config).MoveValueUnsafe().release();
+    xk_ = XKeyword::Load(&db_->graph(), &db_->schema(), &db_->tss())
+              .MoveValueUnsafe()
+              .release();
+    ASSERT_TRUE(xk_->AddDecomposition(
+                       decomp::MakeXKeyword(db_->tss(), /*B=*/2, /*M=*/6)
+                           .MoveValueUnsafe())
+                    .ok());
+  }
+
+  static void TearDownTestSuite() {
+    delete xk_;
+    xk_ = nullptr;
+    delete db_;
+    db_ = nullptr;
+  }
+
+  static datagen::DblpDatabase* db_;
+  static XKeyword* xk_;
+};
+
+datagen::DblpDatabase* GlobalKPoolTest::db_ = nullptr;
+XKeyword* GlobalKPoolTest::xk_ = nullptr;
+
+TEST_F(GlobalKPoolTest, FourThreadsMatchSerial) {
+  constexpr int kRepetitions = 50;
+  for (size_t global_k : {size_t{1}, size_t{7}, size_t{10}}) {
+    for (const std::vector<std::string>& keywords :
+         std::vector<std::vector<std::string>>{
+             {"gray", "codd"}, {"ullman", "widom"}, {"stonebraker", "author47"}}) {
+      QueryRequest request;
+      request.keywords = keywords;
+      request.decomposition = "XKeyword";
+      request.options.max_size_z = 5;
+      request.options.per_network_k = 5;
+      request.options.global_k = global_k;
+      request.options.num_threads = 1;
+      XK_ASSERT_OK_AND_ASSIGN(const QueryResponse serial, xk_->Run(request));
+      request.options.num_threads = 4;
+      for (int rep = 0; rep < kRepetitions; ++rep) {
+        XK_ASSERT_OK_AND_ASSIGN(const QueryResponse pooled, xk_->Run(request));
+        ASSERT_EQ(pooled.mttons, serial.mttons)
+            << "global_k=" << global_k << " " << keywords[0] << ","
+            << keywords[1] << " rep=" << rep;
+        ASSERT_EQ(pooled.completeness, serial.completeness)
+            << "global_k=" << global_k << " " << keywords[0] << ","
+            << keywords[1] << " rep=" << rep;
+      }
+    }
   }
 }
 
