@@ -45,18 +45,20 @@ bool DistinctAcross(const std::vector<std::vector<int>>& groups,
 }
 
 /// Filtered scan of one step's relation (local filters only), materialized
-/// through the reuse cache.
+/// through the reuse cache. With `use_indexes` the scan may run as a keyword
+/// seek; the rows and their order are the same either way.
 const std::vector<storage::Tuple>* FilteredScan(
     const exec::JoinStep& step, const std::string& signature,
-    opt::MaterializedViewCache* cache, bool enable_reuse, ExecutionStats* stats) {
+    opt::MaterializedViewCache* cache, bool enable_reuse, bool use_indexes,
+    ExecutionStats* stats) {
   if (enable_reuse) {
     const std::vector<storage::Tuple>* hit = cache->Get(signature);
     if (hit != nullptr) return hit;
   }
   std::vector<storage::Tuple> rows;
-  exec::ExecOptions no_index{.use_indexes = false};
+  const exec::ExecOptions scan_options{.use_indexes = use_indexes};
   storage::Tuple scratch;
-  exec::ForEachMatch(*step.table, step.const_filters, step.in_filters, no_index,
+  exec::ForEachMatch(*step.table, step.const_filters, step.in_filters, scan_options,
                      [&](storage::RowId r) {
                        storage::TupleView row = step.table->RowInto(r, &scratch);
                        rows.emplace_back(row.begin(), row.end());
@@ -264,7 +266,7 @@ void RunHashJoin(const opt::CtssnPlan& plan, opt::MaterializedViewCache* cache,
   std::vector<const std::vector<storage::Tuple>*> scans(num_steps);
   for (size_t i = 0; i < num_steps; ++i) {
     scans[i] = FilteredScan(plan.query.steps[i], plan.step_signatures[i], cache,
-                            enable_reuse, stats);
+                            enable_reuse, exec_options.use_indexes, stats);
   }
   HashJoinOnScans(plan, scans, memo, exec_options, stats, emit);
 }
@@ -298,7 +300,7 @@ Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query
                                                       Coverage* coverage) {
   std::vector<present::Mtton> results;
   opt::MaterializedViewCache cache;
-  BloomCache bloom_cache;
+  BloomCache bloom_cache(query.exec_options.use_indexes);
   BloomCache* bloom_cache_ptr =
       options_.enable_semijoin_pruning ? &bloom_cache : nullptr;
 

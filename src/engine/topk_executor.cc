@@ -19,23 +19,45 @@ const storage::BloomFilter* BloomCache::GetOrBuild(const exec::JoinStep& step,
   std::string key = signature;
   key.push_back('#');
   key += std::to_string(column);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = filters_.find(key);
-  if (it != filters_.end()) return it->second.get();
-
-  auto filter = std::make_unique<storage::BloomFilter>(step.table->NumRows());
-  exec::ProbeStats scan_stats;
-  exec::ExecOptions no_index{.use_indexes = false};
-  exec::ForEachMatch(*step.table, step.const_filters, step.in_filters, no_index,
-                     [&](storage::RowId r) {
-                       filter->Add(step.table->At(r, column));
-                       return true;
-                     },
-                     &scan_stats);
-  if (build_stats != nullptr) {
-    build_stats->bloom_build_rows += scan_stats.rows_scanned;
+  Entry* entry;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    entry = &filters_[key];  // map nodes never move
   }
-  return filters_.emplace(std::move(key), std::move(filter)).first->second.get();
+  std::call_once(entry->built, [&] {
+    // The filter is sized for the rows that pass: every row when the step
+    // has no local filter, else the values collected by the scan. The scan
+    // is cancel-free: a filter built from a truncated scan would wrongly
+    // prune.
+    const exec::ExecOptions scan_options{.use_indexes = use_indexes_};
+    const bool every_row_passes =
+        step.const_filters.empty() && step.in_filters.empty();
+    if (every_row_passes) {
+      entry->filter = std::make_unique<storage::BloomFilter>(step.table->NumRows());
+    }
+    std::vector<storage::ObjectId> values;
+    exec::ProbeStats scan_stats;
+    exec::ForEachMatch(*step.table, step.const_filters, step.in_filters,
+                       scan_options,
+                       [&](storage::RowId r) {
+                         const storage::ObjectId v = step.table->At(r, column);
+                         if (every_row_passes) {
+                           entry->filter->Add(v);
+                         } else {
+                           values.push_back(v);
+                         }
+                         return true;
+                       },
+                       &scan_stats);
+    if (!every_row_passes) {
+      entry->filter = std::make_unique<storage::BloomFilter>(values.size());
+      for (storage::ObjectId v : values) entry->filter->Add(v);
+    }
+    if (build_stats != nullptr) {
+      build_stats->bloom_build_rows += scan_stats.rows_scanned;
+    }
+  });
+  return entry->filter.get();
 }
 
 // --- PlanLayout ----------------------------------------------------------
@@ -461,7 +483,7 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
                                                       Coverage* coverage,
                                                       ResultSink* sink) {
   std::vector<ExecutionStats> per_plan_stats(query.plans.size());
-  BloomCache bloom_cache;
+  BloomCache bloom_cache(query.exec_options.use_indexes);
   BloomCache* bloom_cache_ptr =
       options.enable_semijoin_pruning ? &bloom_cache : nullptr;
 

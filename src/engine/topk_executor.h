@@ -46,19 +46,30 @@ using MttonSink = std::function<bool(int plan_index,
 /// Cache of semi-join Bloom filters shared across the plans of one query.
 /// Keyed by (step signature, column): plans frequently share steps (same
 /// relation + local keyword filters), so each filter is built — one filtered
-/// scan — at most once per query. Thread-safe.
+/// scan — at most once per query. Thread-safe: the map lock covers only the
+/// entry lookup, so pool threads build filters for different keys at once.
 class BloomCache {
  public:
+  /// `use_indexes` is the query's ExecOptions::use_indexes: on, a build scan
+  /// may run as a keyword seek; off, it never touches an index.
+  explicit BloomCache(bool use_indexes) : use_indexes_(use_indexes) {}
+
   /// The filter over `column` values of rows of `step.table` passing the
-  /// step's local filters; built on first use. `build_stats` (nullable)
-  /// receives the build scan's row count.
+  /// step's local filters, sized for those rows; built on first use.
+  /// `build_stats` (nullable) receives the build scan's row count.
   const storage::BloomFilter* GetOrBuild(const exec::JoinStep& step,
                                          const std::string& signature, int column,
                                          ExecutionStats* build_stats);
 
  private:
-  std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<storage::BloomFilter>> filters_;
+  struct Entry {
+    std::once_flag built;
+    std::unique_ptr<storage::BloomFilter> filter;
+  };
+
+  const bool use_indexes_;
+  std::mutex mutex_;  // guards the map; an entry's filter is set once
+  std::map<std::string, Entry> filters_;
 };
 
 /// Immutable per-plan precomputation: step dependencies, occurrence bindings,

@@ -81,212 +81,6 @@ size_t SelInSet(const storage::Table& table, RowBlock* block, int column,
 
 namespace {
 
-// --- Candidate cursor ----------------------------------------------------
-//
-// Unified candidate enumeration for every access path: a contiguous row
-// range (full scan, clustered range) or a row-id span owned by an index
-// (composite, hash). Enumeration order equals the row-at-a-time path's.
-
-struct CandidateCursor {
-  bool use_span = false;
-  storage::RowId next = 0;
-  storage::RowId end = 0;
-  std::span<const storage::RowId> span;
-  size_t pos = 0;
-  // Backing storage for `span` when the access path must materialize its
-  // candidates (paged composite index). Moving the vector keeps its heap
-  // buffer, so the span survives a cursor move.
-  std::vector<storage::RowId> owned;
-
-  /// Candidates not yet consumed.
-  size_t Remaining() const {
-    return use_span ? span.size() - pos : static_cast<size_t>(end - next);
-  }
-
-  /// Loads up to `cap` candidates into `block->row_ids`; returns the count.
-  size_t Fill(RowBlock* block, size_t cap) {
-    storage::RowId* out = block->row_ids.data();
-    if (use_span) {
-      const size_t n = std::min(cap, span.size() - pos);
-      for (size_t i = 0; i < n; ++i) out[i] = span[pos + i];
-      pos += n;
-      return n;
-    }
-    const size_t n = std::min<size_t>(cap, end - next);
-    for (size_t i = 0; i < n; ++i) out[i] = next + static_cast<storage::RowId>(i);
-    next += static_cast<storage::RowId>(n);
-    return n;
-  }
-};
-
-// Stack buffer for index-key prefixes: probes run millions of times per
-// query, so cursor setup must not allocate. Keys longer than this fall back
-// to the allocating helpers (none of the paper's schemas come close).
-constexpr size_t kMaxInlineKey = 8;
-
-struct PrefixBuf {
-  storage::ObjectId vals[kMaxInlineKey];
-  size_t len = 0;
-  storage::TupleView view() const { return {vals, len}; }
-};
-
-/// Longest bound prefix of `key`, mirroring KeyPrefixFromBindings (first
-/// matching binding per key column, stop at the first unbound column) but
-/// without materializing values. Returns the length.
-size_t BoundPrefixLen(const std::vector<int>& key,
-                      const std::vector<ColumnBinding>& bindings) {
-  size_t len = 0;
-  for (int key_col : key) {
-    bool found = false;
-    for (const ColumnBinding& b : bindings) {
-      if (b.column == key_col) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) break;
-    ++len;
-  }
-  return len;
-}
-
-/// Fills `out` with the bound prefix of `key` (same selection rule as
-/// KeyPrefixFromBindings). Requires the prefix length to fit the buffer.
-void FillPrefix(const std::vector<int>& key,
-                const std::vector<ColumnBinding>& bindings, size_t len,
-                PrefixBuf* out) {
-  XK_CHECK_LE(len, kMaxInlineKey);
-  out->len = len;
-  for (size_t i = 0; i < len; ++i) {
-    for (const ColumnBinding& b : bindings) {
-      if (b.column == key[i]) {
-        out->vals[i] = b.value;
-        break;
-      }
-    }
-  }
-}
-
-/// Resolved access-path choice: enough to initialize a cursor later without
-/// re-deciding. Splitting choice from initialization keeps the expensive
-/// part — the clustered-range binary search or index lookup — after the
-/// Bloom prune, exactly like the row path's ChooseAccessPath/switch split
-/// (most probes of a pruned plan never touch the table).
-struct PathChoice {
-  AccessPathKind kind = AccessPathKind::kFullScan;
-  size_t prefix_len = 0;                            // clustered / composite
-  const storage::CompositeIndex* composite = nullptr;
-  const storage::HashIndex* hash = nullptr;
-  storage::ObjectId hash_key = storage::kInvalidId;
-};
-
-/// Allocation-free access-path decision with the exact rules of
-/// ChooseAccessPath/BestCompositeIndex (so row and block paths always
-/// agree). Performs no index lookups.
-PathChoice ChoosePath(const storage::Table& table,
-                      const std::vector<ColumnBinding>& bindings,
-                      const ExecOptions& opts) {
-  PathChoice choice;
-  if (!opts.use_indexes || bindings.empty()) return choice;
-  if (table.IsClustered()) {
-    const size_t len = BoundPrefixLen(table.clustering_key(), bindings);
-    if (len > 0) {
-      choice.kind = AccessPathKind::kClusteredRange;
-      choice.prefix_len = len;
-      return choice;
-    }
-  }
-  // Longest-prefix composite index, first index wins ties (same rule as
-  // BestCompositeIndex: only a strictly longer prefix replaces the best).
-  for (const auto& idx : table.composite_indexes()) {
-    const size_t len = BoundPrefixLen(idx->key_columns(), bindings);
-    if (len > choice.prefix_len) {
-      choice.composite = idx.get();
-      choice.prefix_len = len;
-    }
-  }
-  if (choice.composite != nullptr) {
-    choice.kind = AccessPathKind::kCompositeIndex;
-    return choice;
-  }
-  for (const ColumnBinding& b : bindings) {
-    const storage::HashIndex* idx = table.GetHashIndex(b.column);
-    if (idx != nullptr) {
-      choice.kind = AccessPathKind::kHashIndex;
-      choice.hash = idx;
-      choice.hash_key = b.value;
-      return choice;
-    }
-  }
-  return choice;
-}
-
-/// Runs the chosen path's index probe / range search and points `cur` at the
-/// candidates, building key prefixes in a stack buffer (vector fallback for
-/// oversized keys, which none of the paper's schemas come close to).
-void InitCursorFrom(const PathChoice& choice, const storage::Table& table,
-                    const std::vector<ColumnBinding>& bindings,
-                    CandidateCursor* cur) {
-  switch (choice.kind) {
-    case AccessPathKind::kClusteredRange: {
-      const std::vector<int>& key = table.clustering_key();
-      if (choice.prefix_len <= kMaxInlineKey) {
-        PrefixBuf prefix;
-        FillPrefix(key, bindings, choice.prefix_len, &prefix);
-        std::tie(cur->next, cur->end) = table.ClusteredRange(prefix.view());
-      } else {
-        std::vector<storage::ObjectId> prefix =
-            KeyPrefixFromBindings(key, bindings);
-        std::tie(cur->next, cur->end) = table.ClusteredRange(prefix);
-      }
-      return;
-    }
-    case AccessPathKind::kCompositeIndex: {
-      const std::vector<int>& key = choice.composite->key_columns();
-      cur->use_span = true;
-      if (choice.prefix_len <= kMaxInlineKey) {
-        PrefixBuf prefix;
-        FillPrefix(key, bindings, choice.prefix_len, &prefix);
-        cur->span = choice.composite->LookupPrefix(prefix.view(), &cur->owned);
-      } else {
-        std::vector<storage::ObjectId> prefix =
-            KeyPrefixFromBindings(key, bindings);
-        cur->span = choice.composite->LookupPrefix(prefix, &cur->owned);
-      }
-      return;
-    }
-    case AccessPathKind::kHashIndex:
-      cur->use_span = true;
-      cur->span = choice.hash->Lookup(choice.hash_key);
-      return;
-    case AccessPathKind::kFullScan:
-      cur->end = static_cast<storage::RowId>(table.NumRows());
-      return;
-  }
-}
-
-AccessPathKind InitCursor(const storage::Table& table,
-                          const std::vector<ColumnBinding>& bindings,
-                          const ExecOptions& opts, CandidateCursor* cur) {
-  const PathChoice choice = ChoosePath(table, bindings, opts);
-  InitCursorFrom(choice, table, bindings, cur);
-  return choice.kind;
-}
-
-/// True when row `r` passes every binding and in-set filter (the scalar
-/// twin of the SelEqual/SelInSet kernel sequence).
-bool RowPasses(const storage::Table& table, storage::RowId r,
-               const std::vector<ColumnBinding>& bindings,
-               const std::vector<ColumnInSet>& in_filters) {
-  for (const ColumnBinding& b : bindings) {
-    if (table.At(r, b.column) != b.value) return false;
-  }
-  for (const ColumnInSet& f : in_filters) {
-    if (!f.set->contains(table.At(r, f.column))) return false;
-  }
-  return true;
-}
-
 /// Applies every binding and in-set predicate to the block as kernels,
 /// short-circuiting once the selection empties.
 void ApplyFilters(const storage::Table& table,
@@ -343,21 +137,6 @@ size_t EffectiveBlockSize(const ExecOptions& opts) {
   return opts.block_size != 0 ? opts.block_size : RowBlock::kDefaultCapacity;
 }
 
-/// True when a bound value is refuted by a prune Bloom (probe cannot match).
-bool BloomPruned(const std::vector<ColumnBinding>& bindings,
-                 const std::vector<ColumnBloom>& prune_blooms,
-                 ProbeStats* stats) {
-  for (const ColumnBloom& pb : prune_blooms) {
-    for (const ColumnBinding& b : bindings) {
-      if (b.column == pb.column && !pb.bloom->MayContain(b.value)) {
-        if (stats != nullptr) ++stats->bloom_skips;
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 // Block-size ramp: the first block of a probe is small so an early-stopping
 // sink (top-k) never pays for 1k rows of filtering it will discard; streaming
 // consumers reach the full block size within two blocks.
@@ -377,7 +156,7 @@ void RunBlockLoop(const storage::Table& table,
   while (true) {
     // One cancellation poll per block instead of per row.
     if (opts.cancel != nullptr && opts.cancel->StopRequested()) return;
-    const size_t n = cursor->Fill(&block, step);
+    const size_t n = cursor->Fill(block.row_ids.data(), step);
     if (n == 0) return;
     step = std::min(cap, step * 4);
     block.SelectAll(n);
@@ -404,9 +183,9 @@ AccessPathKind ForEachMatchBlock(const storage::Table& table,
   const PathChoice choice = ChoosePath(table, bindings, opts);
   if (BloomPruned(bindings, prune_blooms, stats)) return choice.kind;
   CandidateCursor cursor;
-  InitCursorFrom(choice, table, bindings, &cursor);
+  const AccessPathKind kind = cursor.Init(choice, table, bindings, in_filters, opts);
   RunBlockLoop(table, bindings, in_filters, opts, &cursor, fn, stats);
-  return choice.kind;
+  return kind;
 }
 
 AccessPathKind ForEachMatchRows(const storage::Table& table,
@@ -420,19 +199,17 @@ AccessPathKind ForEachMatchRows(const storage::Table& table,
   const PathChoice choice = ChoosePath(table, bindings, opts);
   if (BloomPruned(bindings, prune_blooms, stats)) return choice.kind;
   CandidateCursor cursor;
-  InitCursorFrom(choice, table, bindings, &cursor);
-  const AccessPathKind kind = choice.kind;
+  const AccessPathKind kind = cursor.Init(choice, table, bindings, in_filters, opts);
 
-  const size_t remaining = cursor.Remaining();
-  if (remaining <= kScalarProbeThreshold) {
+  if (cursor.Remaining() <= kScalarProbeThreshold) {
     // Index probes average a handful of candidates; block setup would cost
     // more than the kernels save, so run the fused scalar loop instead.
     // Cancellation is polled once, matching block granularity.
     if (opts.cancel != nullptr && opts.cancel->StopRequested()) return kind;
-    for (size_t i = 0; i < remaining; ++i) {
-      const storage::RowId r = cursor.use_span
-                                   ? cursor.span[cursor.pos + i]
-                                   : cursor.next + static_cast<storage::RowId>(i);
+    storage::RowId candidates[kScalarProbeThreshold];
+    const size_t n = cursor.Fill(candidates, kScalarProbeThreshold);
+    for (size_t i = 0; i < n; ++i) {
+      const storage::RowId r = candidates[i];
       if (stats != nullptr) ++stats->rows_scanned;
       if (!RowPasses(table, r, bindings, in_filters)) continue;
       if (stats != nullptr) ++stats->rows_matched;
@@ -462,31 +239,16 @@ ScanBlockIterator::ScanBlockIterator(const storage::Table& table,
       bindings_(std::move(bindings)),
       in_filters_(std::move(in_filters)),
       opts_(opts) {
-  CandidateCursor cursor;
-  path_ = InitCursor(table_, bindings_, opts_, &cursor);
-  use_span_ = cursor.use_span;
-  range_next_ = cursor.next;
-  range_end_ = cursor.end;
-  // Adopt the cursor's backing buffer (if any) before taking the span: the
-  // vector move keeps its heap allocation, so the span stays valid.
-  owned_rows_ = std::move(cursor.owned);
-  span_ = cursor.span;
+  path_ = cursor_.Init(ChoosePath(table_, bindings_, opts_), table_, bindings_,
+                       in_filters_, opts_);
 }
 
 bool ScanBlockIterator::Next(RowBlock* out) {
   const size_t cap = EffectiveBlockSize(opts_);
   out->Reset(table_.arity(), cap);
-  CandidateCursor cursor;
-  cursor.use_span = use_span_;
-  cursor.next = range_next_;
-  cursor.end = range_end_;
-  cursor.span = span_;
-  cursor.pos = span_pos_;
   while (true) {
     if (opts_.cancel != nullptr && opts_.cancel->StopRequested()) return false;
-    const size_t n = cursor.Fill(out, cap);
-    range_next_ = cursor.next;
-    span_pos_ = cursor.pos;
+    const size_t n = cursor_.Fill(out->row_ids.data(), cap);
     if (n == 0) return false;
     out->SelectAll(n);
     ApplyFilters(table_, bindings_, in_filters_, opts_, out);

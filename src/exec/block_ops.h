@@ -14,6 +14,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "exec/access_path.h"
 #include "exec/operators.h"
 #include "exec/row_block.h"
 
@@ -95,8 +96,8 @@ AccessPathKind ForEachMatchRows(const storage::Table& table,
 // --- Batch operators -----------------------------------------------------
 
 /// Batch scan/probe over one table — full scan, clustered range, composite
-/// range, or hash lookup, chosen exactly as ForEachMatch chooses — producing
-/// materialized blocks of the surviving rows.
+/// range, hash lookup or keyword seek, chosen exactly as ForEachMatch
+/// chooses — producing materialized blocks of the surviving rows.
 class ScanBlockIterator : public BlockIterator {
  public:
   ScanBlockIterator(const storage::Table& table,
@@ -113,16 +114,7 @@ class ScanBlockIterator : public BlockIterator {
   std::vector<ColumnInSet> in_filters_;
   ExecOptions opts_;
   AccessPathKind path_;
-  // Candidate cursor: either a contiguous row range (full scan, clustered
-  // range) or a row-id span owned by an index (composite, hash) — or, on the
-  // disk backend's composite path, by owned_rows_ (the paged ordering is
-  // materialized once at construction and must outlive every Next call).
-  storage::RowId range_next_ = 0;
-  storage::RowId range_end_ = 0;
-  std::span<const storage::RowId> span_;
-  size_t span_pos_ = 0;
-  bool use_span_ = false;
-  std::vector<storage::RowId> owned_rows_;
+  CandidateCursor cursor_;  // positioned at construction
 };
 
 /// Vectorized index-nested-loop join: probes `inner` once per selected outer

@@ -3,27 +3,10 @@
 #include <algorithm>
 
 #include "common/cancel_token.h"
-#include "common/logging.h"
+#include "exec/access_path.h"
 #include "exec/block_ops.h"
 
 namespace xk::exec {
-
-namespace {
-
-/// True when row `r` satisfies every binding and in-set filter.
-bool RowMatches(const storage::Table& table, storage::RowId r,
-                const std::vector<ColumnBinding>& bindings,
-                const std::vector<ColumnInSet>& in_filters) {
-  for (const ColumnBinding& b : bindings) {
-    if (table.At(r, b.column) != b.value) return false;
-  }
-  for (const ColumnInSet& f : in_filters) {
-    if (!f.set->contains(table.At(r, f.column))) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 std::vector<storage::ObjectId> KeyPrefixFromBindings(
     const std::vector<int>& key, const std::vector<ColumnBinding>& bindings) {
@@ -45,43 +28,10 @@ const char* AccessPathKindToString(AccessPathKind kind) {
     case AccessPathKind::kClusteredRange: return "clustered-range";
     case AccessPathKind::kCompositeIndex: return "composite-index";
     case AccessPathKind::kHashIndex: return "hash-index";
+    case AccessPathKind::kKeywordSeek: return "keyword-seek";
     case AccessPathKind::kFullScan: return "full-scan";
   }
   return "?";
-}
-
-const storage::CompositeIndex* BestCompositeIndex(
-    const storage::Table& table, const std::vector<ColumnBinding>& bindings,
-    std::vector<storage::ObjectId>* prefix) {
-  const storage::CompositeIndex* best = nullptr;
-  std::vector<storage::ObjectId> best_prefix;
-  for (const auto& idx : table.composite_indexes()) {
-    std::vector<storage::ObjectId> candidate =
-        KeyPrefixFromBindings(idx->key_columns(), bindings);
-    if (candidate.size() > best_prefix.size()) {
-      best = idx.get();
-      best_prefix = std::move(candidate);
-    }
-  }
-  if (best != nullptr && prefix != nullptr) *prefix = std::move(best_prefix);
-  return best;
-}
-
-AccessPathKind ChooseAccessPath(const storage::Table& table,
-                                const std::vector<ColumnBinding>& bindings,
-                                const ExecOptions& opts) {
-  if (!opts.use_indexes || bindings.empty()) return AccessPathKind::kFullScan;
-  if (table.IsClustered() &&
-      !KeyPrefixFromBindings(table.clustering_key(), bindings).empty()) {
-    return AccessPathKind::kClusteredRange;
-  }
-  if (BestCompositeIndex(table, bindings, nullptr) != nullptr) {
-    return AccessPathKind::kCompositeIndex;
-  }
-  for (const ColumnBinding& b : bindings) {
-    if (table.GetHashIndex(b.column) != nullptr) return AccessPathKind::kHashIndex;
-  }
-  return AccessPathKind::kFullScan;
 }
 
 AccessPathKind ForEachMatch(const storage::Table& table,
@@ -95,88 +45,36 @@ AccessPathKind ForEachMatch(const storage::Table& table,
     // Adaptive batch path: small index probes run a fused scalar loop with
     // allocation-free cursor setup, large scans are filtered block-at-a-time
     // by selection-vector kernels; matches arrive in candidate order either
-    // way, so callers see the exact row sequence the legacy loop below
-    // would produce.
+    // way, so callers see the exact row sequence the loop below produces.
     return ForEachMatchRows(table, bindings, in_filters, prune_blooms, opts,
                             fn, stats);
   }
   if (stats != nullptr) ++stats->probes;
-  const AccessPathKind kind = ChooseAccessPath(table, bindings, opts);
+  const PathChoice choice = ChoosePath(table, bindings, opts);
 
   // Semi-join pruning: a bound value absent from a column's Bloom summary
   // cannot match any row that survives the step's local filters.
-  for (const ColumnBloom& pb : prune_blooms) {
-    for (const ColumnBinding& b : bindings) {
-      if (b.column == pb.column && !pb.bloom->MayContain(b.value)) {
-        if (stats != nullptr) ++stats->bloom_skips;
-        return kind;
-      }
+  if (BloomPruned(bindings, prune_blooms, stats)) return choice.kind;
+  if (opts.cancel != nullptr && opts.cancel->StopRequested()) return choice.kind;
+
+  CandidateCursor cursor;
+  const AccessPathKind kind = cursor.Init(choice, table, bindings, in_filters, opts);
+  // Candidates arrive in chunks; cancellation is polled once per chunk —
+  // cheap enough to keep scan overhead negligible, tight enough that a
+  // tripped deadline stops mid-scan within microseconds.
+  constexpr size_t kChunk = 256;
+  storage::RowId chunk[kChunk];
+  while (true) {
+    const size_t n = cursor.Fill(chunk, kChunk);
+    if (n == 0) return kind;
+    for (size_t i = 0; i < n; ++i) {
+      if (stats != nullptr) ++stats->rows_scanned;
+      if (!RowPasses(table, chunk[i], bindings, in_filters)) continue;
+      if (stats != nullptr) ++stats->rows_matched;
+      if (!fn(chunk[i])) return kind;
     }
+    if (opts.cancel != nullptr && opts.cancel->StopRequested()) return kind;
   }
-
-  if (opts.cancel != nullptr && opts.cancel->StopRequested()) return kind;
-
-  // Cancellation poll period: cheap enough to keep scan overhead negligible,
-  // tight enough that a tripped deadline stops mid-scan within microseconds.
-  constexpr uint64_t kCancelPollMask = 0xFF;
-  uint64_t scanned = 0;
-  auto emit = [&](storage::RowId r) -> bool {
-    if (opts.cancel != nullptr && (++scanned & kCancelPollMask) == 0 &&
-        opts.cancel->StopRequested()) {
-      return false;
-    }
-    if (stats != nullptr) ++stats->rows_scanned;
-    if (!RowMatches(table, r, bindings, in_filters)) return true;
-    if (stats != nullptr) ++stats->rows_matched;
-    return fn(r);
-  };
-
-  switch (kind) {
-    case AccessPathKind::kClusteredRange: {
-      std::vector<storage::ObjectId> prefix =
-          KeyPrefixFromBindings(table.clustering_key(), bindings);
-      auto [begin, end] = table.ClusteredRange(prefix);
-      for (storage::RowId r = begin; r < end; ++r) {
-        if (!emit(r)) return kind;
-      }
-      return kind;
-    }
-    case AccessPathKind::kCompositeIndex: {
-      std::vector<storage::ObjectId> prefix;
-      const storage::CompositeIndex* best =
-          BestCompositeIndex(table, bindings, &prefix);
-      XK_CHECK(best != nullptr);
-      std::vector<storage::RowId> scratch;  // paged ordering lands here
-      for (storage::RowId r : best->LookupPrefix(prefix, &scratch)) {
-        if (!emit(r)) return kind;
-      }
-      return kind;
-    }
-    case AccessPathKind::kHashIndex: {
-      const storage::HashIndex* idx = nullptr;
-      storage::ObjectId key = storage::kInvalidId;
-      for (const ColumnBinding& b : bindings) {
-        idx = table.GetHashIndex(b.column);
-        if (idx != nullptr) {
-          key = b.value;
-          break;
-        }
-      }
-      XK_CHECK(idx != nullptr);
-      for (storage::RowId r : idx->Lookup(key)) {
-        if (!emit(r)) return kind;
-      }
-      return kind;
-    }
-    case AccessPathKind::kFullScan: {
-      const storage::RowId n = static_cast<storage::RowId>(table.NumRows());
-      for (storage::RowId r = 0; r < n; ++r) {
-        if (!emit(r)) return kind;
-      }
-      return kind;
-    }
-  }
-  return kind;
 }
 
 AccessPathKind ForEachMatch(const storage::Table& table,
@@ -199,7 +97,7 @@ bool TableScanIterator::Next(storage::Tuple* out) {
   const storage::RowId n = static_cast<storage::RowId>(table_.NumRows());
   while (next_row_ < n) {
     storage::RowId r = next_row_++;
-    if (RowMatches(table_, r, bindings_, in_filters_)) {
+    if (RowPasses(table_, r, bindings_, in_filters_)) {
       storage::TupleView row = table_.RowInto(r, &row_scratch_);
       out->assign(row.begin(), row.end());
       return true;

@@ -8,6 +8,9 @@
 //                      clustered "on the direction that R is used")
 //   composite index  — multi-attribute indexes of the maximal decomposition
 //   hash index       — "single attribute indices on every attribute"
+//   keyword seek     — no bound column, but a keyword (in-set) filter on an
+//                      indexed column: the per-direction indexes find the
+//                      keyword-filtered rows (access_path.h)
 //   full scan        — "MinNClustNIndx", no indexes or clustering
 
 #ifndef XK_EXEC_OPERATORS_H_
@@ -52,6 +55,7 @@ enum class AccessPathKind {
   kClusteredRange,
   kCompositeIndex,
   kHashIndex,
+  kKeywordSeek,
   kFullScan,
 };
 
@@ -80,24 +84,8 @@ struct ExecOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// The path a probe with the given bound columns would take on `table`.
-/// Among several usable composite indexes, the one covering the longest
-/// prefix of bound columns wins (ties broken by build order); `ForEachMatch`
-/// probes the same index this function selects.
-AccessPathKind ChooseAccessPath(const storage::Table& table,
-                                const std::vector<ColumnBinding>& bindings,
-                                const ExecOptions& opts);
-
-/// The composite index of `table` covering the longest key prefix of bound
-/// columns (ties broken by build order), or nullptr if none has even its
-/// first key column bound. On a hit, `*prefix` receives the bound key values.
-const storage::CompositeIndex* BestCompositeIndex(
-    const storage::Table& table, const std::vector<ColumnBinding>& bindings,
-    std::vector<storage::ObjectId>* prefix);
-
 /// Bound columns arranged as the longest possible prefix of `key`, or empty
-/// if not even the first key column is bound. Shared by the row-at-a-time
-/// and block access paths.
+/// if not even the first key column is bound.
 std::vector<storage::ObjectId> KeyPrefixFromBindings(
     const std::vector<int>& key, const std::vector<ColumnBinding>& bindings);
 
@@ -117,9 +105,9 @@ struct ProbeStats {
   }
 };
 
-/// Enumerates rows of `table` satisfying all bindings and in-set filters,
-/// invoking `fn(row_id)`; `fn` returns false to stop early. Returns the path
-/// taken. `stats` may be null. A probe whose binding fails one of
+/// Enumerates rows of `table` satisfying all bindings and in-set filters in
+/// ascending row order where a full scan would visit them, invoking
+/// `fn(row_id)`; `fn` returns false to stop early. Returns the path taken. `stats` may be null. A probe whose binding fails one of
 /// `prune_blooms` is skipped entirely (counted in `stats->bloom_skips`).
 AccessPathKind ForEachMatch(const storage::Table& table,
                             const std::vector<ColumnBinding>& bindings,

@@ -22,19 +22,6 @@ void LatencyHistogram::Record(std::chrono::nanoseconds latency) {
   ++count_;
 }
 
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  if (other.count_ == 0) return;
-  for (size_t b = 0; b < kNumBuckets; ++b) buckets_[b] += other.buckets_[b];
-  if (count_ == 0) {
-    min_us_ = other.min_us_;
-    max_us_ = other.max_us_;
-  } else {
-    min_us_ = std::min(min_us_, other.min_us_);
-    max_us_ = std::max(max_us_, other.max_us_);
-  }
-  count_ += other.count_;
-}
-
 double LatencyHistogram::PercentileMicros(double p) const {
   if (count_ == 0) return 0;
   const double target = p / 100.0 * static_cast<double>(count_);
@@ -172,62 +159,6 @@ MetricsSnapshot Metrics::Snapshot() const {
     snap.page_read_bytes += stats.page_read_bytes;
   }
   return snap;
-}
-
-void Metrics::MergeFrom(const Metrics& other) {
-  const auto fold = [](std::atomic<uint64_t>& into,
-                       const std::atomic<uint64_t>& from) {
-    into.fetch_add(from.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  };
-  fold(submitted_, other.submitted_);
-  fold(rejected_, other.rejected_);
-  fold(completed_ok_, other.completed_ok_);
-  fold(deadline_exceeded_, other.deadline_exceeded_);
-  fold(cancelled_, other.cancelled_);
-  fold(failed_, other.failed_);
-  fold(degraded_, other.degraded_);
-  fold(cache_hits_, other.cache_hits_);
-  fold(cache_misses_, other.cache_misses_);
-  fold(coalesced_, other.coalesced_);
-  fold(cache_stale_, other.cache_stale_);
-  fold(cache_evicted_, other.cache_evicted_);
-  fold(streamed_batches_, other.streamed_batches_);
-  fold(streamed_results_, other.streamed_results_);
-  fold(streamed_bytes_, other.streamed_bytes_);
-  fold(client_aborts_, other.client_aborts_);
-  fold(malformed_frames_, other.malformed_frames_);
-  active_connections_.fetch_add(
-      other.active_connections_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  const int64_t other_conn_peak =
-      other.peak_connections_.load(std::memory_order_relaxed);
-  int64_t conn_peak = peak_connections_.load(std::memory_order_relaxed);
-  while (other_conn_peak > conn_peak &&
-         !peak_connections_.compare_exchange_weak(conn_peak, other_conn_peak,
-                                                  std::memory_order_relaxed)) {
-  }
-  queue_depth_.fetch_add(other.queue_depth_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  in_flight_.fetch_add(other.in_flight_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-  const int64_t other_peak =
-      other.peak_in_flight_.load(std::memory_order_relaxed);
-  int64_t peak = peak_in_flight_.load(std::memory_order_relaxed);
-  while (other_peak > peak &&
-         !peak_in_flight_.compare_exchange_weak(peak, other_peak,
-                                                std::memory_order_relaxed)) {
-  }
-  // scoped_lock acquires both mutexes deadlock-free regardless of the order
-  // two concurrent MergeFrom calls name the registries in.
-  std::scoped_lock lock(mutex_, other.mutex_);
-  latency_.Merge(other.latency_);
-  for (const auto& [name, stats] : other.per_decomposition_) {
-    per_decomposition_[name].Add(stats);
-  }
-  for (const auto& [cls, n] : other.coverage_class_) {
-    coverage_class_[cls] += n;
-  }
 }
 
 }  // namespace xk::service

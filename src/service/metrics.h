@@ -32,13 +32,6 @@ class LatencyHistogram {
  public:
   void Record(std::chrono::nanoseconds latency);
 
-  /// Folds `other` in: bucket-wise count addition plus min/max widening.
-  /// Exact — merging per-shard histograms yields the same buckets, count and
-  /// extremes (hence the same percentile answers) as one histogram that
-  /// recorded every sample, so per-shard stats combine without
-  /// double-counting and without extra error.
-  void Merge(const LatencyHistogram& other);
-
   uint64_t count() const { return count_; }
   /// Estimated latency (microseconds) at percentile `p` in (0, 100].
   /// Returns 0 with no samples.
@@ -237,14 +230,6 @@ class Metrics {
   }
 
   MetricsSnapshot Snapshot() const;
-
-  /// Folds another registry's totals into this one: counters and gauges sum
-  /// (peak_in_flight takes the maximum — per-shard peaks never overlapped in
-  /// time is the conservative reading), latency histograms merge exactly, and
-  /// per-decomposition engine counters aggregate via ExecutionStats::Add.
-  /// Lets a fleet of per-shard services report one combined registry without
-  /// double-counting any sample.
-  void MergeFrom(const Metrics& other);
 
  private:
   std::atomic<uint64_t> submitted_{0};

@@ -142,6 +142,18 @@ CompositeIndex::CompositeIndex(const Table& table, std::vector<int> key_columns)
     }
     return false;
   });
+  // Rows are sorted on the clustering key, and the sort above is stable (ties
+  // keep row order), so one lead value's entries ascend in row order when the
+  // rest of the key is a prefix of the clustering key without the lead.
+  if (table.IsClustered()) {
+    std::vector<int> rest;
+    for (int c : table.clustering_key()) {
+      if (c != key_columns_[0]) rest.push_back(c);
+    }
+    lead_runs_in_row_order_ =
+        key_columns_.size() - 1 <= rest.size() &&
+        std::equal(key_columns_.begin() + 1, key_columns_.end(), rest.begin());
+  }
 }
 
 int CompositeIndex::ComparePrefix(RowId row, TupleView prefix) const {

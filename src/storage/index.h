@@ -93,6 +93,12 @@ class CompositeIndex {
 
   const std::vector<int>& key_columns() const { return key_columns_; }
 
+  /// True when the entries of every lead-column value are in ascending row
+  /// order: the table is clustered and the rest of the key is a prefix of its
+  /// clustering key without the lead column, as for the per-direction indexes
+  /// of a connection relation. Keyword seeks merge such runs into scan order.
+  bool lead_runs_in_row_order() const { return lead_runs_in_row_order_; }
+
   /// Row ids whose key columns start with `prefix` (prefix.size() <= arity of
   /// the key). The returned span is a contiguous, key-ordered run. Memory
   /// backend only (the span aliases the in-memory ordering).
@@ -130,6 +136,7 @@ class CompositeIndex {
   std::vector<int> key_columns_;
   std::vector<RowId> order_;  // row ids sorted by key columns
   size_t num_entries_ = 0;
+  bool lead_runs_in_row_order_ = false;
   std::unique_ptr<PagedOrder> paged_;
 
   // Compares row `row` against `prefix` on the first prefix.size() key cols.

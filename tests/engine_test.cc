@@ -69,6 +69,12 @@ class EngineTest : public ::testing::Test {
     ASSERT_TRUE(
         xk_->AddDecomposition(decomp::MakeXKeyword(db_->tss(), 2, 6).MoveValueUnsafe())
             .ok());
+    // The same relations and physical design, run without ever touching an
+    // index: the oracle for XKeyword's index paths and keyword seeks.
+    decomp::Decomposition no_index = decomp::MakeXKeyword(db_->tss(), 2, 6).MoveValueUnsafe();
+    no_index.name = "XKeywordNoIndex";
+    no_index.use_indexes_at_runtime = false;
+    ASSERT_TRUE(xk_->AddDecomposition(std::move(no_index)).ok());
   }
 
   static void TearDownTestSuite() {
@@ -138,6 +144,29 @@ TEST_F(EngineTest, AllDecompositionsProduceSameResults) {
   // XKeyword uses different (wider) relations, so plan indexes match but
   // object multisets must agree.
   EXPECT_EQ(Shapes(a), Shapes(d));
+}
+
+TEST_F(EngineTest, XKeywordEqualsIndexFreeTwin) {
+  // Keyword seeks and index probes must return what scans of the same
+  // relations return, in the same order: top-k prefixes included.
+  const std::vector<std::vector<std::string>> queries = {
+      {"john", "tv"}, {"vcr", "dvd"}, {"mike", "radio"}, {"us", "tv"}};
+  for (int threads : {1, 4}) {
+    QueryOptions options;
+    options.max_size_z = 6;
+    options.num_threads = threads;
+    for (QueryMode mode : {QueryMode::kTopK, QueryMode::kAll}) {
+      for (const auto& q : queries) {
+        XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> indexed,
+                                RunMode(*xk_, mode, q, "XKeyword", options));
+        XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> scanned,
+                                RunMode(*xk_, mode, q, "XKeywordNoIndex", options));
+        EXPECT_FALSE(indexed.empty()) << q[0] << "," << q[1];
+        EXPECT_EQ(indexed, scanned) << q[0] << "," << q[1] << " threads=" << threads
+                                    << " mode=" << static_cast<int>(mode);
+      }
+    }
+  }
 }
 
 TEST_F(EngineTest, FullExecutorModesAgree) {

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "common/random.h"
+#include "exec/access_path.h"
 #include "exec/block_ops.h"
 #include "exec/join_hash_table.h"
 #include "exec/operators.h"
@@ -66,21 +69,21 @@ std::multiset<ObjectId> ProbeDst(const Table& t, ObjectId src, bool use_indexes)
 TEST(AccessPathTest, ChoiceFollowsPhysicalDesign) {
   ExecOptions opts;
   auto clustered = MakeEdgeTable(Physical::kClustered, 1);
-  EXPECT_EQ(ChooseAccessPath(*clustered, {{0, 5}}, opts),
+  EXPECT_EQ(ChoosePath(*clustered, {{0, 5}}, opts).kind,
             AccessPathKind::kClusteredRange);
-  EXPECT_EQ(ChooseAccessPath(*clustered, {{1, 5}}, opts),
+  EXPECT_EQ(ChoosePath(*clustered, {{1, 5}}, opts).kind,
             AccessPathKind::kCompositeIndex);
 
   auto hash = MakeEdgeTable(Physical::kHash, 1);
-  EXPECT_EQ(ChooseAccessPath(*hash, {{0, 5}}, opts), AccessPathKind::kHashIndex);
+  EXPECT_EQ(ChoosePath(*hash, {{0, 5}}, opts).kind, AccessPathKind::kHashIndex);
 
   auto none = MakeEdgeTable(Physical::kNone, 1);
-  EXPECT_EQ(ChooseAccessPath(*none, {{0, 5}}, opts), AccessPathKind::kFullScan);
+  EXPECT_EQ(ChoosePath(*none, {{0, 5}}, opts).kind, AccessPathKind::kFullScan);
 
   // No bindings or disabled indexes -> scan.
-  EXPECT_EQ(ChooseAccessPath(*clustered, {}, opts), AccessPathKind::kFullScan);
+  EXPECT_EQ(ChoosePath(*clustered, {}, opts).kind, AccessPathKind::kFullScan);
   ExecOptions no_idx{.use_indexes = false};
-  EXPECT_EQ(ChooseAccessPath(*clustered, {{0, 5}}, no_idx),
+  EXPECT_EQ(ChoosePath(*clustered, {{0, 5}}, no_idx).kind,
             AccessPathKind::kFullScan);
 }
 
@@ -89,18 +92,18 @@ TEST(AccessPathTest, ChoiceCoversEveryBindingShape) {
   // Clustered on (0,1) with a secondary composite on (1,0): col-0 shapes take
   // the clustering, col-1 shapes the secondary, nothing bound scans.
   auto clustered = MakeEdgeTable(Physical::kClustered, 2);
-  EXPECT_EQ(ChooseAccessPath(*clustered, {{0, 3}}, opts),
+  EXPECT_EQ(ChoosePath(*clustered, {{0, 3}}, opts).kind,
             AccessPathKind::kClusteredRange);
-  EXPECT_EQ(ChooseAccessPath(*clustered, {{0, 3}, {1, 4}}, opts),
+  EXPECT_EQ(ChoosePath(*clustered, {{0, 3}, {1, 4}}, opts).kind,
             AccessPathKind::kClusteredRange);
-  EXPECT_EQ(ChooseAccessPath(*clustered, {{1, 4}}, opts),
+  EXPECT_EQ(ChoosePath(*clustered, {{1, 4}}, opts).kind,
             AccessPathKind::kCompositeIndex);
-  EXPECT_EQ(ChooseAccessPath(*clustered, {}, opts), AccessPathKind::kFullScan);
+  EXPECT_EQ(ChoosePath(*clustered, {}, opts).kind, AccessPathKind::kFullScan);
 
   // Hash-only table: any bound column probes the hash index.
   auto hash = MakeEdgeTable(Physical::kHash, 2);
-  EXPECT_EQ(ChooseAccessPath(*hash, {{1, 4}}, opts), AccessPathKind::kHashIndex);
-  EXPECT_EQ(ChooseAccessPath(*hash, {{0, 3}, {1, 4}}, opts),
+  EXPECT_EQ(ChoosePath(*hash, {{1, 4}}, opts).kind, AccessPathKind::kHashIndex);
+  EXPECT_EQ(ChoosePath(*hash, {{0, 3}, {1, 4}}, opts).kind,
             AccessPathKind::kHashIndex);
 }
 
@@ -131,14 +134,14 @@ TEST(AccessPathTest, CompositeLongestUsablePrefixWins) {
   for (const std::vector<ColumnBinding>& bindings :
        {std::vector<ColumnBinding>{{1, dst}, {0, src}},
         std::vector<ColumnBinding>{{0, src}, {1, dst}}}) {
-    std::vector<storage::ObjectId> prefix;
-    const storage::CompositeIndex* best = BestCompositeIndex(*t, bindings, &prefix);
-    ASSERT_NE(best, nullptr);
-    EXPECT_EQ(best->key_columns(), (std::vector<int>{1, 0}));
-    EXPECT_EQ(prefix, (std::vector<ObjectId>{dst, src}));
+    const PathChoice choice = ChoosePath(*t, bindings, ExecOptions{});
+    EXPECT_EQ(choice.kind, AccessPathKind::kCompositeIndex);
+    ASSERT_NE(choice.composite, nullptr);
+    EXPECT_EQ(choice.composite->key_columns(), (std::vector<int>{1, 0}));
+    EXPECT_EQ(choice.prefix_len, 2u);
+    EXPECT_EQ(KeyPrefixFromBindings(choice.composite->key_columns(), bindings),
+              (std::vector<ObjectId>{dst, src}));
 
-    EXPECT_EQ(ChooseAccessPath(*t, bindings, ExecOptions{}),
-              AccessPathKind::kCompositeIndex);
     ProbeStats stats;
     ForEachMatch(*t, bindings, {}, ExecOptions{}, [](RowId) { return true; },
                  &stats);
@@ -373,6 +376,8 @@ TEST_P(VectorizedDifferential, RowAndBlockPathsAreByteIdentical) {
   storage::IdSet odd;
   for (ObjectId v = 1; v < 20; v += 2) odd.insert(v);
   storage::IdSet nothing = {777};  // outside the value domain
+  storage::IdSet one = {3};        // small enough for a keyword seek
+  storage::IdSet pair = {5, 9};
 
   struct Case {
     std::vector<ColumnBinding> bindings;
@@ -386,6 +391,8 @@ TEST_P(VectorizedDifferential, RowAndBlockPathsAreByteIdentical) {
       {{}, {{0, &odd}, {1, &odd}}},   // in-sets only
       {{{0, 10'000}}, {}},            // no matching rows at all
       {{}, {{0, &nothing}}},          // every block fully filtered
+      {{}, {{1, &one}}},              // keyword seek on the second column
+      {{}, {{0, &pair}, {1, &odd}}},  // keyword seek, second filter checked
   };
 
   for (Physical physical :
@@ -853,6 +860,206 @@ TEST(IndexNestedLoopBlockIteratorTest, InnerBloomsPruneWithoutChangingRows) {
   EXPECT_EQ(bloom_stats.probes, plain_stats.probes);
   EXPECT_LE(bloom_stats.rows_scanned, plain_stats.rows_scanned);
   EXPECT_EQ(bloom_stats.rows_matched, plain_stats.rows_matched);
+}
+
+// --- Keyword seek ----------------------------------------------------------
+
+/// Physical designs of the keyword-seek differential. kClustered mirrors a
+/// connection relation: clustered on (0,1,2) plus one composite index per
+/// further direction, led by that column. kUnorderedComposite has composite
+/// indexes on an unclustered table, whose runs are not in row order.
+enum class SeekDesign { kClustered, kUnorderedComposite, kHash, kNone };
+
+/// A 3-column relation of random tuples, every fifth one appended twice.
+std::unique_ptr<Table> MakeRelation(SeekDesign design, uint64_t seed) {
+  auto t = std::make_unique<Table>("rel", std::vector<std::string>{"a", "b", "c"});
+  Random rng(seed);
+  for (int i = 0; i < 1500; ++i) {
+    const Tuple row{rng.Uniform(0, 79), rng.Uniform(0, 59), rng.Uniform(0, 99)};
+    XK_EXPECT_OK(t->Append(row));
+    if (i % 5 == 0) XK_EXPECT_OK(t->Append(row));
+  }
+  switch (design) {
+    case SeekDesign::kClustered:
+      XK_EXPECT_OK(t->Cluster({0, 1, 2}));
+      XK_EXPECT_OK(t->BuildCompositeIndex({1, 0, 2}));
+      XK_EXPECT_OK(t->BuildCompositeIndex({2, 0}));  // a prefix still qualifies
+      break;
+    case SeekDesign::kUnorderedComposite:
+      XK_EXPECT_OK(t->BuildCompositeIndex({1, 2, 0}));
+      XK_EXPECT_OK(t->BuildCompositeIndex({2, 1, 0}));
+      break;
+    case SeekDesign::kHash:
+      for (int c = 0; c < 3; ++c) XK_EXPECT_OK(t->BuildHashIndex(c));
+      break;
+    case SeekDesign::kNone:
+      break;
+  }
+  t->Freeze();
+  return t;
+}
+
+/// Row ids the probe hands to its sink until the sink has seen `limit`.
+std::vector<RowId> StoppedTrace(const Table& t,
+                                const std::vector<ColumnInSet>& in_filters,
+                                const ExecOptions& opts, size_t limit,
+                                ProbeStats* stats, AccessPathKind* kind) {
+  std::vector<RowId> out;
+  *kind = ForEachMatch(t, {}, in_filters, opts,
+                       [&](RowId r) {
+                         out.push_back(r);
+                         return out.size() < limit;
+                       },
+                       stats);
+  return out;
+}
+
+class KeywordSeekDifferential : public ::testing::TestWithParam<int> {};
+
+/// The seek against the same probe with use_indexes off (a plain scan, code
+/// that never looks at an index): identical row sequences, whatever stops
+/// the sink.
+TEST_P(KeywordSeekDifferential, SeekEqualsScanUnderEarlyStops) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  Random rng(seed * 7919);
+  auto pick = [&](size_t n, ObjectId domain) {
+    storage::IdSet set;
+    while (set.size() < n) set.insert(rng.Uniform(0, domain - 1));
+    return set;
+  };
+  const storage::IdSet a3 = pick(3, 80);
+  const storage::IdSet b1 = pick(1, 60);
+  const storage::IdSet b4 = pick(4, 60);
+  const storage::IdSet c5 = pick(5, 100);
+  const storage::IdSet wide = pick(70, 80);  // the cost rule keeps the scan
+  const storage::IdSet empty;
+  const storage::IdSet absent = {9999, 10'000};
+
+  struct Case {
+    const char* name;
+    std::vector<ColumnInSet> filters;
+    bool seekable;  // true when a seek-capable design must seek
+  };
+  const std::vector<Case> cases = {
+      {"clustered lead", {{0, &a3}}, true},
+      {"composite lead, one run", {{1, &b1}}, true},
+      {"composite lead, merged runs", {{1, &b4}}, true},
+      {"third column", {{2, &c5}}, true},
+      {"two in-filters", {{0, &wide}, {2, &c5}}, true},
+      {"two in-filters, same column", {{1, &b4}, {1, &b1}}, true},
+      {"empty set", {{1, &empty}}, true},
+      {"absent values", {{0, &absent}}, true},
+      {"too wide to seek", {{0, &wide}}, false},
+  };
+
+  for (SeekDesign design : {SeekDesign::kClustered, SeekDesign::kUnorderedComposite,
+                            SeekDesign::kHash, SeekDesign::kNone}) {
+    auto t = MakeRelation(design, seed);
+    for (const Case& c : cases) {
+      for (bool vectorized : {false, true}) {
+        for (size_t block_size : {size_t{0}, size_t{7}}) {
+          if (!vectorized && block_size != 0) continue;
+          ExecOptions seek_opts;
+          seek_opts.vectorized = vectorized;
+          seek_opts.block_size = block_size;
+          ExecOptions scan_opts = seek_opts;
+          scan_opts.use_indexes = false;
+          for (size_t limit : {size_t{1}, size_t{5}, SIZE_MAX}) {
+            const std::string where =
+                std::string(c.name) + " design=" +
+                std::to_string(static_cast<int>(design)) +
+                " vectorized=" + std::to_string(vectorized) +
+                " block_size=" + std::to_string(block_size) +
+                " limit=" + std::to_string(limit);
+            ProbeStats seek_stats, scan_stats;
+            AccessPathKind seek_kind, scan_kind;
+            const std::vector<RowId> seek =
+                StoppedTrace(*t, c.filters, seek_opts, limit, &seek_stats, &seek_kind);
+            const std::vector<RowId> scan =
+                StoppedTrace(*t, c.filters, scan_opts, limit, &scan_stats, &scan_kind);
+            EXPECT_EQ(seek, scan) << where;
+            EXPECT_EQ(scan_kind, AccessPathKind::kFullScan) << where;
+            // The row path counts matches row by row; the block path counts
+            // whole blocks, whose make-up differs between seek and scan, so
+            // its counts agree once the probe runs to the end.
+            if (!vectorized || limit == SIZE_MAX) {
+              EXPECT_EQ(seek_stats.rows_matched, scan_stats.rows_matched) << where;
+            }
+            // Hash indexes never seek: only key-ordered runs are merged.
+            const bool must_seek = c.seekable && design == SeekDesign::kClustered;
+            EXPECT_EQ(seek_kind == AccessPathKind::kKeywordSeek, must_seek) << where;
+            if (must_seek && limit == SIZE_MAX) {
+              EXPECT_LT(seek_stats.rows_scanned, t->NumRows() / 4) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KeywordSeekDifferential, ::testing::Range(1, 6));
+
+TEST(KeywordSeekTest, RowOrderFollowsKeyShape) {
+  // Clustered on (0,1,2): an index keyed (lead, a prefix of the clustering
+  // key without the lead) has row-ordered runs; any other key does not.
+  auto t = std::make_unique<Table>("rel", std::vector<std::string>{"a", "b", "c"});
+  XK_EXPECT_OK(t->Append(Tuple{0, 5, 9}));
+  XK_EXPECT_OK(t->Append(Tuple{1, 5, 3}));
+  XK_EXPECT_OK(t->Cluster({0, 1, 2}));
+  for (const auto& [key, ordered] :
+       std::vector<std::pair<std::vector<int>, bool>>{{{1, 0, 2}, true},
+                                                      {{2, 0}, true},
+                                                      {{1}, true},
+                                                      {{1, 2}, false},
+                                                      {{2, 1, 0}, false}}) {
+    XK_EXPECT_OK(t->BuildCompositeIndex(key));
+    EXPECT_EQ(t->composite_indexes().back()->lead_runs_in_row_order(), ordered)
+        << "key starts with " << key[0] << ", length " << key.size();
+  }
+  // Column 1 holds 5 twice; (1,2) orders row 1 (c=3) before row 0 (c=9).
+  const Tuple five{5};
+  const std::span<const RowId> run =
+      t->composite_indexes()[3]->LookupPrefix(storage::TupleView(five));
+  EXPECT_EQ(std::vector<RowId>(run.begin(), run.end()), (std::vector<RowId>{1, 0}));
+
+  auto unclustered = MakeRelation(SeekDesign::kUnorderedComposite, 3);
+  for (const auto& idx : unclustered->composite_indexes()) {
+    EXPECT_FALSE(idx->lead_runs_in_row_order());
+  }
+}
+
+TEST(KeywordSeekTest, IndexesAreUntouchedWhenDisabled) {
+  // MinNClustNIndx runs with use_indexes off: even a relation that could
+  // seek scans every row.
+  auto t = MakeRelation(SeekDesign::kClustered, 11);
+  const storage::IdSet one = {t->At(0, 1)};
+  for (bool vectorized : {false, true}) {
+    ExecOptions opts{.use_indexes = false, .vectorized = vectorized};
+    ProbeStats stats;
+    EXPECT_EQ(ForEachMatch(*t, {}, {{1, &one}}, opts, [](RowId) { return true; },
+                           &stats),
+              AccessPathKind::kFullScan);
+    EXPECT_EQ(stats.rows_scanned, t->NumRows());
+  }
+}
+
+TEST(KeywordSeekTest, ScanBlockIteratorSeeksLikeForEachMatch) {
+  auto t = MakeRelation(SeekDesign::kClustered, 12);
+  const storage::IdSet set = {t->At(0, 2), t->At(1, 2), t->At(2, 2)};
+  const std::vector<RowId> expected =
+      ProbeTrace(*t, {}, {{2, &set}}, ExecOptions{.use_indexes = false});
+  for (size_t bs : {size_t{1}, size_t{7}, size_t{1024}}) {
+    ScanBlockIterator blocks(*t, {}, {{2, &set}}, ExecOptions{.block_size = bs});
+    EXPECT_EQ(blocks.path(), AccessPathKind::kKeywordSeek);
+    std::vector<RowId> got;
+    RowBlock block;
+    while (blocks.Next(&block)) {
+      got.insert(got.end(), block.row_ids.begin(),
+                 block.row_ids.begin() + static_cast<long>(block.size));
+    }
+    EXPECT_EQ(got, expected) << "block_size=" << bs;
+  }
 }
 
 }  // namespace

@@ -109,90 +109,6 @@ TEST(LatencyHistogramTest, PercentilesBracketedAndMonotoneOnRandomWorkloads) {
   }
 }
 
-TEST(LatencyHistogramTest, MergeEqualsOneCombinedHistogram) {
-  // Merge is exact: per-shard histograms folded together must answer every
-  // percentile identically to one histogram that saw every sample.
-  std::mt19937 rng(20260809);
-  std::uniform_real_distribution<double> exponent(1.0, 8.0);
-  for (int trial = 0; trial < 10; ++trial) {
-    LatencyHistogram shards[4];
-    LatencyHistogram combined;
-    const int n = 16 + static_cast<int>(rng() % 500);
-    for (int i = 0; i < n; ++i) {
-      const auto ns = std::chrono::nanoseconds(
-          static_cast<int64_t>(std::pow(10.0, exponent(rng))));
-      shards[rng() % 4].Record(ns);
-      combined.Record(ns);
-    }
-    LatencyHistogram merged;
-    for (const LatencyHistogram& s : shards) merged.Merge(s);
-    EXPECT_EQ(merged.count(), combined.count());
-    for (int p = 1; p <= 100; ++p) {
-      EXPECT_DOUBLE_EQ(merged.PercentileMicros(p), combined.PercentileMicros(p))
-          << "trial " << trial << " p" << p;
-    }
-  }
-}
-
-TEST(LatencyHistogramTest, MergeHandlesEmptySides) {
-  LatencyHistogram a, b, empty;
-  a.Merge(empty);  // no-op
-  EXPECT_EQ(a.count(), 0u);
-  b.Record(milliseconds(3));
-  a.Merge(b);  // empty <- non-empty adopts the extremes
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_DOUBLE_EQ(a.PercentileMicros(50), 3000.0);
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_DOUBLE_EQ(a.PercentileMicros(99), 3000.0);
-}
-
-TEST(MetricsTest, MergeFromAggregatesWithoutDoubleCounting) {
-  Metrics a, b;
-  a.OnSubmitted();
-  a.OnAdmitted();
-  a.OnStart();
-  engine::QueryResponse response_a;
-  response_a.stats.results = 3;
-  response_a.stats.subplan_hits = 4;
-  response_a.stats.dedup_saved_rows = 10;
-  a.OnFinish("XKeyword", Status::OK(), &response_a, milliseconds(2));
-
-  b.OnSubmitted();
-  b.OnSubmitted();
-  b.OnRejected();
-  b.OnAdmitted();
-  b.OnStart();
-  engine::QueryResponse response_b;
-  response_b.stats.results = 5;
-  response_b.stats.subplan_hits = 8;
-  response_b.stats.subplan_misses = 2;
-  response_b.completeness = Completeness::kDegraded;
-  response_b.coverage.cns_executed = 2;
-  response_b.coverage.cns_skipped = 1;
-  response_b.coverage.exhausted_class = 2;
-  b.OnFinish("XKeyword", Status::OK(), &response_b, milliseconds(4));
-  b.OnCacheHit();
-
-  a.MergeFrom(b);
-  const MetricsSnapshot snap = a.Snapshot();
-  EXPECT_EQ(snap.submitted, 3u);
-  EXPECT_EQ(snap.rejected, 1u);
-  EXPECT_EQ(snap.completed_ok, 2u);
-  EXPECT_EQ(snap.cache_hits, 1u);
-  EXPECT_EQ(snap.latency_count, 2u);
-  EXPECT_EQ(snap.peak_in_flight, 1);  // max, not sum: peaks never add
-  ASSERT_TRUE(snap.per_decomposition.contains("XKeyword"));
-  EXPECT_EQ(snap.per_decomposition.at("XKeyword").results, 8u);
-  EXPECT_EQ(snap.subplan_hits, 12u);
-  EXPECT_EQ(snap.dedup_saved_rows, 10u);
-  EXPECT_EQ(snap.subplan_misses, 2u);
-  // Degraded count and the per-class coverage histogram merge too.
-  EXPECT_EQ(snap.degraded, 1u);
-  ASSERT_TRUE(snap.coverage_exhausted_class.contains(2));
-  EXPECT_EQ(snap.coverage_exhausted_class.at(2), 1u);
-}
-
 // --- Service fixture -----------------------------------------------------
 
 /// DBLP database sized so one expensive query (kExpensive below) takes long

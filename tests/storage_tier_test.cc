@@ -21,6 +21,7 @@
 #include "datagen/dblp_gen.h"
 #include "decomp/decomposition.h"
 #include "engine/xkeyword.h"
+#include "exec/operators.h"
 #include "keyword/master_index.h"
 #include "service/metrics.h"
 #include "storage/blob_store.h"
@@ -480,6 +481,40 @@ TEST(StorageTierTest, TableSpillPreservesRowsAndIndexes) {
   // The pool budget (2 frames) is far below the spilled footprint, so the
   // full-table sweep above must have evicted.
   EXPECT_GT(tier->PoolStats().evictions, 0u);
+}
+
+TEST(StorageTierTest, PagedTableKeepsTheScanForKeywordFilters) {
+  // In memory, a keyword filter on an indexed column seeks; once paged, each
+  // lookup would binary-search through pinned pages, so the probe scans —
+  // and returns the same rows in the same order.
+  std::unique_ptr<StorageTier> tier = MakeTier(2 * kPageSize);
+  storage::Table table("R", {"a", "b"});
+  Random rng(7);
+  for (int r = 0; r < 3000; ++r) {
+    XK_ASSERT_OK(table.Append(storage::Tuple{rng.Uniform(0, 300), rng.Uniform(0, 300)}));
+  }
+  XK_ASSERT_OK(table.Cluster({0, 1}));
+  XK_ASSERT_OK(table.BuildCompositeIndex({1, 0}));
+  table.Freeze();
+  const storage::IdSet keyword = {table.At(0, 1), table.At(1500, 1)};
+  auto trace = [&](exec::AccessPathKind* kind) {
+    std::vector<storage::RowId> rows;
+    *kind = exec::ForEachMatch(table, {}, {{1, &keyword}}, exec::ExecOptions{},
+                               [&](storage::RowId r) {
+                                 rows.push_back(r);
+                                 return true;
+                               },
+                               nullptr);
+    return rows;
+  };
+  exec::AccessPathKind kind;
+  const std::vector<storage::RowId> in_memory = trace(&kind);
+  EXPECT_EQ(kind, exec::AccessPathKind::kKeywordSeek);
+  ASSERT_FALSE(in_memory.empty());
+
+  XK_ASSERT_OK(table.SpillToDisk(tier.get()));
+  EXPECT_EQ(trace(&kind), in_memory);
+  EXPECT_EQ(kind, exec::AccessPathKind::kFullScan);
 }
 
 TEST(StorageTierTest, BlobStoreSpillRoundTrip) {
