@@ -2,9 +2,10 @@
 // in-memory backend vs the disk backend under a warm pool (everything
 // resident after the first sweep) and a cold pool (budget of a few frames, so
 // every query churns through misses and evictions), the same axis for raw
-// table sweeps through TableReadCursor, and the compressed posting-list
-// footprint against the 24-byte in-memory struct. Pool counters (hits,
-// misses, read bytes, evictions) ride along as series counters.
+// table sweeps through TableReadCursor, the page checksum every pool miss
+// verifies, and the compressed posting-list footprint against the 24-byte
+// in-memory struct. Pool counters (hits, misses, read bytes, evictions) ride
+// along as series counters.
 //
 // Caveat recorded next to the numbers: the page file lives on the build
 // machine's filesystem, so "disk" reads are usually served from the OS page
@@ -196,6 +197,24 @@ void BM_TableSweep(benchmark::State& state, bool paged, size_t pool_pages) {
   }
 }
 
+/// The page checksum every buffer-pool miss verifies, over one full page
+/// (16-byte header prefix + kPagePayload live bytes); bytes/s is per page.
+void BM_PageChecksum(benchmark::State& state) {
+  xk::storage::PageHeader h{};
+  h.magic = xk::storage::kPageMagic;
+  h.payload_len = static_cast<uint32_t>(xk::storage::kPagePayload);
+  std::vector<uint8_t> payload(xk::storage::kPagePayload);
+  xk::Random rng(5);
+  for (uint8_t& b : payload) b = static_cast<uint8_t>(rng.Uniform(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(&h);
+    benchmark::DoNotOptimize(
+        xk::storage::ComputePageChecksum(h, payload.data()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kPageSize));
+}
+
 /// The compressed posting footprint against the in-memory struct — the
 /// headline space claim of the tier (target: <= 0.5x). Not a timing series;
 /// one iteration records the sizes as counters.
@@ -233,6 +252,8 @@ BENCHMARK_CAPTURE(BM_TableSweep, disk_warm, true, 512)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_TableSweep, disk_cold, true, 4)
     ->Unit(benchmark::kMicrosecond);
+
+BENCHMARK(BM_PageChecksum);
 
 BENCHMARK(BM_PostingFootprint);
 

@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "engine/thread_pool.h"
+#include "storage/table.h"
 
 namespace xk::engine {
 
@@ -37,10 +38,12 @@ const storage::BloomFilter* BloomCache::GetOrBuild(const exec::JoinStep& step,
     }
     std::vector<storage::ObjectId> values;
     exec::ProbeStats scan_stats;
+    // One pin per page run on a paged table, not one per row.
+    storage::TableReadCursor cursor(*step.table);
     exec::ForEachMatch(*step.table, step.const_filters, step.in_filters,
                        scan_options,
                        [&](storage::RowId r) {
-                         const storage::ObjectId v = step.table->At(r, column);
+                         const storage::ObjectId v = cursor.At(r, column);
                          if (every_row_passes) {
                            entry->filter->Add(v);
                          } else {

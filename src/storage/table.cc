@@ -253,8 +253,9 @@ size_t Table::DistinctCount(int column) const {
     if (slot.has_value()) return *slot;
   }
   std::unordered_set<ObjectId> seen;
+  TableReadCursor cursor(*this);  // one pin per page on a paged table
   for (size_t r = 0; r < num_rows_; ++r) {
-    seen.insert(At(static_cast<RowId>(r), column));
+    seen.insert(cursor.At(static_cast<RowId>(r), column));
   }
   const size_t count = seen.size();
   if (frozen_) {

@@ -6,12 +6,14 @@
 // in-memory default across modes x vectorized x threads while the pool
 // actually evicts (budget far below the page file).
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +22,7 @@
 #include "common/random.h"
 #include "datagen/dblp_gen.h"
 #include "decomp/decomposition.h"
+#include "engine/topk_executor.h"
 #include "engine/xkeyword.h"
 #include "exec/operators.h"
 #include "keyword/master_index.h"
@@ -148,6 +151,11 @@ TEST(PostingCodecTest, TruncatedAndTrailingBytesRejected) {
 
 // --- Page store ----------------------------------------------------------
 
+// Golden checksums of the fixed page images in ChecksumIsPinnedToTheFormat.
+constexpr uint64_t kGoldenFull = 0x51D7655ACF939941ull;
+constexpr uint64_t kGoldenShort = 0x21E49000441C2658ull;
+constexpr uint64_t kGoldenEmpty = 0x426442F4318BAE23ull;
+
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name + std::to_string(::getpid()) +
          ".xkp";
@@ -258,6 +266,172 @@ TEST(PageStoreTest, TruncatedFileRejected) {
   alignas(8) char buf[kPageSize];
   EXPECT_FALSE(empty->ReadPage(0, buf).ok());
   empty.reset();
+  ::remove(path.c_str());
+}
+
+// The checksum of a fixed page image is part of the page format: a change
+// here means files written by an older build no longer verify, so it must
+// come with a kPageMagic bump.
+TEST(PageStoreTest, ChecksumIsPinnedToTheFormat) {
+  storage::PageHeader h{};
+  h.magic = storage::kPageMagic;
+  h.page_no = 7;
+  h.type = static_cast<uint16_t>(PageType::kTableRows);
+  h.payload_len = static_cast<uint32_t>(kPagePayload);
+  std::vector<uint8_t> payload(kPagePayload);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  EXPECT_EQ(storage::kPageMagic, 0x58504B32u);
+  EXPECT_EQ(storage::ComputePageChecksum(h, payload.data()), kGoldenFull);
+  // The stored checksum field is not covered.
+  h.checksum = ~0ull;
+  EXPECT_EQ(storage::ComputePageChecksum(h, payload.data()), kGoldenFull);
+  // A short payload runs both tails: 45 = one stripe + one word + 5 bytes.
+  h.payload_len = 45;
+  EXPECT_EQ(storage::ComputePageChecksum(h, payload.data()), kGoldenShort);
+  h.payload_len = 0;
+  EXPECT_EQ(storage::ComputePageChecksum(h, payload.data()), kGoldenEmpty);
+}
+
+/// Flips bit `bit` of byte `offset` in the file at `fd`.
+void FlipBit(int fd, size_t offset, int bit) {
+  uint8_t b;
+  ASSERT_EQ(::pread(fd, &b, 1, static_cast<off_t>(offset)), 1);
+  b ^= static_cast<uint8_t>(1u << bit);
+  ASSERT_EQ(::pwrite(fd, &b, 1, static_cast<off_t>(offset)), 1);
+}
+
+TEST(PageStoreTest, EverySingleBitFlipIsCorruption) {
+  const std::string path = TempPath("bitflip");
+  XK_ASSERT_OK_AND_ASSIGN(std::unique_ptr<PageStore> store,
+                          PageStore::Create(path));
+  std::string payload(kPagePayload, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>((i * 2654435761u) >> 11);
+  }
+  XK_ASSERT_OK(store->AppendPage(PageType::kTableRows, payload.data(),
+                                 payload.size())
+                   .status());
+  const int fd = ::open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  // Header prefix, stored checksum and the full payload: every bit of the
+  // page is covered by one of magic, page number, length or checksum.
+  alignas(8) char buf[kPageSize];
+  size_t missed = 0;
+  for (size_t offset = 0; offset < kPageSize; ++offset) {
+    for (int bit = 0; bit < 8; ++bit) {
+      FlipBit(fd, offset, bit);
+      const Status read = store->ReadPage(0, buf);
+      const Status verify = store->VerifyAllPages();
+      if (!read.IsCorruption() || !verify.IsCorruption()) {
+        if (++missed <= 10) {
+          ADD_FAILURE() << "flip of byte " << offset << " bit " << bit
+                        << ": ReadPage " << read.ToString()
+                        << ", VerifyAllPages " << verify.ToString();
+        }
+      }
+      FlipBit(fd, offset, bit);
+    }
+  }
+  EXPECT_EQ(missed, 0u);
+  XK_EXPECT_OK(store->VerifyAllPages());
+  ::close(fd);
+  store.reset();
+  ::remove(path.c_str());
+}
+
+TEST(PageStoreTest, PayloadLengthPastThePageRejected) {
+  const std::string path = TempPath("badlen");
+  XK_ASSERT_OK_AND_ASSIGN(std::unique_ptr<PageStore> store,
+                          PageStore::Create(path));
+  std::string payload(kPagePayload, 'p');
+  XK_ASSERT_OK(
+      store->AppendPage(PageType::kBlob, payload.data(), payload.size())
+          .status());
+  const int fd = ::open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  for (uint32_t len : {static_cast<uint32_t>(kPagePayload + 1),
+                       static_cast<uint32_t>(kPageSize), 0xFFFFFFFFu}) {
+    // A consistent checksum over the over-long length, so only the length
+    // check can reject the page (the checksum reads a padded copy).
+    alignas(8) char image[2 * kPageSize] = {};
+    ASSERT_EQ(::pread(fd, image, kPageSize, 0),
+              static_cast<ssize_t>(kPageSize));
+    storage::PageHeader h;
+    std::memcpy(&h, image, sizeof(h));
+    h.payload_len = len;
+    if (len <= kPageSize) {
+      h.checksum =
+          storage::ComputePageChecksum(h, image + sizeof(storage::PageHeader));
+    }
+    std::memcpy(image, &h, sizeof(h));
+    ASSERT_EQ(::pwrite(fd, image, kPageSize, 0),
+              static_cast<ssize_t>(kPageSize));
+    alignas(8) char buf[kPageSize];
+    const Status read = store->ReadPage(0, buf);
+    EXPECT_TRUE(read.IsCorruption()) << read.ToString();
+    EXPECT_NE(read.ToString().find("payload length"), std::string::npos)
+        << read.ToString();
+    EXPECT_TRUE(store->VerifyAllPages().IsCorruption());
+  }
+  ::close(fd);
+  store.reset();
+  ::remove(path.c_str());
+}
+
+TEST(PageStoreTest, PageImageAtTheWrongPageNumberRejected) {
+  const std::string path = TempPath("misplaced");
+  XK_ASSERT_OK_AND_ASSIGN(std::unique_ptr<PageStore> store,
+                          PageStore::Create(path));
+  for (char fill : {'0', '1'}) {
+    std::string payload(kPagePayload, fill);
+    XK_ASSERT_OK(
+        store->AppendPage(PageType::kBlob, payload.data(), payload.size())
+            .status());
+  }
+  XK_ASSERT_OK(store->VerifyAllPages());
+  // Copy page 0's intact image over page 1: its checksum still matches its
+  // bytes, but it names the wrong page.
+  const int fd = ::open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  alignas(8) char image[kPageSize];
+  ASSERT_EQ(::pread(fd, image, kPageSize, 0), static_cast<ssize_t>(kPageSize));
+  ASSERT_EQ(::pwrite(fd, image, kPageSize, static_cast<off_t>(kPageSize)),
+            static_cast<ssize_t>(kPageSize));
+  ::close(fd);
+  alignas(8) char buf[kPageSize];
+  XK_EXPECT_OK(store->ReadPage(0, buf));
+  const Status read = store->ReadPage(1, buf);
+  EXPECT_TRUE(read.IsCorruption()) << read.ToString();
+  EXPECT_NE(read.ToString().find("header names page 0"), std::string::npos)
+      << read.ToString();
+  EXPECT_TRUE(store->VerifyAllPages().IsCorruption());
+  store.reset();
+  ::remove(path.c_str());
+}
+
+TEST(PageStoreTest, OlderFormatFailsAsBadMagic) {
+  const std::string path = TempPath("oldformat");
+  XK_ASSERT_OK_AND_ASSIGN(std::unique_ptr<PageStore> store,
+                          PageStore::Create(path));
+  std::string payload(100, 'o');
+  XK_ASSERT_OK(
+      store->AppendPage(PageType::kBlob, payload.data(), payload.size())
+          .status());
+  // Stamp the page with the magic of the byte-serial-checksum format.
+  const int fd = ::open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  const uint32_t old_magic = 0x58504B47;  // "XPKG"
+  ASSERT_EQ(::pwrite(fd, &old_magic, sizeof(old_magic), 0),
+            static_cast<ssize_t>(sizeof(old_magic)));
+  ::close(fd);
+  alignas(8) char buf[kPageSize];
+  const Status read = store->ReadPage(0, buf);
+  EXPECT_TRUE(read.IsCorruption()) << read.ToString();
+  EXPECT_NE(read.ToString().find("bad magic"), std::string::npos)
+      << read.ToString();
+  store.reset();
   ::remove(path.c_str());
 }
 
@@ -481,6 +655,68 @@ TEST(StorageTierTest, TableSpillPreservesRowsAndIndexes) {
   // The pool budget (2 frames) is far below the spilled footprint, so the
   // full-table sweep above must have evicted.
   EXPECT_GT(tier->PoolStats().evictions, 0u);
+}
+
+/// A frozen table of `rows` random rows over columns of growing range (few
+/// to all-distinct values), clustered on its first column.
+storage::Table MakeSpillableTable(int rows) {
+  storage::Table table("R", {"a", "b", "c"});
+  Random rng(31);
+  for (int r = 0; r < rows; ++r) {
+    EXPECT_TRUE(table
+                    .Append(storage::Tuple{rng.Uniform(0, 40),
+                                           rng.Uniform(0, 2000),
+                                           static_cast<storage::ObjectId>(r)})
+                    .ok());
+  }
+  EXPECT_TRUE(table.Cluster({0}).ok());
+  table.Freeze();
+  return table;
+}
+
+/// Pool pins (hits + misses) since construction.
+uint64_t Pins(const StorageTier& tier) {
+  const storage::BufferPoolStats stats = tier.PoolStats();
+  return stats.hits + stats.misses;
+}
+
+TEST(StorageTierTest, PagedDistinctCountMatchesMemoryAndPinsEachPageOnce) {
+  constexpr int kRows = 5000;
+  std::unique_ptr<StorageTier> tier = MakeTier(2 * kPageSize);
+  const storage::Table in_memory = MakeSpillableTable(kRows);
+  storage::Table paged = MakeSpillableTable(kRows);
+  XK_ASSERT_OK(paged.SpillToDisk(tier.get()));
+  const uint64_t pages =
+      (kRows + paged.RowsPerPage() - 1) / paged.RowsPerPage();
+  ASSERT_GT(pages, 2u);
+  for (int c = 0; c < paged.arity(); ++c) {
+    const uint64_t pins_before = Pins(*tier);
+    EXPECT_EQ(paged.DistinctCount(c), in_memory.DistinctCount(c)) << c;
+    EXPECT_EQ(Pins(*tier) - pins_before, pages) << c;
+  }
+}
+
+TEST(StorageTierTest, PagedBloomBuildPinsEachPageOnce) {
+  // The build scan and the built column's cursor each pin a page once, so a
+  // build costs two pins per page, not one per row.
+  constexpr int kRows = 5000;
+  std::unique_ptr<StorageTier> tier = MakeTier(2 * kPageSize);
+  storage::Table table = MakeSpillableTable(kRows);
+  XK_ASSERT_OK(table.SpillToDisk(tier.get()));
+  const uint64_t pages =
+      (kRows + table.RowsPerPage() - 1) / table.RowsPerPage();
+  exec::JoinStep step;
+  step.table = &table;
+  engine::BloomCache cache(/*use_indexes=*/true);
+  const uint64_t pins_before = Pins(*tier);
+  const storage::BloomFilter* filter =
+      cache.GetOrBuild(step, "R", /*column=*/1, /*build_stats=*/nullptr);
+  EXPECT_LE(Pins(*tier) - pins_before, 2 * pages);
+  ASSERT_NE(filter, nullptr);
+  storage::TableReadCursor cursor(table);
+  for (int r = 0; r < kRows; ++r) {
+    EXPECT_TRUE(filter->MayContain(cursor.At(static_cast<storage::RowId>(r), 1)));
+  }
 }
 
 TEST(StorageTierTest, PagedTableKeepsTheScanForKeywordFilters) {
