@@ -6,31 +6,19 @@
 // index-nested-loop join, over synthetic tables sized independently of the
 // DBLP fixture. Every series point reports rows/sec so the speedup is a
 // straight ratio of the row and block variants.
-//
-// The kernels:{scalar,simd} series (BM_Kernel*) A/Bs the SIMD block kernels
-// against their scalar references on identical inputs — selection compress,
-// batched hash build, gathered group-probe, and Bloom block filtering — plus
-// one end-to-end hash join under the per-query dispatch knob. Those runs are
-// split into their own BENCH_simd_kernels.json sidecar; each record's label
-// is the ISA the arm actually dispatched to.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/simd.h"
-#include "exec/join_hash_table.h"
 #include "exec/operators.h"
 #include "exec/plan.h"
-#include "storage/index.h"
 
 namespace xk::bench {
 namespace {
@@ -195,247 +183,9 @@ BENCHMARK_CAPTURE(BM_HashJoin, block, true)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_InlJoin, row, false)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_InlJoin, block, true)->Unit(benchmark::kMillisecond);
 
-// --- kernels:{scalar,simd} series ---------------------------------------
-
-constexpr size_t kKernelBlock = 1024;  // the engine's execution block size
-
-/// Flat key columns for the kernel-level A/B, plus one prebuilt hash table
-/// per dispatch arm (identical layout: hashing is bit-exact across arms, so
-/// insertion order and collisions resolve identically).
-struct KernelFixture {
-  static KernelFixture& Get() {
-    static KernelFixture* instance = new KernelFixture();
-    return *instance;
-  }
-
-  std::vector<ObjectId> build_keys;  // right.src — the hash-join build side
-  std::vector<ObjectId> probe_keys;  // left.dst — the probe side
-  exec::JoinHashTable scalar_table;
-  exec::JoinHashTable simd_table;
-
- private:
-  KernelFixture()
-      : scalar_table(/*key_width=*/1, /*force_scalar=*/true),
-        simd_table(/*key_width=*/1, /*force_scalar=*/false) {
-    SyntheticTables& t = SyntheticTables::Get();
-    build_keys.reserve(t.join_rows);
-    probe_keys.reserve(t.join_rows);
-    for (size_t r = 0; r < t.join_rows; ++r) {
-      build_keys.push_back(t.right->At(r, 0));
-      probe_keys.push_back(t.left->At(r, 1));
-    }
-    for (exec::JoinHashTable* table : {&scalar_table, &simd_table}) {
-      table->Reserve(build_keys.size());
-      for (size_t base = 0; base < build_keys.size(); base += kKernelBlock) {
-        const size_t bn = std::min(kKernelBlock, build_keys.size() - base);
-        table->InsertBatch(build_keys.data() + base, bn,
-                           static_cast<uint32_t>(base));
-      }
-    }
-  }
-};
-
-simd::IsaLevel ArmLevel(bool use_simd) {
-  return use_simd ? simd::DetectedIsaLevel() : simd::IsaLevel::kScalar;
-}
-
-/// Selection compress: the two-element IN ladder over the scan table's first
-/// column, block at a time, exactly as ScanBlockIterator drives it.
-void BM_KernelSelect(benchmark::State& state, bool use_simd) {
-  SyntheticTables& t = SyntheticTables::Get();
-  const simd::IsaLevel level = ArmLevel(use_simd);
-  const ObjectId* base_data = t.scan->RowData();
-  std::vector<uint32_t> row_ids(t.scan_rows);
-  std::iota(row_ids.begin(), row_ids.end(), 0u);
-  std::vector<uint32_t> sel(kKernelBlock);
-  const int64_t vals[2] = {3, 7};
-  size_t kept = 0;
-  for (auto _ : state) {
-    size_t total = 0;
-    for (size_t base = 0; base < t.scan_rows; base += kKernelBlock) {
-      const size_t bn = std::min(kKernelBlock, t.scan_rows - base);
-      for (size_t i = 0; i < bn; ++i) sel[i] = static_cast<uint32_t>(i);
-      total += simd::SelCompressInSet(base_data, /*arity=*/2, /*column=*/0,
-                                      row_ids.data() + base, sel.data(), bn,
-                                      vals, 2, level);
-    }
-    benchmark::DoNotOptimize(total);
-    kept = total;
-  }
-  state.SetLabel(simd::IsaLevelToString(level));
-  state.counters["rows_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * static_cast<double>(t.scan_rows),
-      benchmark::Counter::kIsRate);
-  state.counters["kept"] = static_cast<double>(kept);
-}
-
-/// Hash build: fresh JoinHashTable per iteration, filled block-batched.
-void BM_KernelHashBuild(benchmark::State& state, bool use_simd) {
-  KernelFixture& f = KernelFixture::Get();
-  size_t keys = 0;
-  for (auto _ : state) {
-    exec::JoinHashTable table(/*key_width=*/1, /*force_scalar=*/!use_simd);
-    table.Reserve(f.build_keys.size());
-    for (size_t base = 0; base < f.build_keys.size(); base += kKernelBlock) {
-      const size_t bn = std::min(kKernelBlock, f.build_keys.size() - base);
-      table.InsertBatch(f.build_keys.data() + base, bn,
-                        static_cast<uint32_t>(base));
-    }
-    benchmark::DoNotOptimize(table.num_keys());
-    keys = table.num_keys();
-  }
-  state.SetLabel(simd::IsaLevelToString(ArmLevel(use_simd)));
-  state.counters["keys_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          static_cast<double>(f.build_keys.size()),
-      benchmark::Counter::kIsRate);
-  state.counters["distinct_keys"] = static_cast<double>(keys);
-}
-
-/// Hash-join probe: batched hash + gathered group-probe against the prebuilt
-/// table (the acceptance series — keys_per_sec is probe throughput).
-void BM_KernelProbe(benchmark::State& state, bool use_simd) {
-  KernelFixture& f = KernelFixture::Get();
-  const exec::JoinHashTable& table = use_simd ? f.simd_table : f.scalar_table;
-  std::vector<uint32_t> heads(kKernelBlock);
-  // The hit count is recorded from one untimed sweep; the timed region is
-  // the probe kernel alone, so keys_per_sec compares the kernels and not
-  // the result-consumption loop both arms share.
-  size_t hits = 0;
-  for (size_t base = 0; base < f.probe_keys.size(); base += kKernelBlock) {
-    const size_t bn = std::min(kKernelBlock, f.probe_keys.size() - base);
-    table.LookupBatch(f.probe_keys.data() + base, bn, heads.data());
-    for (size_t i = 0; i < bn; ++i) {
-      hits += heads[i] != exec::JoinHashTable::kNil;
-    }
-  }
-  for (auto _ : state) {
-    for (size_t base = 0; base < f.probe_keys.size(); base += kKernelBlock) {
-      const size_t bn = std::min(kKernelBlock, f.probe_keys.size() - base);
-      table.LookupBatch(f.probe_keys.data() + base, bn, heads.data());
-    }
-    benchmark::DoNotOptimize(heads.data());
-  }
-  state.SetLabel(simd::IsaLevelToString(ArmLevel(use_simd)));
-  state.counters["keys_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          static_cast<double>(f.probe_keys.size()),
-      benchmark::Counter::kIsRate);
-  state.counters["hits"] = static_cast<double>(hits);
-}
-
-/// Bloom block filtering: MayContainBlock over the probe keys against a
-/// filter of the build keys — the semi-join pruning hot loop.
-void BM_KernelBloom(benchmark::State& state, bool use_simd) {
-  KernelFixture& f = KernelFixture::Get();
-  storage::BloomFilter bloom(f.build_keys.size());
-  for (ObjectId k : f.build_keys) bloom.Add(k);
-  std::vector<uint32_t> sel(kKernelBlock);
-  size_t kept = 0;
-  for (auto _ : state) {
-    size_t n = 0;
-    for (size_t base = 0; base < f.probe_keys.size(); base += kKernelBlock) {
-      const size_t bn = std::min(kKernelBlock, f.probe_keys.size() - base);
-      for (size_t i = 0; i < bn; ++i) sel[i] = static_cast<uint32_t>(i);
-      n += bloom.MayContainBlock(f.probe_keys.data() + base, sel.data(), bn,
-                                 /*force_scalar=*/!use_simd);
-    }
-    benchmark::DoNotOptimize(n);
-    kept = n;
-  }
-  state.SetLabel(simd::IsaLevelToString(ArmLevel(use_simd)));
-  state.counters["keys_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          static_cast<double>(f.probe_keys.size()),
-      benchmark::Counter::kIsRate);
-  state.counters["kept"] = static_cast<double>(kept);
-}
-
-/// End-to-end: the block hash join under the per-query dispatch knob, so the
-/// kernel gains are visible in operator context, not just in isolation.
-void BM_KernelJoinEndToEnd(benchmark::State& state, bool use_simd) {
-  SyntheticTables& t = SyntheticTables::Get();
-  const JoinQuery q = MakeJoinQuery(t);
-  ExecOptions opts;
-  opts.vectorized = true;
-  opts.force_scalar_kernels = !use_simd;
-  size_t results = 0;
-  for (auto _ : state) {
-    HashJoinExecutor hj(&q, opts);
-    size_t n = 0;
-    XK_CHECK(hj.Run([&](const std::vector<storage::TupleView>&) {
-                 ++n;
-                 return true;
-               })
-                 .ok());
-    benchmark::DoNotOptimize(n);
-    results = n;
-  }
-  state.SetLabel(simd::IsaLevelToString(ArmLevel(use_simd)));
-  state.counters["rows_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          static_cast<double>(2 * t.join_rows),
-      benchmark::Counter::kIsRate);
-  state.counters["results"] = static_cast<double>(results);
-}
-
-BENCHMARK_CAPTURE(BM_KernelSelect, kernels:scalar, false);
-BENCHMARK_CAPTURE(BM_KernelSelect, kernels:simd, true);
-BENCHMARK_CAPTURE(BM_KernelHashBuild, kernels:scalar, false);
-BENCHMARK_CAPTURE(BM_KernelHashBuild, kernels:simd, true);
-BENCHMARK_CAPTURE(BM_KernelProbe, kernels:scalar, false);
-BENCHMARK_CAPTURE(BM_KernelProbe, kernels:simd, true);
-BENCHMARK_CAPTURE(BM_KernelBloom, kernels:scalar, false);
-BENCHMARK_CAPTURE(BM_KernelBloom, kernels:simd, true);
-BENCHMARK_CAPTURE(BM_KernelJoinEndToEnd, kernels:scalar, false)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_KernelJoinEndToEnd, kernels:simd, true)
-    ->Unit(benchmark::kMillisecond);
-
-/// Tees console runs into two sidecars: the kernels:{scalar,simd} series
-/// (every BM_Kernel* run) lands in BENCH_simd_kernels.json, everything else
-/// in BENCH_exec_vectorized.json.
-class SplitTeeReporter : public benchmark::ConsoleReporter {
- public:
-  SplitTeeReporter(BenchJsonWriter* exec_writer, BenchJsonWriter* simd_writer)
-      : exec_writer_(exec_writer), simd_writer_(simd_writer) {}
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.error_occurred) continue;
-      std::map<std::string, double> counters;
-      for (const auto& [key, counter] : run.counters) {
-        counters[key] = static_cast<double>(counter.value);
-      }
-      const std::string name = run.benchmark_name();
-      BenchJsonWriter* writer =
-          name.find("BM_Kernel") != std::string::npos ? simd_writer_
-                                                      : exec_writer_;
-      const double iters = static_cast<double>(run.iterations);
-      writer->AddRecord(name,
-                        iters > 0 ? run.real_accumulated_time / iters * 1e9 : 0,
-                        counters, run.report_label, iters);
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
- private:
-  BenchJsonWriter* exec_writer_;
-  BenchJsonWriter* simd_writer_;
-};
-
 }  // namespace
 }  // namespace xk::bench
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  xk::bench::BenchJsonWriter exec_writer("exec_vectorized");
-  xk::bench::BenchJsonWriter simd_writer("simd_kernels");
-  xk::bench::SplitTeeReporter reporter(&exec_writer, &simd_writer);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  exec_writer.WriteFile();
-  simd_writer.WriteFile();
-  benchmark::Shutdown();
-  return 0;
+  return xk::bench::RunBenchMain("exec_vectorized", argc, argv);
 }

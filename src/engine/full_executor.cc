@@ -89,7 +89,7 @@ struct SubplanMemo {
 /// Intermediates are kept as per-step indexes into the filtered scans (one
 /// uint32 per step per row), so joins shuffle indexes, not tuples. With
 /// `exec_options.vectorized` the build side is a flat open-addressing
-/// JoinHashTable probed in key blocks; otherwise the legacy unordered_map.
+/// JoinHashTable; otherwise the legacy unordered_map.
 /// Either way output order is the scan-order nested enumeration.
 void HashJoinOnScans(const opt::CtssnPlan& plan,
                      const std::vector<const std::vector<storage::Tuple>*>& scans,
@@ -135,8 +135,6 @@ void HashJoinOnScans(const opt::CtssnPlan& plan,
   const size_t block = exec_options.block_size != 0
                            ? exec_options.block_size
                            : exec::RowBlock::kDefaultCapacity;
-  std::vector<storage::ObjectId> key_buf;  // block of probe keys, flat
-  std::vector<uint32_t> head_buf;          // per probe key: match chain head
 
   for (size_t i = start; i < num_steps && !current.empty(); ++i) {
     if (stop_requested()) return;
@@ -147,40 +145,29 @@ void HashJoinOnScans(const opt::CtssnPlan& plan,
 
     if (exec_options.vectorized) {
       // Build: flat open-addressing table keyed on the eq columns; duplicate
-      // rows chain in scan order, so probe output matches the map path. Keys
-      // gather flat per chunk so each chunk hashes in one batched pass.
-      exec::JoinHashTable table(static_cast<int>(s.eq.size()),
-                                exec_options.force_scalar_kernels);
+      // rows chain in scan order, so probe output matches the map path.
+      exec::JoinHashTable table(static_cast<int>(s.eq.size()));
       table.Reserve(build_rows.size());
-      key_buf.resize(block * s.eq.size());
-      for (size_t bbase = 0; bbase < build_rows.size(); bbase += block) {
-        const size_t bn = std::min(block, build_rows.size() - bbase);
-        for (size_t r = 0; r < bn; ++r) {
-          for (size_t k = 0; k < s.eq.size(); ++k) {
-            key_buf[r * s.eq.size() + k] =
-                build_rows[bbase + r][static_cast<size_t>(s.eq[k].first)];
-          }
+      storage::Tuple key(s.eq.size());
+      for (size_t r = 0; r < build_rows.size(); ++r) {
+        for (size_t k = 0; k < s.eq.size(); ++k) {
+          key[k] = build_rows[r][static_cast<size_t>(s.eq[k].first)];
         }
-        table.InsertBatch(key_buf.data(), bn, static_cast<uint32_t>(bbase));
+        table.Insert(key.data(), static_cast<uint32_t>(r));
       }
-      // Probe in blocks: gather keys, batch-lookup, walk match chains.
-      head_buf.resize(block);
+      // Probe: gather each row's key and walk its match chain, polling
+      // cancellation once per block of rows.
       for (size_t base = 0; base < rows; base += block) {
         if (stop_requested()) return;
-        const size_t n = std::min(block, rows - base);
-        for (size_t r = 0; r < n; ++r) {
-          const uint32_t* left = &current[(base + r) * width];
+        for (size_t r = base; r < std::min(rows, base + block); ++r) {
+          const uint32_t* left = &current[r * width];
           for (size_t k = 0; k < s.eq.size(); ++k) {
             const exec::ColumnRef& ref = s.eq[k].second;
-            key_buf[r * s.eq.size() + k] =
-                (*scans[static_cast<size_t>(ref.step)])[left[ref.step]]
-                    [static_cast<size_t>(ref.column)];
+            key[k] = (*scans[static_cast<size_t>(ref.step)])[left[ref.step]]
+                         [static_cast<size_t>(ref.column)];
           }
-        }
-        table.LookupBatch(key_buf.data(), n, head_buf.data());
-        for (size_t r = 0; r < n; ++r) {
-          const uint32_t* left = &current[(base + r) * width];
-          for (uint32_t node = head_buf[r]; node != exec::JoinHashTable::kNil;
+          for (uint32_t node = table.Lookup(key.data());
+               node != exec::JoinHashTable::kNil;
                node = table.NextMatch(node)) {
             next.insert(next.end(), left, left + width);
             next.push_back(table.MatchRow(node));

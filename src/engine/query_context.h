@@ -15,26 +15,14 @@
 #include "cn/candidate_network.h"
 #include "cn/ctssn.h"
 #include "common/cancel_token.h"
-#include "common/simd.h"
 #include "exec/operators.h"
 #include "opt/optimizer.h"
 #include "storage/buffer_pool.h"
 
 namespace xk::engine {
 
-/// Block-kernel ISA dispatch policy (common/simd.h). The SIMD variants are
-/// bit-identical to the scalar references, so this is a debugging and
-/// benchmarking knob, never a correctness one.
-enum class KernelDispatch : uint8_t {
-  /// Best ISA the build and the CPU support (scalar when the environment
-  /// forces it via XK_FORCE_SCALAR_KERNELS=1).
-  kAuto = 0,
-  /// Pin every kernel to the scalar reference.
-  kForceScalar = 1,
-  /// Like kAuto, but Validate() rejects the query when dispatch would land
-  /// on scalar — for benches that must not silently measure the wrong arm.
-  kRequireSimd = 2,
-};
+/// Ignored by the library; kept only because perfbench/xkbench.cc names it.
+enum class KernelDispatch : uint8_t { kAuto = 0, kForceScalar = 1 };
 
 /// Join strategy for full-result (QueryMode::kAll) runs.
 enum class FullMode {
@@ -101,11 +89,7 @@ struct QueryOptions {
   /// way (kept as a knob so benches can A/B the two engines).
   bool vectorized = true;
 
-  /// Block-kernel ISA dispatch: kAuto picks the best supported level,
-  /// kForceScalar pins the scalar references (also forced by the
-  /// XK_FORCE_SCALAR_KERNELS=1 environment escape hatch), kRequireSimd makes
-  /// Validate() reject queries that would dispatch to scalar. The level that
-  /// actually served the query is reported in ExecutionStats::simd_isa.
+  /// Ignored by the library; kept only because perfbench/xkbench.cc names it.
   KernelDispatch kernel_dispatch = KernelDispatch::kAuto;
 
   /// Full-result mode (QueryMode::kAll) only: join strategy.
@@ -169,12 +153,6 @@ struct QueryOptions {
     if (anytime_min_plan_rows == 0) {
       return Status::InvalidArgument("anytime_min_plan_rows must be >= 1");
     }
-    if (kernel_dispatch == KernelDispatch::kRequireSimd &&
-        simd::DetectedIsaLevel() == simd::IsaLevel::kScalar) {
-      return Status::InvalidArgument(
-          "kernel_dispatch = kRequireSimd, but dispatch would be scalar "
-          "(build without SIMD, unsupported CPU, or XK_FORCE_SCALAR_KERNELS)");
-    }
     return Status::OK();
   }
 };
@@ -234,9 +212,6 @@ struct ExecutionStats {
   uint64_t page_hits = 0;
   uint64_t page_misses = 0;
   uint64_t page_read_bytes = 0;
-  /// ISA level the block kernels dispatched to (simd::IsaLevel as an int;
-  /// stringify with simd::IsaLevelToString). Merges take the max.
-  uint32_t simd_isa = 0;
 
   void Add(const ExecutionStats& o) {
     probes.Add(o.probes);
@@ -253,7 +228,6 @@ struct ExecutionStats {
     page_hits += o.page_hits;
     page_misses += o.page_misses;
     page_read_bytes += o.page_read_bytes;
-    simd_isa = std::max(simd_isa, o.simd_isa);
   }
 };
 

@@ -497,8 +497,6 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
   // Run-time knob wins over the Prepare-time snapshot, so one prepared query
   // can be executed both row-at-a-time and vectorized (the benches A/B this).
   exec_options.vectorized = options.vectorized;
-  exec_options.force_scalar_kernels =
-      options.kernel_dispatch == KernelDispatch::kForceScalar;
 
   auto skip_plan = [&](size_t p) {
     return options.max_network_size > 0 &&

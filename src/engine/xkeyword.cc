@@ -57,8 +57,6 @@ Result<PreparedQuery> XKeyword::Prepare(const std::vector<std::string>& keywords
   q.keywords = keywords;
   q.exec_options.use_indexes = d->use_indexes_at_runtime;
   q.exec_options.vectorized = options.vectorized;
-  q.exec_options.force_scalar_kernels =
-      options.kernel_dispatch == KernelDispatch::kForceScalar;
 
   // Keyword discoverer: which schema nodes hold each keyword.
   std::vector<std::vector<schema::SchemaNodeId>> keyword_schema_nodes;
@@ -181,10 +179,6 @@ Result<QueryResponse> XKeyword::Run(const QueryRequest& request,
   // Disk traffic the query thread itself caused (worker threads drain at
   // their own merge points inside the executors).
   DrainPageCounters(&response.stats);
-  // Which kernel ISA served this query (for metrics and the benches' A/B
-  // bookkeeping): the dispatch level under the request's policy.
-  response.stats.simd_isa = static_cast<uint32_t>(simd::KernelLevel(
-      options.kernel_dispatch == KernelDispatch::kForceScalar));
   response.mttons = results.MoveValueUnsafe();
   if (tok->StopRequested()) {
     response.status = tok->ToStatus();

@@ -5,78 +5,82 @@
 
 #include "common/cancel_token.h"
 #include "common/logging.h"
-#include "common/simd.h"
 
 namespace xk::exec {
 
 // --- Kernels -------------------------------------------------------------
 
-size_t SelEqual(const storage::Table& table, RowBlock* block, int column,
-                storage::ObjectId value, bool force_scalar) {
-  if (table.IsPaged()) {
-    // Disk backend: rows live on pages, not in one flat array, so the SIMD
-    // gather base does not exist. Run the scalar compress through a
-    // run-cached cursor — same survivors, same order.
-    storage::TableReadCursor rows(table);
-    uint32_t* sel = block->sel.data();
-    const storage::RowId* ids = block->row_ids.data();
-    size_t out = 0;
-    for (size_t i = 0; i < block->num_selected; ++i) {
-      const uint32_t s = sel[i];
-      sel[out] = s;
-      out += rows.At(ids[s], column) == value ? 1 : 0;
-    }
-    block->num_selected = out;
-    return out;
-  }
-  const size_t out = simd::SelCompressEqual(
-      table.RowData(), static_cast<uint64_t>(table.arity()),
-      static_cast<uint64_t>(column), block->row_ids.data(), block->sel.data(),
-      block->num_selected, value, simd::KernelLevel(force_scalar));
-  block->num_selected = out;
-  return out;
-}
+namespace {
 
-size_t SelInSet(const storage::Table& table, RowBlock* block, int column,
-                const storage::IdSet& set, bool force_scalar) {
+/// Largest IN-set SelInSet compares against an unrolled ladder.
+constexpr size_t kMaxInlineInSet = 4;
+
+/// The compress loop behind every selection kernel and the Bloom prune:
+/// keeps the selected candidates s for which keep(s) holds, in place and in
+/// order (the write cursor never passes the read cursor), and returns the
+/// survivor count.
+template <typename Keep>
+size_t SelCompress(RowBlock* block, Keep keep) {
   uint32_t* sel = block->sel.data();
-  if (table.IsPaged()) {
-    // Disk backend: scalar probe through a run-cached cursor (ladder and
-    // hash probe select identical survivors, so this stays byte-identical).
-    storage::TableReadCursor rows(table);
-    const storage::RowId* ids = block->row_ids.data();
-    size_t out = 0;
-    for (size_t i = 0; i < block->num_selected; ++i) {
-      const uint32_t s = sel[i];
-      sel[out] = s;
-      out += set.contains(rows.At(ids[s], column)) ? 1 : 0;
-    }
-    block->num_selected = out;
-    return out;
-  }
-  // Small sets (single-keyword containing lists are often 1-4 ids) compare
-  // against an unrolled ladder instead of hashing per candidate; the ladder
-  // is the vectorizable form.
-  if (!set.empty() && set.size() <= simd::kMaxInlineInSet) {
-    int64_t vals[simd::kMaxInlineInSet];
-    size_t k = 0;
-    for (storage::ObjectId v : set) vals[k++] = v;
-    const size_t out = simd::SelCompressInSet(
-        table.RowData(), static_cast<uint64_t>(table.arity()),
-        static_cast<uint64_t>(column), block->row_ids.data(), sel,
-        block->num_selected, vals, k, simd::KernelLevel(force_scalar));
-    block->num_selected = out;
-    return out;
-  }
-  const storage::RowId* rows = block->row_ids.data();
   size_t out = 0;
   for (size_t i = 0; i < block->num_selected; ++i) {
     const uint32_t s = sel[i];
     sel[out] = s;
-    out += set.contains(table.At(rows[s], column)) ? 1 : 0;
+    out += keep(s) ? 1 : 0;
   }
   block->num_selected = out;
   return out;
+}
+
+}  // namespace
+
+size_t SelEqual(const storage::Table& table, RowBlock* block, int column,
+                storage::ObjectId value) {
+  const storage::RowId* ids = block->row_ids.data();
+  if (table.IsPaged()) {
+    // Disk backend: rows live on pages, so read them through a run-cached
+    // cursor — same survivors, same order.
+    storage::TableReadCursor rows(table);
+    return SelCompress(
+        block, [&](uint32_t s) { return rows.At(ids[s], column) == value; });
+  }
+  const storage::ObjectId* base = table.RowData();
+  const uint64_t arity = static_cast<uint64_t>(table.arity());
+  return SelCompress(block, [&](uint32_t s) {
+    return base[static_cast<uint64_t>(ids[s]) * arity + column] == value;
+  });
+}
+
+size_t SelInSet(const storage::Table& table, RowBlock* block, int column,
+                const storage::IdSet& set) {
+  const storage::RowId* ids = block->row_ids.data();
+  if (table.IsPaged()) {
+    // Disk backend: hash probe through a run-cached cursor (ladder and hash
+    // probe select identical survivors, so this stays byte-identical).
+    storage::TableReadCursor rows(table);
+    return SelCompress(block, [&](uint32_t s) {
+      return set.contains(rows.At(ids[s], column));
+    });
+  }
+  const storage::ObjectId* base = table.RowData();
+  const uint64_t arity = static_cast<uint64_t>(table.arity());
+  // Small sets (single-keyword containing lists are often 1-4 ids) compare
+  // against an unrolled ladder instead of hashing per candidate.
+  if (!set.empty() && set.size() <= kMaxInlineInSet) {
+    storage::ObjectId vals[kMaxInlineInSet];
+    size_t k = 0;
+    for (storage::ObjectId v : set) vals[k++] = v;
+    return SelCompress(block, [&](uint32_t s) {
+      const storage::ObjectId v =
+          base[static_cast<uint64_t>(ids[s]) * arity + column];
+      int hit = 0;
+      for (size_t j = 0; j < k; ++j) hit |= v == vals[j] ? 1 : 0;
+      return hit != 0;
+    });
+  }
+  return SelCompress(block, [&](uint32_t s) {
+    return set.contains(base[static_cast<uint64_t>(ids[s]) * arity + column]);
+  });
 }
 
 namespace {
@@ -86,14 +90,14 @@ namespace {
 void ApplyFilters(const storage::Table& table,
                   const std::vector<ColumnBinding>& bindings,
                   const std::vector<ColumnInSet>& in_filters,
-                  const ExecOptions& opts, RowBlock* block) {
+                  RowBlock* block) {
   for (const ColumnBinding& f : bindings) {
     if (block->num_selected == 0) return;
-    SelEqual(table, block, f.column, f.value, opts.force_scalar_kernels);
+    SelEqual(table, block, f.column, f.value);
   }
   for (const ColumnInSet& f : in_filters) {
     if (block->num_selected == 0) return;
-    SelInSet(table, block, f.column, *f.set, opts.force_scalar_kernels);
+    SelInSet(table, block, f.column, *f.set);
   }
 }
 
@@ -160,7 +164,7 @@ void RunBlockLoop(const storage::Table& table,
     if (n == 0) return;
     step = std::min(cap, step * 4);
     block.SelectAll(n);
-    ApplyFilters(table, bindings, in_filters, opts, &block);
+    ApplyFilters(table, bindings, in_filters, &block);
     if (stats != nullptr) {
       stats->rows_scanned += block.size;
       stats->rows_matched += block.num_selected;
@@ -251,7 +255,7 @@ bool ScanBlockIterator::Next(RowBlock* out) {
     const size_t n = cursor_.Fill(out->row_ids.data(), cap);
     if (n == 0) return false;
     out->SelectAll(n);
-    ApplyFilters(table_, bindings_, in_filters_, opts_, out);
+    ApplyFilters(table_, bindings_, in_filters_, out);
     if (out->num_selected == 0) continue;  // all-filtered block: keep pulling
     out->Materialize(table_);
     return true;
@@ -278,9 +282,9 @@ void IndexNestedLoopBlockIterator::PruneOuterBlock() {
     if (outer_block_.num_selected == 0) break;
     for (const JoinKey& k : keys_) {
       if (k.inner_column != pb.column) continue;
-      outer_block_.num_selected = pb.bloom->MayContainBlock(
-          outer_block_.column(k.outer_column), outer_block_.sel.data(),
-          outer_block_.num_selected, opts_.force_scalar_kernels);
+      const storage::ObjectId* values = outer_block_.column(k.outer_column);
+      SelCompress(&outer_block_,
+                  [&](uint32_t s) { return pb.bloom->MayContain(values[s]); });
     }
   }
   // Each pruned outer row is a probe the Bloom rejected, exactly as the

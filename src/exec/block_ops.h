@@ -24,19 +24,17 @@ namespace xk::exec {
 //
 // Each kernel compacts block->sel in place to the selected candidates that
 // also pass the predicate, preserving ascending order, and returns the
-// survivor count. No allocation. Both run as branchless compare-and-compress
-// SIMD kernels (common/simd.h) when the CPU supports them; `force_scalar`
-// pins the scalar reference. Results are bit-identical either way.
+// survivor count. No allocation: each is one branchless compress loop.
 
 /// Keeps candidates whose `column` equals `value`.
 size_t SelEqual(const storage::Table& table, RowBlock* block, int column,
-                storage::ObjectId value, bool force_scalar = false);
+                storage::ObjectId value);
 
-/// Keeps candidates whose `column` value is in `set`. Sets of up to
-/// simd::kMaxInlineInSet distinct values run an unrolled compare ladder
-/// (vectorizable); larger sets probe the hash set per candidate.
+/// Keeps candidates whose `column` value is in `set`. Sets of up to four
+/// distinct values run an unrolled compare ladder; larger sets probe the
+/// hash set per candidate.
 size_t SelInSet(const storage::Table& table, RowBlock* block, int column,
-                const storage::IdSet& set, bool force_scalar = false);
+                const storage::IdSet& set);
 
 // --- Batch probe ---------------------------------------------------------
 
@@ -140,9 +138,9 @@ class IndexNestedLoopBlockIterator : public BlockIterator {
   const ProbeStats& stats() const { return stats_; }
 
   /// Semi-join prune Blooms keyed by inner join column: outer rows whose join
-  /// value is definitely absent from the inner side are dropped by one block
-  /// kernel pass (BloomFilter::MayContainBlock) when each outer block
-  /// arrives, before any per-row probe. Each pruned row counts as one
+  /// value is definitely absent from the inner side are dropped from the
+  /// selection (BloomFilter::MayContain per selected row) when each outer
+  /// block arrives, before any per-row probe. Each pruned row counts as one
   /// bloom-skipped probe, matching the per-row BloomPruned accounting.
   void set_inner_blooms(std::vector<ColumnBloom> blooms) {
     blooms_ = std::move(blooms);

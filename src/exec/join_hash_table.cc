@@ -1,28 +1,23 @@
 #include "exec/join_hash_table.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace xk::exec {
 
-static_assert(JoinHashTable::kNil == simd::kEmptyHead,
-              "ProbeSlots tests emptiness on the head half of the fused "
-              "slot words directly");
+uint64_t JoinKeyHash(storage::TupleView key) {
+  uint64_t h = storage::HashIds(key);
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
 
-JoinHashTable::JoinHashTable(int key_width, bool force_scalar)
-    : key_width_(key_width), level_(simd::KernelLevel(force_scalar)) {
+JoinHashTable::JoinHashTable(int key_width) : key_width_(key_width) {
   XK_CHECK_GE(key_width_, 1);
   slot_hash_.assign(16, 0);
-  slot_tag_head_.assign(16, simd::PackSlotTagHead(0, kNil));
   slot_head_.assign(16, kNil);
   slot_tail_.assign(16, kNil);
   slot_keypos_.assign(16, 0);
   mask_ = 15;
-}
-
-uint64_t JoinHashTable::HashKey(const storage::ObjectId* key) const {
-  return simd::HashTupleFnv(key, static_cast<size_t>(key_width_));
 }
 
 bool JoinHashTable::KeyEquals(uint64_t slot,
@@ -51,7 +46,6 @@ void JoinHashTable::Rehash(size_t new_slot_count) {
   std::vector<uint32_t> old_tail = std::move(slot_tail_);
   std::vector<uint32_t> old_keypos = std::move(slot_keypos_);
   slot_hash_.assign(new_slot_count, 0);
-  slot_tag_head_.assign(new_slot_count, simd::PackSlotTagHead(0, kNil));
   slot_head_.assign(new_slot_count, kNil);
   slot_tail_.assign(new_slot_count, kNil);
   slot_keypos_.assign(new_slot_count, 0);
@@ -61,18 +55,17 @@ void JoinHashTable::Rehash(size_t new_slot_count) {
     uint64_t i = old_hash[s] & mask_;
     while (slot_head_[i] != kNil) i = (i + 1) & mask_;
     slot_hash_[i] = old_hash[s];
-    slot_tag_head_[i] = simd::PackSlotTagHead(old_hash[s], old_head[s]);
     slot_head_[i] = old_head[s];
     slot_tail_[i] = old_tail[s];
     slot_keypos_[i] = old_keypos[s];
   }
 }
 
-void JoinHashTable::InsertHashed(const storage::ObjectId* key, uint64_t hash,
-                                 uint32_t row) {
+void JoinHashTable::Insert(const storage::ObjectId* key, uint32_t row) {
   if ((num_keys_ + 1) * 10 >= slot_hash_.size() * 7) {
     Rehash(slot_hash_.size() * 2);
   }
+  const uint64_t hash = HashKey(key);
   uint64_t i = hash & mask_;
   while (true) {
     if (slot_head_[i] == kNil) {
@@ -81,9 +74,6 @@ void JoinHashTable::InsertHashed(const storage::ObjectId* key, uint64_t hash,
       keys_.insert(keys_.end(), key, key + key_width_);
       const uint32_t node = static_cast<uint32_t>(node_row_.size());
       slot_head_[i] = slot_tail_[i] = node;
-      // Head never changes after slot creation (duplicates append at the
-      // tail), so the fused word is written exactly here and in Rehash.
-      slot_tag_head_[i] = simd::PackSlotTagHead(hash, node);
       node_row_.push_back(row);
       node_next_.push_back(kNil);
       ++num_keys_;
@@ -101,44 +91,9 @@ void JoinHashTable::InsertHashed(const storage::ObjectId* key, uint64_t hash,
   }
 }
 
-void JoinHashTable::Insert(const storage::ObjectId* key, uint32_t row) {
-  InsertHashed(key, HashKey(key), row);
-}
-
-void JoinHashTable::InsertBatch(const storage::ObjectId* keys, size_t count,
-                                uint32_t first_row) {
-  // Hash the whole batch in one vector pass, then run the (branchy,
-  // cache-missing) slot insertion scalar per key.
-  constexpr size_t kChunk = 64;
-  uint64_t hashes[kChunk];
-  for (size_t base = 0; base < count; base += kChunk) {
-    const size_t n = std::min(kChunk, count - base);
-    simd::HashJoinKeys(keys + base * static_cast<size_t>(key_width_), n,
-                       static_cast<size_t>(key_width_), hashes, level_);
-    if (level_ != simd::IsaLevel::kScalar) {
-      // Advisory only — a mid-chunk rehash moves the slots, and the inserts
-      // below re-derive every index from the post-rehash mask.
-      for (size_t r = 0; r < n; ++r) {
-        const uint64_t s = hashes[r] & mask_;
-        simd::PrefetchRead(slot_head_.data() + s);
-        simd::PrefetchRead(slot_hash_.data() + s);
-      }
-    }
-    for (size_t r = 0; r < n; ++r) {
-      InsertHashed(keys + (base + r) * static_cast<size_t>(key_width_),
-                   hashes[r], first_row + static_cast<uint32_t>(base + r));
-    }
-  }
-}
-
-uint32_t JoinHashTable::LookupHashed(const storage::ObjectId* key,
-                                     uint64_t hash) const {
-  return LookupHashedFrom(key, hash, hash & mask_);
-}
-
-uint32_t JoinHashTable::LookupHashedFrom(const storage::ObjectId* key,
-                                         uint64_t hash, uint64_t start) const {
-  uint64_t i = start;
+uint32_t JoinHashTable::Lookup(const storage::ObjectId* key) const {
+  const uint64_t hash = HashKey(key);
+  uint64_t i = hash & mask_;
   while (true) {
     if (slot_head_[i] == kNil) return kNil;
     if (slot_hash_[i] == hash && KeyEquals(i, key)) return slot_head_[i];
@@ -146,85 +101,8 @@ uint32_t JoinHashTable::LookupHashedFrom(const storage::ObjectId* key,
   }
 }
 
-void JoinHashTable::LookupHashedBatch(const storage::ObjectId* keys,
-                                      const uint64_t* hashes, size_t count,
-                                      uint32_t* heads) const {
-  // Gathered group-probe: ProbeSlots advances several walks at once and
-  // parks each lane on the first slot that is empty or tag-equal. A full
-  // hash match is also a tag match, so the walk can never park past the
-  // true slot; a lane parked on a tag collision (rare) resumes the scalar
-  // walk one slot past the parking spot — the outcome is provably the slot
-  // the all-scalar walk would have found.
-  constexpr size_t kChunk = 64;
-  uint64_t slot_out[kChunk];
-  for (size_t base = 0; base < count; base += kChunk) {
-    const size_t n = std::min(kChunk, count - base);
-    simd::ProbeSlots(slot_tag_head_.data(), mask_, hashes + base, n, slot_out,
-                     level_);
-    if (key_width_ == 1 && level_ != simd::IsaLevel::kScalar) {
-      // Width-1 keys need no key comparison: the hash (one XOR-multiply FNV
-      // step + the SplitMix64 finalizer, each bijective on 64 bits) is a
-      // bijection of the key, so a full-hash-equal slot IS the key's slot.
-      // Overlap the full-hash loads a few keys ahead of the resolve (the
-      // walk touched only the fused words), then resolve off the warm fused
-      // line: head for a verified hit, kNil straight from the fused word
-      // for a miss, and the astronomically rare tag collision resumes the
-      // scalar walk. The scalar reference arm keeps the verified per-key
-      // walk below.
-      constexpr size_t kLookahead = 8;
-      for (size_t r = 0; r < std::min(kLookahead, n); ++r) {
-        simd::PrefetchRead(slot_hash_.data() + slot_out[r]);
-      }
-      for (size_t r = 0; r < n; ++r) {
-        if (r + kLookahead < n) {
-          simd::PrefetchRead(slot_hash_.data() + slot_out[r + kLookahead]);
-        }
-        const uint64_t s = slot_out[r];
-        const uint32_t head = static_cast<uint32_t>(slot_tag_head_[s]);
-        if (head != kNil && slot_hash_[s] != hashes[base + r]) {
-          heads[base + r] =
-              LookupHashedFrom(keys + (base + r), hashes[base + r],
-                               (s + 1) & mask_);
-          continue;
-        }
-        heads[base + r] = head;
-      }
-      continue;
-    }
-    for (size_t r = 0; r < n; ++r) {
-      const uint64_t s = slot_out[r];
-      const storage::ObjectId* key =
-          keys + (base + r) * static_cast<size_t>(key_width_);
-      if (slot_head_[s] == kNil) {
-        heads[base + r] = kNil;
-      } else if (slot_hash_[s] == hashes[base + r] && KeyEquals(s, key)) {
-        heads[base + r] = slot_head_[s];
-      } else {
-        heads[base + r] =
-            LookupHashedFrom(key, hashes[base + r], (s + 1) & mask_);
-      }
-    }
-  }
-}
-
-void JoinHashTable::LookupBatch(const storage::ObjectId* keys, size_t count,
-                                uint32_t* heads) const {
-  // Hash in chunks ahead of the probes so the multiply-heavy hash loop and
-  // the cache-missing slot loop don't serialize per key.
-  constexpr size_t kChunk = 64;
-  uint64_t hashes[kChunk];
-  for (size_t base = 0; base < count; base += kChunk) {
-    const size_t n = std::min(kChunk, count - base);
-    simd::HashJoinKeys(keys + base * static_cast<size_t>(key_width_), n,
-                       static_cast<size_t>(key_width_), hashes, level_);
-    LookupHashedBatch(keys + base * static_cast<size_t>(key_width_), hashes,
-                      n, heads + base);
-  }
-}
-
 size_t JoinHashTable::MemoryBytes() const {
-  return (slot_hash_.capacity() + slot_tag_head_.capacity()) *
-             sizeof(uint64_t) +
+  return slot_hash_.capacity() * sizeof(uint64_t) +
          (slot_head_.capacity() + slot_tail_.capacity() +
           slot_keypos_.capacity()) *
              sizeof(uint32_t) +

@@ -6,12 +6,6 @@
 // insertion order. Replaces unordered_map<Tuple, vector<RowId>> — no
 // pointer-chased buckets, no per-key vector allocation, and probing a missing
 // key touches at most a handful of contiguous slots.
-//
-// The slot array is struct-of-arrays so the batch paths vectorize: hashes are
-// computed for whole key blocks by simd::HashJoinKeys, and LookupHashedBatch
-// walks several probe chains at once through simd::ProbeSlots (gathered
-// group-probe). Both are bit-identical to the scalar walk; `force_scalar`
-// pins the scalar kernels for debugging and A/B benchmarking.
 
 #ifndef XK_EXEC_JOIN_HASH_TABLE_H_
 #define XK_EXEC_JOIN_HASH_TABLE_H_
@@ -19,20 +13,22 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/simd.h"
 #include "storage/tuple.h"
 
 namespace xk::exec {
 
+/// The join-key hash: storage::HashIds (FNV-1a 64) over the key's ids, then
+/// the SplitMix64 finalizer — the power-of-two slot mask uses only low bits,
+/// and sequential ids need the avalanche.
+uint64_t JoinKeyHash(storage::TupleView key);
+
 class JoinHashTable {
  public:
-  /// End-of-chain / not-found sentinel for node handles. Equals
-  /// simd::kEmptyHead, which is what lets ProbeSlots test emptiness directly
-  /// on the head half of the fused slot words.
+  /// End-of-chain / not-found sentinel for node handles.
   static constexpr uint32_t kNil = UINT32_MAX;
 
   /// `key_width` is the number of ObjectIds per key (>= 1).
-  explicit JoinHashTable(int key_width, bool force_scalar = false);
+  explicit JoinHashTable(int key_width);
 
   /// Pre-sizes the slot array and arenas for `expected_rows` insertions so
   /// the build loop never rehashes mid-stream.
@@ -42,29 +38,8 @@ class JoinHashTable {
   /// insertion order, so per-key match enumeration is deterministic.
   void Insert(const storage::ObjectId* key, uint32_t row);
 
-  /// Appends `count` keys (row-major, key_width ids each) for the rows
-  /// first_row, first_row+1, ... — the whole batch is hashed in one SIMD
-  /// pass before any slot is touched. Equivalent to count Insert calls.
-  void InsertBatch(const storage::ObjectId* keys, size_t count,
-                   uint32_t first_row);
-
   /// Head of the match chain for `key`, or kNil. Never allocates.
-  uint32_t Lookup(const storage::ObjectId* key) const {
-    return LookupHashed(key, HashKey(key));
-  }
-
-  /// Probes `count` keys (row-major, key_width ids each) and writes each
-  /// key's chain head (or kNil) to `heads`. Hashes are computed in one
-  /// batched pass over the flat key buffer, then the slot walks run as a
-  /// gathered group-probe. Never allocates.
-  void LookupBatch(const storage::ObjectId* keys, size_t count,
-                   uint32_t* heads) const;
-
-  /// LookupBatch with caller-computed hashes (hashes[i] must equal
-  /// HashKey(keys + i * key_width)).
-  void LookupHashedBatch(const storage::ObjectId* keys,
-                         const uint64_t* hashes, size_t count,
-                         uint32_t* heads) const;
+  uint32_t Lookup(const storage::ObjectId* key) const;
 
   /// Chain walking: the build row of a node, and the next node (kNil at end).
   uint32_t MatchRow(uint32_t node) const { return node_row_[node]; }
@@ -75,26 +50,18 @@ class JoinHashTable {
   size_t MemoryBytes() const;
 
  private:
-  uint64_t HashKey(const storage::ObjectId* key) const;
-  uint32_t LookupHashed(const storage::ObjectId* key, uint64_t hash) const;
-  /// Continues a probe walk at slot `start` (used after the group-probe
-  /// lands on a hash collision with a different key).
-  uint32_t LookupHashedFrom(const storage::ObjectId* key, uint64_t hash,
-                            uint64_t start) const;
-  void InsertHashed(const storage::ObjectId* key, uint64_t hash, uint32_t row);
+  uint64_t HashKey(const storage::ObjectId* key) const {
+    return JoinKeyHash(
+        storage::TupleView(key, static_cast<size_t>(key_width_)));
+  }
   bool KeyEquals(uint64_t slot, const storage::ObjectId* key) const;
   void Rehash(size_t new_slot_count);
 
   int key_width_;
-  simd::IsaLevel level_;
   uint64_t mask_ = 0;  // slot count - 1
   size_t num_keys_ = 0;
   // Slots, struct-of-arrays; slot_head_[i] == kNil marks an empty slot.
-  // slot_tag_head_ mirrors (hash tag, head) fused into one word per slot
-  // (simd::PackSlotTagHead) so the group-probe walk gathers once per step;
-  // it changes only when a slot is created or the table rehashes.
   std::vector<uint64_t> slot_hash_;
-  std::vector<uint64_t> slot_tag_head_;
   std::vector<uint32_t> slot_head_;
   std::vector<uint32_t> slot_tail_;
   std::vector<uint32_t> slot_keypos_;  // key start / key_width in keys_

@@ -72,10 +72,7 @@ struct ExecOptions {
   bool vectorized = true;
   /// Rows per batch on the vectorized path (0 = RowBlock::kDefaultCapacity).
   size_t block_size = 0;
-  /// Pins the block kernels (selection, hash, probe, Bloom) to their scalar
-  /// reference implementations regardless of detected CPU features. The SIMD
-  /// variants are bit-identical, so this is a debugging/benchmarking knob,
-  /// not a correctness one. Also forced by XK_FORCE_SCALAR_KERNELS=1.
+  /// Ignored by the library; kept only because perfbench/xkbench.cc names it.
   bool force_scalar_kernels = false;
   /// Cooperative cancellation/deadline token (not owned, may be null).
   /// ForEachMatch polls it every few hundred scanned rows (row path) or once

@@ -131,57 +131,44 @@ Status HashJoinExecutor::RunVectorized(const RowSink& sink) {
 
   const size_t block =
       opts_.block_size != 0 ? opts_.block_size : RowBlock::kDefaultCapacity;
-  std::vector<storage::ObjectId> key_buf;   // block of probe keys, flat
-  std::vector<uint32_t> head_buf;           // per probe key: match chain head
+  std::vector<storage::ObjectId> key;  // one build or probe key
   std::vector<uint32_t> next;
 
   for (size_t i = 1; i < steps.size() && !current.empty(); ++i) {
     const JoinStep& s = steps[i];
-    const int key_width = static_cast<int>(s.eq.size());
     scan_step(i);
+    key.resize(s.eq.size());
 
     // Build: flat open-addressing table over the step's scan, keyed by its
-    // eq columns; duplicate rows chain in scan order. Keys are gathered flat
-    // per chunk so each chunk hashes in one batched pass.
-    JoinHashTable table(key_width, opts_.force_scalar_kernels);
+    // eq columns; duplicate rows chain in scan order.
+    JoinHashTable table(static_cast<int>(s.eq.size()));
     table.Reserve(scans[i].size());
-    key_buf.resize(block * s.eq.size());
-    for (size_t bbase = 0; bbase < scans[i].size(); bbase += block) {
-      const size_t bn = std::min(block, scans[i].size() - bbase);
-      for (size_t r = 0; r < bn; ++r) {
-        for (size_t k = 0; k < s.eq.size(); ++k) {
-          key_buf[r * s.eq.size() + k] = s.table->At(
-              scans[i][bbase + r], static_cast<size_t>(s.eq[k].first));
-        }
+    for (size_t r = 0; r < scans[i].size(); ++r) {
+      for (size_t k = 0; k < s.eq.size(); ++k) {
+        key[k] = s.table->At(scans[i][r], static_cast<size_t>(s.eq[k].first));
       }
-      table.InsertBatch(key_buf.data(), bn, static_cast<uint32_t>(bbase));
+      table.Insert(key.data(), static_cast<uint32_t>(r));
     }
 
-    // Probe: blocks of intermediate rows — gather keys, batch-probe, then
-    // walk the match chains. One cancellation poll per block.
+    // Probe: per intermediate row, gather its key and walk the match chain.
+    // One cancellation poll per block of rows.
     next.clear();
     const size_t rows = current.size() / width;
-    head_buf.resize(block);
     for (size_t base = 0; base < rows; base += block) {
       if (opts_.cancel != nullptr && opts_.cancel->StopRequested()) {
         return Status::OK();
       }
-      const size_t n = std::min(block, rows - base);
-      for (size_t r = 0; r < n; ++r) {
-        const uint32_t* left = &current[(base + r) * width];
+      for (size_t r = base; r < std::min(rows, base + block); ++r) {
+        const uint32_t* left = &current[r * width];
         for (size_t k = 0; k < s.eq.size(); ++k) {
           const ColumnRef& ref = s.eq[k].second;
           const JoinStep& ref_step = steps[static_cast<size_t>(ref.step)];
-          key_buf[r * s.eq.size() + k] = ref_step.table->At(
+          key[k] = ref_step.table->At(
               scans[static_cast<size_t>(ref.step)][left[ref.step]],
               static_cast<size_t>(ref.column));
         }
-      }
-      table.LookupBatch(key_buf.data(), n, head_buf.data());
-      for (size_t r = 0; r < n; ++r) {
-        const uint32_t* left = &current[(base + r) * width];
-        for (uint32_t node = head_buf[r]; node != JoinHashTable::kNil;
-             node = table.NextMatch(node)) {
+        for (uint32_t node = table.Lookup(key.data());
+             node != JoinHashTable::kNil; node = table.NextMatch(node)) {
           next.insert(next.end(), left, left + width);
           next.push_back(table.MatchRow(node));
         }

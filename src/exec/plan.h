@@ -97,9 +97,10 @@ class NestedLoopExecutor {
 ///
 /// With `opts.vectorized` (the default) the build side is a flat
 /// open-addressing JoinHashTable (precomputed hashes, arena duplicate
-/// chains), intermediates are flat arrays of scan ordinals, and the probe
-/// side is processed in key blocks; `vectorized = false` keeps the legacy
-/// unordered_map build for A/B comparison. Output is byte-identical.
+/// chains), intermediates are flat arrays of scan ordinals, and
+/// cancellation is polled once per block of probe rows; `vectorized = false`
+/// keeps the legacy unordered_map build for A/B comparison. Output is
+/// byte-identical.
 class HashJoinExecutor {
  public:
   explicit HashJoinExecutor(const JoinQuery* query, ExecOptions opts = {})

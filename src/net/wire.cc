@@ -69,7 +69,6 @@ void PutOptions(std::string* out, const engine::QueryOptions& o) {
   PutU64(out, o.subplan_cache_budget_bytes);
   PutU8(out, o.cost_ordered_scheduling ? 1 : 0);
   PutU8(out, o.vectorized ? 1 : 0);
-  PutU8(out, static_cast<uint8_t>(o.kernel_dispatch));
   PutU8(out, static_cast<uint8_t>(o.full_mode));
   PutU8(out, o.enable_scan_reuse ? 1 : 0);
   PutU8(out, o.enable_anytime ? 1 : 0);
@@ -93,7 +92,6 @@ void PutStats(std::string* out, const engine::ExecutionStats& s) {
   PutU64(out, s.subplan_misses);
   PutU64(out, s.subplan_bytes);
   PutU64(out, s.dedup_saved_rows);
-  PutU32(out, s.simd_isa);
 }
 
 /// Starts a frame: 4-byte length placeholder + payload head. SealFrame
@@ -315,11 +313,6 @@ Result<engine::QueryRequest> DecodeQueryBody(std::span<const uint8_t> payload) {
   o.subplan_cache_budget_bytes = r.GetU64();
   o.cost_ordered_scheduling = r.GetU8() != 0;
   o.vectorized = r.GetU8() != 0;
-  const uint8_t kernel_dispatch = r.GetU8();
-  if (kernel_dispatch > static_cast<uint8_t>(engine::KernelDispatch::kRequireSimd)) {
-    return MalformedError("bad kernel dispatch");
-  }
-  o.kernel_dispatch = static_cast<engine::KernelDispatch>(kernel_dispatch);
   const uint8_t full_mode = r.GetU8();
   if (full_mode > static_cast<uint8_t>(engine::FullMode::kHashJoin)) {
     return MalformedError("bad full mode");
@@ -380,7 +373,6 @@ Result<FinalBody> DecodeFinalBody(std::span<const uint8_t> payload) {
   s.subplan_misses = r.GetU64();
   s.subplan_bytes = r.GetU64();
   s.dedup_saved_rows = r.GetU64();
-  s.simd_isa = r.GetU32();
   body.tail_start = r.GetU64();
   body.response.mttons = r.GetMttons();
   if (!r.AtEnd()) return MalformedError("bad final body");

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/simd.h"
-
 namespace xk::service {
 
 size_t LatencyHistogram::BucketOf(double micros) {
@@ -140,7 +138,6 @@ MetricsSnapshot Metrics::Snapshot() const {
   snap.streamed_bytes = streamed_bytes_.load(std::memory_order_relaxed);
   snap.client_aborts = client_aborts_.load(std::memory_order_relaxed);
   snap.malformed_frames = malformed_frames_.load(std::memory_order_relaxed);
-  snap.simd_isa = simd::IsaLevelToString(simd::DetectedIsaLevel());
   std::lock_guard<std::mutex> lock(mutex_);
   snap.latency_count = latency_.count();
   snap.latency_p50_us = latency_.PercentileMicros(50);

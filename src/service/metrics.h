@@ -119,11 +119,6 @@ struct MetricsSnapshot {
   uint64_t streamed_bytes = 0;
   uint64_t client_aborts = 0;
   uint64_t malformed_frames = 0;
-
-  /// Block-kernel ISA level this process dispatches to under the kAuto
-  /// policy ("scalar", "sse2", "neon", "avx2") — what the engine actually
-  /// runs, after build gates, CPU detection and XK_FORCE_SCALAR_KERNELS.
-  std::string simd_isa;
 };
 
 /// The registry one QueryService owns. Thread-safe.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/simd.h"
 #include "storage/storage_tier.h"
 #include "storage/table.h"
 
@@ -53,9 +52,14 @@ size_t HashIndex::MemoryBytes() const {
 
 namespace {
 
-/// SplitMix64 finalizer: a cheap, well-distributed 64-bit mix. Delegates to
-/// the shared kernel so the batched probe below stays bit-identical.
-uint64_t MixId(ObjectId key) { return simd::BloomMix(key); }
+/// SplitMix64 over one id (the golden-ratio increment, then the finalizer):
+/// a cheap, well-distributed 64-bit mix, the filter's first hash.
+uint64_t BloomMix(ObjectId key) {
+  uint64_t h = static_cast<uint64_t>(key) + 0x9e3779b97f4a7c15ULL;
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
 
 }  // namespace
 
@@ -73,7 +77,7 @@ BloomFilter::BloomFilter(size_t expected_keys, double bits_per_key) {
 }
 
 void BloomFilter::Add(ObjectId key) {
-  uint64_t h1 = MixId(key);
+  uint64_t h1 = BloomMix(key);
   uint64_t h2 = (h1 >> 17) | (h1 << 47);  // independent-enough second hash
   for (int i = 0; i < num_hashes_; ++i) {
     uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) & bit_mask_;
@@ -83,49 +87,13 @@ void BloomFilter::Add(ObjectId key) {
 }
 
 bool BloomFilter::MayContain(ObjectId key) const {
-  uint64_t h1 = MixId(key);
+  uint64_t h1 = BloomMix(key);
   uint64_t h2 = (h1 >> 17) | (h1 << 47);
   for (int i = 0; i < num_hashes_; ++i) {
     uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) & bit_mask_;
     if ((words_[bit >> 6] & (uint64_t{1} << (bit & 63))) == 0) return false;
   }
   return true;
-}
-
-size_t BloomFilter::MayContainBlock(const ObjectId* values, uint32_t* sel,
-                                    size_t n, bool force_scalar) const {
-  const simd::IsaLevel level = simd::KernelLevel(force_scalar);
-  constexpr size_t kChunk = 64;
-  ObjectId gathered[kChunk];
-  uint64_t hashes[kChunk];
-  size_t out = 0;
-  for (size_t base = 0; base < n; base += kChunk) {
-    const size_t cnt = std::min(kChunk, n - base);
-    for (size_t i = 0; i < cnt; ++i) gathered[i] = values[sel[base + i]];
-    simd::BloomMixBatch(gathered, cnt, hashes, level);
-    if (level != simd::IsaLevel::kScalar) {
-      // Overlap the whole chunk's first-probe misses before any bit test;
-      // the scalar reference arm stays the plain per-key sequence.
-      for (size_t i = 0; i < cnt; ++i) {
-        simd::PrefetchRead(words_.data() + ((hashes[i] & bit_mask_) >> 6));
-      }
-    }
-    for (size_t i = 0; i < cnt; ++i) {
-      const uint64_t h1 = hashes[i];
-      const uint64_t h2 = (h1 >> 17) | (h1 << 47);
-      bool may = true;
-      for (int k = 0; k < num_hashes_; ++k) {
-        const uint64_t bit = (h1 + static_cast<uint64_t>(k) * h2) & bit_mask_;
-        if ((words_[bit >> 6] & (uint64_t{1} << (bit & 63))) == 0) {
-          may = false;
-          break;
-        }
-      }
-      sel[out] = sel[base + i];
-      out += may ? 1 : 0;
-    }
-  }
-  return out;
 }
 
 CompositeIndex::CompositeIndex(const Table& table, std::vector<int> key_columns)

@@ -66,14 +66,6 @@ class BloomFilter {
   /// False means "definitely absent"; true means "probably present".
   bool MayContain(ObjectId key) const;
 
-  /// Block probe: compacts `sel` in place (ascending order preserved) to the
-  /// entries whose `values[sel[i]]` may be present, returning the survivor
-  /// count. The first hash runs as a batched SplitMix kernel over the whole
-  /// selection before any bit is tested; equivalent to calling MayContain per
-  /// entry. `force_scalar` pins the hash batch to the scalar kernel.
-  size_t MayContainBlock(const ObjectId* values, uint32_t* sel, size_t n,
-                         bool force_scalar = false) const;
-
   size_t num_keys_added() const { return num_keys_added_; }
   size_t MemoryBytes() const { return words_.capacity() * sizeof(uint64_t); }
 

@@ -1,6 +1,6 @@
 // Copyright (c) the XKeyword authors.
 //
-// The disk-resident storage tier behind the catalog (ROADMAP item 2): one
+// The disk-resident storage tier behind the catalog: one
 // append-only page file plus the pinning buffer pool that serves reads from
 // it. Load builds every substrate in RAM exactly as before, then spills it —
 // heap/index-organized table rows, composite-index orderings, compressed
@@ -8,8 +8,7 @@
 // demand. The in-memory backend stays the default; backend selection is a
 // load-time knob (StorageOptions), overridable per process with
 // XK_STORAGE_BACKEND=disk / XK_BUFFER_POOL_BYTES=<n> so the ctest
-// *_disk_backend reruns cover both arms the way *_scalar_kernels covers both
-// SIMD arms.
+// *_disk_backend reruns cover both backends.
 
 #ifndef XK_STORAGE_STORAGE_TIER_H_
 #define XK_STORAGE_STORAGE_TIER_H_

@@ -11,12 +11,9 @@
 #include "common/lru_cache.h"
 #include "common/random.h"
 #include "common/result.h"
-#include "common/simd.h"
-#include "common/simd_internal.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
-#include "storage/tuple.h"
 #include "test_util.h"
 
 namespace xk {
@@ -464,189 +461,6 @@ TEST(LoggingTest, LevelGating) {
   EXPECT_EQ(GetLogLevel(), LogLevel::kError);
   XK_LOG(Info) << "should not print";
   SetLogLevel(old);
-}
-
-// --- SIMD kernel layer ----------------------------------------------------
-//
-// Every vector variant must be bit-identical to the scalar reference in
-// simd_internal.h for every input shape: the engine's correctness argument
-// for runtime dispatch rests entirely on this equivalence. Levels above
-// DetectedIsaLevel() are never requested (their instructions may not exist
-// on this CPU), so the sweep covers scalar up to whatever dispatch would
-// actually pick here.
-
-std::vector<simd::IsaLevel> TestableLevels() {
-  std::vector<simd::IsaLevel> levels = {simd::IsaLevel::kScalar};
-  const simd::IsaLevel top = simd::DetectedIsaLevel();
-  for (simd::IsaLevel lv :
-       {simd::IsaLevel::kSse2, simd::IsaLevel::kNeon, simd::IsaLevel::kAvx2}) {
-    if (lv <= top) levels.push_back(lv);
-  }
-  return levels;
-}
-
-// Sizes straddling every kernel's group width (8-lane selection, 4-lane
-// hash/probe, 2-lane SSE2) plus ragged tails and the 64-entry chunk seams.
-const size_t kKernelSizes[] = {0, 1, 2, 3, 7, 8, 15, 16, 17, 63, 64, 65, 300};
-
-// Full-width 64-bit draw (Random::Uniform covers 63 bits; the kernels must
-// be exact on values with the sign/top bit set too).
-uint64_t Rand64(Random& rng) {
-  const uint64_t hi = static_cast<uint64_t>(rng.Uniform(0, 0xFFFFFFFFll));
-  const uint64_t lo = static_cast<uint64_t>(rng.Uniform(0, 0xFFFFFFFFll));
-  return (hi << 32) | lo;
-}
-
-TEST(SimdTest, DispatchLevelIsCoherent) {
-  EXPECT_LE(simd::DetectedIsaLevel(), simd::CompiledIsaLevel());
-  EXPECT_STREQ(simd::IsaLevelToString(simd::IsaLevel::kScalar), "scalar");
-  EXPECT_STREQ(simd::IsaLevelToString(simd::IsaLevel::kSse2), "sse2");
-  EXPECT_STREQ(simd::IsaLevelToString(simd::IsaLevel::kNeon), "neon");
-  EXPECT_STREQ(simd::IsaLevelToString(simd::IsaLevel::kAvx2), "avx2");
-  // force_scalar pins the kernel level regardless of what was detected.
-  EXPECT_EQ(simd::KernelLevel(/*force_scalar=*/true), simd::IsaLevel::kScalar);
-  EXPECT_EQ(simd::KernelLevel(/*force_scalar=*/false), simd::DetectedIsaLevel());
-  if (simd::ScalarForcedByEnv()) {
-    EXPECT_EQ(simd::DetectedIsaLevel(), simd::IsaLevel::kScalar);
-  }
-}
-
-TEST(SimdTest, SelectionKernelsMatchScalarAtEveryLevel) {
-  Random rng(101);
-  const uint64_t arity = 3;
-  std::vector<int64_t> table(500 * arity);
-  for (auto& v : table) v = rng.Uniform(0, 6);
-  for (size_t n : kKernelSizes) {
-    std::vector<uint32_t> row_ids(std::max<size_t>(n, 1));
-    std::vector<uint32_t> identity(n);
-    for (size_t i = 0; i < n; ++i) {
-      row_ids[i] = static_cast<uint32_t>(rng.Uniform(0, 499));
-      identity[i] = static_cast<uint32_t>(i);
-    }
-    for (int64_t target = 0; target < 3; ++target) {
-      std::vector<uint32_t> want = identity;
-      const size_t want_n = simd::detail::SelCompressEqualScalar(
-          table.data(), arity, 1, row_ids.data(), want.data(), n, target);
-      for (simd::IsaLevel lv : TestableLevels()) {
-        std::vector<uint32_t> got = identity;
-        const size_t got_n =
-            simd::SelCompressEqual(table.data(), arity, 1, row_ids.data(),
-                                   got.data(), n, target, lv);
-        ASSERT_EQ(got_n, want_n) << "n=" << n << " level="
-                                 << simd::IsaLevelToString(lv);
-        got.resize(got_n);
-        want.resize(want_n);
-        EXPECT_EQ(got, want);
-        want.resize(identity.size());
-      }
-      for (size_t num_vals = 1; num_vals <= simd::kMaxInlineInSet; ++num_vals) {
-        int64_t vals[simd::kMaxInlineInSet];
-        for (size_t j = 0; j < num_vals; ++j) {
-          vals[j] = target + static_cast<int64_t>(j);
-        }
-        std::vector<uint32_t> want_set = identity;
-        const size_t want_set_n = simd::detail::SelCompressInSetScalar(
-            table.data(), arity, 1, row_ids.data(), want_set.data(), n, vals,
-            num_vals);
-        for (simd::IsaLevel lv : TestableLevels()) {
-          std::vector<uint32_t> got = identity;
-          const size_t got_n =
-              simd::SelCompressInSet(table.data(), arity, 1, row_ids.data(),
-                                     got.data(), n, vals, num_vals, lv);
-          ASSERT_EQ(got_n, want_set_n)
-              << "n=" << n << " k=" << num_vals << " level="
-              << simd::IsaLevelToString(lv);
-          for (size_t i = 0; i < got_n; ++i) EXPECT_EQ(got[i], want_set[i]);
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdTest, HashKernelsMatchScalarAndStorageHashIds) {
-  Random rng(202);
-  for (size_t width : {size_t{1}, size_t{2}, size_t{3}}) {
-    for (size_t n : kKernelSizes) {
-      std::vector<int64_t> keys(n * width);
-      for (auto& v : keys) v = static_cast<int64_t>(Rand64(rng));
-      std::vector<uint64_t> want(n);
-      for (size_t i = 0; i < n; ++i) {
-        // The tuple hash is pinned to storage::HashIds + the SplitMix64
-        // finalizer: JoinHashTable's per-key and batch paths both rely on it.
-        uint64_t h = storage::HashIds(
-            storage::TupleView(keys.data() + i * width, width));
-        h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-        h ^= h >> 31;
-        want[i] = h;
-        EXPECT_EQ(simd::HashTupleFnv(keys.data() + i * width, width), h);
-      }
-      for (simd::IsaLevel lv : TestableLevels()) {
-        std::vector<uint64_t> got(std::max<size_t>(n, 1));
-        simd::HashJoinKeys(keys.data(), n, width, got.data(), lv);
-        for (size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(got[i], want[i]) << "width=" << width << " n=" << n
-                                     << " level=" << simd::IsaLevelToString(lv);
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdTest, BloomMixBatchMatchesScalar) {
-  Random rng(303);
-  for (size_t n : kKernelSizes) {
-    std::vector<int64_t> keys(n);
-    for (auto& v : keys) v = static_cast<int64_t>(Rand64(rng));
-    for (simd::IsaLevel lv : TestableLevels()) {
-      std::vector<uint64_t> got(std::max<size_t>(n, 1));
-      simd::BloomMixBatch(keys.data(), n, got.data(), lv);
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got[i], simd::BloomMix(keys[i]))
-            << "n=" << n << " level=" << simd::IsaLevelToString(lv);
-      }
-    }
-  }
-}
-
-TEST(SimdTest, ProbeSlotsMatchesScalarWalk) {
-  Random rng(404);
-  // Toy open-addressing table below the 0.7 load ceiling in the fused
-  // tag+head slot layout, with both present hashes and misses (including
-  // miss probes whose home slot is occupied).
-  const uint64_t slots = 128, mask = slots - 1;
-  std::vector<uint64_t> inserted;
-  std::vector<uint64_t> slot_tag_head(slots,
-                                      simd::PackSlotTagHead(0, simd::kEmptyHead));
-  for (uint32_t j = 0; j < 80; ++j) {
-    const uint64_t h = Rand64(rng);
-    uint64_t s = h & mask;
-    while (static_cast<uint32_t>(slot_tag_head[s]) != simd::kEmptyHead) {
-      s = (s + 1) & mask;
-    }
-    slot_tag_head[s] = simd::PackSlotTagHead(h, j);
-    inserted.push_back(h);
-  }
-  for (size_t n : kKernelSizes) {
-    std::vector<uint64_t> hashes(n);
-    for (size_t i = 0; i < n; ++i) {
-      hashes[i] = (i % 3 == 0) ? inserted[static_cast<size_t>(Rand64(rng)) %
-                                          inserted.size()]
-                               : Rand64(rng);
-    }
-    std::vector<uint64_t> want(std::max<size_t>(n, 1));
-    simd::detail::ProbeSlotsScalar(slot_tag_head.data(), mask, hashes.data(),
-                                   n, want.data());
-    for (simd::IsaLevel lv : TestableLevels()) {
-      std::vector<uint64_t> got(std::max<size_t>(n, 1));
-      simd::ProbeSlots(slot_tag_head.data(), mask, hashes.data(), n,
-                       got.data(), lv);
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got[i], want[i])
-            << "n=" << n << " level=" << simd::IsaLevelToString(lv);
-      }
-    }
-  }
 }
 
 }  // namespace

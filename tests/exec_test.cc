@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 
@@ -407,8 +408,6 @@ TEST_P(VectorizedDifferential, RowAndBlockPathsAreByteIdentical) {
       ProbeStats row_stats;
       const std::vector<RowId> expected =
           ProbeTrace(*t, c.bindings, c.filters, row_opts, &row_stats);
-      // 15/16/17 straddle the SIMD kernels' 8-candidate groups (one short,
-      // exact multiples, one ragged-tail lane).
       for (size_t bs : {size_t{1}, size_t{7}, size_t{15}, size_t{16},
                         size_t{17}, size_t{1024}}) {
         ExecOptions blk_opts;
@@ -599,122 +598,71 @@ TEST(JoinHashTableTest, ChainsPreserveInsertionOrderThroughGrowth) {
   EXPECT_GT(table.MemoryBytes(), 0u);
 }
 
-TEST(JoinHashTableTest, LookupBatchAgreesWithScalarLookup) {
-  JoinHashTable table(1);
-  table.Reserve(200);
-  for (uint32_t r = 0; r < 200; ++r) {
-    const ObjectId k = r % 50;
-    table.Insert(&k, r);
-  }
-  // 130 keys spans two hash chunks and includes 80 missing keys.
-  std::vector<ObjectId> keys;
-  for (ObjectId k = 0; k < 130; ++k) keys.push_back(k);
-  std::vector<uint32_t> heads(keys.size());
-  table.LookupBatch(keys.data(), keys.size(), heads.data());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(heads[i], table.Lookup(&keys[i])) << "key " << keys[i];
-    if (keys[i] >= 50) EXPECT_EQ(heads[i], JoinHashTable::kNil);
+TEST(JoinHashTableTest, DuplicateHeavyKeysMatchMapOracle) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Random rng(seed);
+    for (int key_width : {1, 2}) {
+      const size_t width = static_cast<size_t>(key_width);
+      // 333 rows over ids 0..40: long duplicate chains, and with no Reserve
+      // the table rehashes mid-build (width 2 ends with > 64 keys).
+      const uint32_t rows = 333;
+      std::vector<ObjectId> keys(rows * width);
+      for (auto& v : keys) v = rng.Uniform(0, 40);
+      JoinHashTable table(key_width);
+      std::map<Tuple, std::vector<uint32_t>> oracle;
+      for (uint32_t r = 0; r < rows; ++r) {
+        const ObjectId* key = keys.data() + r * width;
+        table.Insert(key, r);
+        oracle[Tuple(key, key + width)].push_back(r);
+      }
+      ASSERT_EQ(table.num_keys(), oracle.size());
+      ASSERT_EQ(table.num_rows(), rows);
+      if (key_width == 2) EXPECT_GT(table.num_keys(), 64u);
+
+      // Every build key walks its chain in insertion order; keys outside the
+      // id range miss.
+      std::vector<Tuple> probes;
+      for (const auto& entry : oracle) probes.push_back(entry.first);
+      for (ObjectId i = 0; i < 64; ++i) probes.push_back(Tuple(width, 1000 + i));
+      for (const Tuple& key : probes) {
+        std::vector<uint32_t> got;
+        for (uint32_t node = table.Lookup(key.data());
+             node != JoinHashTable::kNil; node = table.NextMatch(node)) {
+          got.push_back(table.MatchRow(node));
+        }
+        const auto it = oracle.find(key);
+        EXPECT_EQ(got, it == oracle.end() ? std::vector<uint32_t>{}
+                                          : it->second)
+            << "seed=" << seed << " key_width=" << key_width
+            << " key[0]=" << key[0];
+      }
+    }
   }
 }
 
-// --- SIMD kernel dispatch -------------------------------------------------
-
-/// Scalar-pinned vs dispatched kernels must be byte-identical on every
-/// surface: selection traces, hash-table probes, and whole-table builds —
-/// across seeds, block sizes straddling the 8-lane groups, and
-/// duplicate-heavy key distributions.
-class ScalarVsSimdKernels : public ::testing::TestWithParam<int> {};
-
-TEST_P(ScalarVsSimdKernels, ProbeTracesAreByteIdentical) {
-  const uint64_t seed = static_cast<uint64_t>(GetParam());
-  storage::IdSet small_set = {1, 3};                 // ladder path
-  storage::IdSet big_set = {0, 2, 4, 6, 8, 10, 12};  // hash-set path
-
-  struct Case {
-    std::vector<ColumnBinding> bindings;
-    std::vector<ColumnInSet> filters;
+TEST(JoinHashTableTest, JoinKeyHashGoldenValues) {
+  // storage::HashIds (FNV-1a 64) then the SplitMix64 finalizer. Pinned so a
+  // change to either half shows up here, not as a silent slot-layout shift.
+  const struct {
+    Tuple key;
+    uint64_t hash;
+  } kGolden[] = {
+      {{0}, 0x15e42bf327bbda0fULL},
+      {{1}, 0x880c3741df350cabULL},
+      {{42}, 0x328464197ac2c187ULL},
+      {{-1}, 0x5c658124a7441a84ULL},
+      {{7, 11}, 0xd67cc2c0d8900e88ULL},
+      {{1, 2, 3}, 0x838b6f8f6d43757bULL},
+      {{123456789, -5, 0}, 0x663c6284385077eaULL},
   };
-  const std::vector<Case> cases = {
-      {{{0, 3}}, {}},
-      {{{0, 3}, {1, 5}}, {}},
-      {{{0, 3}}, {{1, &small_set}}},
-      {{}, {{0, &small_set}, {1, &big_set}}},
-  };
-
-  for (int domain : {5, 40}) {  // 5 = duplicate-heavy (~60 rows per value)
-    auto t = MakeEdgeTable(Physical::kNone, seed, /*rows=*/301, domain);
-    for (size_t ci = 0; ci < cases.size(); ++ci) {
-      const Case& c = cases[ci];
-      for (size_t bs : {size_t{1}, size_t{7}, size_t{15}, size_t{16},
-                        size_t{17}, size_t{1024}}) {
-        ExecOptions scalar_opts;
-        scalar_opts.block_size = bs;
-        scalar_opts.force_scalar_kernels = true;
-        ProbeStats scalar_stats;
-        const std::vector<RowId> expected =
-            ProbeTrace(*t, c.bindings, c.filters, scalar_opts, &scalar_stats);
-        ExecOptions simd_opts;
-        simd_opts.block_size = bs;
-        ProbeStats simd_stats;
-        EXPECT_EQ(ProbeTrace(*t, c.bindings, c.filters, simd_opts, &simd_stats),
-                  expected)
-            << "domain=" << domain << " case=" << ci << " block_size=" << bs;
-        EXPECT_EQ(simd_stats.rows_scanned, scalar_stats.rows_scanned);
-        EXPECT_EQ(simd_stats.rows_matched, scalar_stats.rows_matched);
-      }
-    }
+  for (const auto& g : kGolden) {
+    EXPECT_EQ(JoinKeyHash(g.key), g.hash) << "key[0]=" << g.key[0];
+    uint64_t h = storage::HashIds(g.key);
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    EXPECT_EQ(h ^ (h >> 31), g.hash) << "key[0]=" << g.key[0];
   }
 }
-
-TEST_P(ScalarVsSimdKernels, HashTableArmsAgreeOnDuplicateHeavyKeys) {
-  const uint64_t seed = static_cast<uint64_t>(GetParam());
-  Random rng(seed);
-  for (int key_width : {1, 2}) {
-    // ~8 duplicate rows per distinct key; enough rows to force rehashes and
-    // straddle the 64-key hash/probe chunks.
-    const uint32_t rows = 333;
-    std::vector<ObjectId> keys(rows * static_cast<size_t>(key_width));
-    for (auto& v : keys) v = rng.Uniform(0, 40);
-    JoinHashTable scalar_table(key_width, /*force_scalar=*/true);
-    JoinHashTable simd_table(key_width);
-    scalar_table.Reserve(rows);
-    simd_table.Reserve(rows);
-    for (uint32_t r = 0; r < rows; ++r) {
-      scalar_table.Insert(keys.data() + r * static_cast<size_t>(key_width), r);
-    }
-    simd_table.InsertBatch(keys.data(), rows, /*first_row=*/0);
-    ASSERT_EQ(simd_table.num_keys(), scalar_table.num_keys());
-    ASSERT_EQ(simd_table.num_rows(), scalar_table.num_rows());
-
-    // Probe with the build keys plus misses, batched on both tables, and
-    // walk every chain: the row sequences must match node for node.
-    std::vector<ObjectId> probes = keys;
-    for (int i = 0; i < 64 * key_width; ++i) probes.push_back(1000 + i);
-    const size_t n = probes.size() / static_cast<size_t>(key_width);
-    std::vector<uint32_t> scalar_heads(n), simd_heads(n);
-    scalar_table.LookupBatch(probes.data(), n, scalar_heads.data());
-    simd_table.LookupBatch(probes.data(), n, simd_heads.data());
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<uint32_t> scalar_rows, simd_rows;
-      for (uint32_t node = scalar_heads[i]; node != JoinHashTable::kNil;
-           node = scalar_table.NextMatch(node)) {
-        scalar_rows.push_back(scalar_table.MatchRow(node));
-      }
-      for (uint32_t node = simd_heads[i]; node != JoinHashTable::kNil;
-           node = simd_table.NextMatch(node)) {
-        simd_rows.push_back(simd_table.MatchRow(node));
-      }
-      EXPECT_EQ(simd_rows, scalar_rows) << "key_width=" << key_width
-                                        << " probe=" << i;
-      // And the single-key path agrees with the batch on the same table.
-      EXPECT_EQ(simd_table.Lookup(
-                    probes.data() + i * static_cast<size_t>(key_width)),
-                simd_heads[i]);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ScalarVsSimdKernels, ::testing::Range(1, 6));
 
 namespace hashinv {
 
@@ -747,79 +695,67 @@ ObjectId KeyForHash(uint64_t h) {
 
 }  // namespace hashinv
 
-TEST(JoinHashTableTest, TagCollisionsResolveByFullHash) {
-  // The group-probe parks on the hash's top-32-bit tag and verifies the full
-  // hash afterwards; random keys hit a tag-equal-but-hash-unequal slot with
-  // probability ~2^-32, so build the collision deliberately by inverting the
-  // (bijective) hash chain. Slot layout with 32 slots (Reserve(20)):
-  //   h_far  -> home 0x10, different tag — occupies the walk's first slot
-  //   h_near -> home 0x11, SAME tag as h_probe — the false park target
-  //   h_probe-> home 0x10, walks over h_far, parks on h_near's slot, and
-  //             must resume past it on the full-hash mismatch.
+TEST(JoinHashTableTest, SharedHomeSlotsResolveByFullHash) {
+  // Colliding keys built by inverting the (bijective) hash, in a 32-slot
+  // table (Reserve(20)):
+  //   h_far   -> home 0x10 — occupies the probe walk's first slot
+  //   h_near  -> home 0x11, equal to h_probe in every bit but bit 0
+  //   h_probe -> home 0x10, walks past h_far and h_near to its own slot
+  // Each key must reach its own chain, and an absent key must miss.
   const uint64_t h_probe = (0xDEADBEEFULL << 32) | 0x10;
-  const uint64_t h_near = h_probe ^ 1;                    // same tag
-  const uint64_t h_far = (0x0BADF00DULL << 32) | 0x10;    // same home slot
+  const uint64_t h_near = h_probe ^ 1;
+  const uint64_t h_far = (0x0BADF00DULL << 32) | 0x10;
   const ObjectId k_probe = hashinv::KeyForHash(h_probe);
   const ObjectId k_near = hashinv::KeyForHash(h_near);
   const ObjectId k_far = hashinv::KeyForHash(h_far);
-  ASSERT_EQ(simd::HashTupleFnv(&k_probe, 1), h_probe);
-  ASSERT_EQ(simd::HashTupleFnv(&k_near, 1), h_near);
-  ASSERT_EQ(simd::HashTupleFnv(&k_far, 1), h_far);
+  ASSERT_EQ(JoinKeyHash(Tuple{k_probe}), h_probe);
+  ASSERT_EQ(JoinKeyHash(Tuple{k_near}), h_near);
+  ASSERT_EQ(JoinKeyHash(Tuple{k_far}), h_far);
 
   for (bool insert_probe_key : {false, true}) {
-    JoinHashTable scalar_table(1, /*force_scalar=*/true);
-    JoinHashTable simd_table(1);
-    for (JoinHashTable* t : {&scalar_table, &simd_table}) {
-      t->Reserve(20);
-      t->Insert(&k_far, 0);
-      t->Insert(&k_near, 1);
-      t->Insert(&k_near, 2);  // chained duplicate behind the false park
-      if (insert_probe_key) t->Insert(&k_probe, 3);
-    }
-    const ObjectId probes[] = {k_probe, k_near, k_far};
-    uint32_t scalar_heads[3], simd_heads[3];
-    scalar_table.LookupBatch(probes, 3, scalar_heads);
-    simd_table.LookupBatch(probes, 3, simd_heads);
-    for (size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(simd_heads[i], scalar_heads[i])
-          << "insert_probe_key=" << insert_probe_key << " probe=" << i;
-      EXPECT_EQ(simd_heads[i], simd_table.Lookup(&probes[i]));
-    }
-    // The collision probe must land on its own chain or miss — never on the
-    // tag-equal neighbor's chain.
-    if (insert_probe_key) {
-      ASSERT_NE(simd_heads[0], JoinHashTable::kNil);
-      EXPECT_EQ(simd_table.MatchRow(simd_heads[0]), 3u);
-    } else {
-      EXPECT_EQ(simd_heads[0], JoinHashTable::kNil);
-    }
-    EXPECT_EQ(simd_table.MatchRow(simd_heads[1]), 1u);
+    JoinHashTable table(1);
+    table.Reserve(20);
+    table.Insert(&k_far, 0);
+    table.Insert(&k_near, 1);
+    table.Insert(&k_near, 2);  // chained duplicate
+    if (insert_probe_key) table.Insert(&k_probe, 3);
+
+    auto chain = [&](ObjectId key) {
+      std::vector<uint32_t> rows;
+      for (uint32_t node = table.Lookup(&key); node != JoinHashTable::kNil;
+           node = table.NextMatch(node)) {
+        rows.push_back(table.MatchRow(node));
+      }
+      return rows;
+    };
+    EXPECT_EQ(chain(k_far), std::vector<uint32_t>{0});
+    EXPECT_EQ(chain(k_near), (std::vector<uint32_t>{1, 2}));
+    EXPECT_EQ(chain(k_probe), insert_probe_key ? std::vector<uint32_t>{3}
+                                               : std::vector<uint32_t>{})
+        << "insert_probe_key=" << insert_probe_key;
   }
 }
 
 TEST(SelectionKernelTest, InSetLadderCoversSetSizesOneThroughFive) {
   // Sizes 1-4 take the unrolled compare ladder, size 5 the hash-set probe;
-  // all must agree with a by-hand filter, scalar and dispatched.
+  // all must agree with a by-hand filter.
   auto t = MakeEdgeTable(Physical::kNone, 13, /*rows=*/100, /*domain=*/8);
   for (size_t set_size = 1; set_size <= 5; ++set_size) {
     storage::IdSet set;
     for (ObjectId v = 0; v < static_cast<ObjectId>(set_size); ++v) {
       set.insert(v * 2);  // {0}, {0,2}, ... {0,2,4,6,8}
     }
-    for (bool force_scalar : {false, true}) {
-      RowBlock block;
-      block.Reset(t->arity(), 128);
-      for (size_t i = 0; i < 100; ++i) block.row_ids[i] = static_cast<RowId>(i);
-      block.SelectAll(100);
-      const size_t n = SelInSet(*t, &block, 1, set, force_scalar);
-      std::vector<RowId> got(block.sel.begin(), block.sel.begin() + n);
-      std::vector<RowId> want;
-      for (RowId r = 0; r < 100; ++r) {
-        if (set.contains(t->At(r, 1))) want.push_back(r);
-      }
-      EXPECT_EQ(got, want) << "set_size=" << set_size
-                           << " force_scalar=" << force_scalar;
+    RowBlock block;
+    block.Reset(t->arity(), 128);
+    for (size_t i = 0; i < 100; ++i) block.row_ids[i] = static_cast<RowId>(i);
+    block.SelectAll(100);
+    const size_t n = SelInSet(*t, &block, 1, set);
+    std::vector<RowId> got(block.sel.begin(), block.sel.begin() + n);
+    std::vector<RowId> want;
+    for (RowId r = 0; r < 100; ++r) {
+      if (set.contains(t->At(r, 1))) want.push_back(r);
     }
+    EXPECT_EQ(got, want) << "set_size=" << set_size;
   }
 }
 
@@ -860,6 +796,57 @@ TEST(IndexNestedLoopBlockIteratorTest, InnerBloomsPruneWithoutChangingRows) {
   EXPECT_EQ(bloom_stats.probes, plain_stats.probes);
   EXPECT_LE(bloom_stats.rows_scanned, plain_stats.rows_scanned);
   EXPECT_EQ(bloom_stats.rows_matched, plain_stats.rows_matched);
+}
+
+TEST(IndexNestedLoopBlockIteratorTest, SecondBloomPrunesThePartialSelection) {
+  // Two join keys, one Bloom each: the second Bloom sees only the rows the
+  // first kept, so every skip must match a per-row MayContain count over
+  // the incoming selection.
+  auto outer_t = MakeEdgeTable(Physical::kNone, 41, /*rows=*/300, /*domain=*/30);
+  Table inner_t("inner", std::vector<std::string>{"src", "dst"});
+  for (ObjectId a = 0; a < 30; a += 2) {
+    for (ObjectId b = 0; b < 15; ++b) XK_EXPECT_OK(inner_t.Append(Tuple{a, b}));
+  }
+  XK_EXPECT_OK(inner_t.BuildHashIndex(0));
+  storage::BloomFilter even(inner_t.NumRows()), low(inner_t.NumRows());
+  for (RowId r = 0; r < inner_t.NumRows(); ++r) {
+    even.Add(inner_t.At(r, 0));
+    low.Add(inner_t.At(r, 1));
+  }
+
+  auto run = [&](bool with_blooms, ProbeStats* stats) {
+    ScanBlockIterator outer(*outer_t, {}, {});
+    IndexNestedLoopBlockIterator join(
+        &outer, inner_t,
+        {{.inner_column = 0, .outer_column = 1},
+         {.inner_column = 1, .outer_column = 0}});
+    if (with_blooms) {
+      join.set_inner_blooms({ColumnBloom{0, &even}, ColumnBloom{1, &low}});
+    }
+    size_t rows = 0;
+    RowBlock block;
+    while (join.Next(&block)) rows += block.num_selected;
+    *stats = join.stats();
+    return rows;
+  };
+
+  uint64_t first_skips = 0, second_skips = 0;
+  for (RowId r = 0; r < outer_t->NumRows(); ++r) {
+    if (!even.MayContain(outer_t->At(r, 1))) {
+      ++first_skips;
+    } else if (!low.MayContain(outer_t->At(r, 0))) {
+      ++second_skips;
+    }
+  }
+  ASSERT_GT(first_skips, 0u);
+  ASSERT_GT(second_skips, 0u);
+
+  ProbeStats plain_stats, bloom_stats;
+  const size_t expected = run(/*with_blooms=*/false, &plain_stats);
+  EXPECT_EQ(run(/*with_blooms=*/true, &bloom_stats), expected);
+  EXPECT_EQ(bloom_stats.bloom_skips, first_skips + second_skips);
+  EXPECT_EQ(bloom_stats.probes, plain_stats.probes);
+  EXPECT_EQ(plain_stats.bloom_skips, 0u);
 }
 
 // --- Keyword seek ----------------------------------------------------------

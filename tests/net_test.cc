@@ -55,21 +55,76 @@ present::Mtton MakeMtton(int ctssn_index, int score,
   return m;
 }
 
-TEST(WireTest, QueryFrameRoundTrip) {
+/// A query whose every wire field differs from its default.
+QueryRequest NonDefaultRequest() {
   QueryRequest request;
   request.keywords = {"john", "vcr", "john"};
   request.decomposition = "XKeyword";
   request.mode = QueryMode::kAll;
   request.deadline = milliseconds(250);
   request.cache_mode = engine::CacheMode::kRefresh;
-  request.options.max_size_z = 5;
-  request.options.per_network_k = 7;
-  request.options.global_k = 11;
-  request.options.vectorized = false;
-  request.options.num_threads = 3;
-  request.options.anytime_cost_budget = 123.5;
-  request.options.full_mode = engine::FullMode::kHashJoin;
+  engine::QueryOptions& o = request.options;
+  o.max_size_z = 5;
+  o.max_network_size = 4;
+  o.per_network_k = 7;
+  o.global_k = 11;
+  o.enable_cache = false;
+  o.cache_capacity = 99;
+  o.num_threads = 3;
+  o.enable_semijoin_pruning = false;
+  o.enable_subplan_reuse = false;
+  o.subplan_cache_budget_bytes = 12345;
+  o.cost_ordered_scheduling = false;
+  o.vectorized = false;
+  o.full_mode = engine::FullMode::kHashJoin;
+  o.enable_scan_reuse = false;
+  o.enable_anytime = false;
+  o.anytime_cost_budget = 123.5;
+  o.anytime_headroom = 2.5;
+  o.anytime_min_plan_rows = 77;
+  return request;
+}
 
+/// A response whose status, coverage and every wire stat are non-default.
+QueryResponse NonDefaultResponse(const std::vector<present::Mtton>& mttons) {
+  QueryResponse response;
+  response.status = Status::DeadlineExceeded("deadline exceeded");
+  response.mttons = mttons;
+  response.completeness = Completeness::kDegraded;
+  response.coverage.cns_executed = 4;
+  response.coverage.cns_skipped = 2;
+  response.coverage.exhausted_class = 1;
+  response.coverage.interrupted = true;
+  response.coverage.deadline_limited = true;
+  engine::ExecutionStats& s = response.stats;
+  s.probes.probes = 100;
+  s.probes.rows_scanned = 101;
+  s.probes.rows_matched = 102;
+  s.probes.bloom_skips = 103;
+  s.cache_hits = 104;
+  s.cache_misses = 105;
+  s.results = 3;
+  s.reuse_hits = 106;
+  s.reuse_misses = 107;
+  s.bloom_build_rows = 108;
+  s.subplan_hits = 5;
+  s.subplan_misses = 109;
+  s.subplan_bytes = 110;
+  s.dedup_saved_rows = 111;
+  return response;
+}
+
+const std::vector<present::Mtton>& SampleMttons() {
+  static const std::vector<present::Mtton> mttons = {
+      MakeMtton(0, 1, {3, 5}),
+      MakeMtton(2, 1, {7}),
+      MakeMtton(1, 3, {9, 11, 13}),
+  };
+  return mttons;
+}
+
+TEST(WireTest, QueryFrameRoundTrip) {
+  const QueryRequest request = NonDefaultRequest();
   const std::string frame = EncodeQueryFrame(42, request);
   XK_ASSERT_OK_AND_ASSIGN(const FrameHead head,
                           DecodeFrameHead(PayloadOf(frame)));
@@ -83,44 +138,36 @@ TEST(WireTest, QueryFrameRoundTrip) {
   EXPECT_EQ(decoded.mode, request.mode);
   EXPECT_EQ(decoded.deadline, request.deadline);
   EXPECT_EQ(decoded.cache_mode, request.cache_mode);
-  EXPECT_EQ(decoded.options.max_size_z, request.options.max_size_z);
-  EXPECT_EQ(decoded.options.per_network_k, request.options.per_network_k);
-  EXPECT_EQ(decoded.options.global_k, request.options.global_k);
-  EXPECT_EQ(decoded.options.vectorized, request.options.vectorized);
-  EXPECT_EQ(decoded.options.num_threads, request.options.num_threads);
-  EXPECT_EQ(decoded.options.anytime_cost_budget,
-            request.options.anytime_cost_budget);
-  EXPECT_EQ(decoded.options.full_mode, request.options.full_mode);
-  // Defaults survive untouched.
-  EXPECT_EQ(decoded.options.enable_subplan_reuse,
-            request.options.enable_subplan_reuse);
-  EXPECT_EQ(decoded.options.anytime_headroom, request.options.anytime_headroom);
+  const engine::QueryOptions& want = request.options;
+  const engine::QueryOptions& got = decoded.options;
+  EXPECT_EQ(got.max_size_z, want.max_size_z);
+  EXPECT_EQ(got.max_network_size, want.max_network_size);
+  EXPECT_EQ(got.per_network_k, want.per_network_k);
+  EXPECT_EQ(got.global_k, want.global_k);
+  EXPECT_EQ(got.enable_cache, want.enable_cache);
+  EXPECT_EQ(got.cache_capacity, want.cache_capacity);
+  EXPECT_EQ(got.num_threads, want.num_threads);
+  EXPECT_EQ(got.enable_semijoin_pruning, want.enable_semijoin_pruning);
+  EXPECT_EQ(got.enable_subplan_reuse, want.enable_subplan_reuse);
+  EXPECT_EQ(got.subplan_cache_budget_bytes, want.subplan_cache_budget_bytes);
+  EXPECT_EQ(got.cost_ordered_scheduling, want.cost_ordered_scheduling);
+  EXPECT_EQ(got.vectorized, want.vectorized);
+  EXPECT_EQ(got.full_mode, want.full_mode);
+  EXPECT_EQ(got.enable_scan_reuse, want.enable_scan_reuse);
+  EXPECT_EQ(got.enable_anytime, want.enable_anytime);
+  EXPECT_EQ(got.anytime_cost_budget, want.anytime_cost_budget);
+  EXPECT_EQ(got.anytime_headroom, want.anytime_headroom);
+  EXPECT_EQ(got.anytime_min_plan_rows, want.anytime_min_plan_rows);
 }
 
 TEST(WireTest, BatchAndFinalFrameRoundTrip) {
-  const std::vector<present::Mtton> mttons = {
-      MakeMtton(0, 1, {3, 5}),
-      MakeMtton(2, 1, {7}),
-      MakeMtton(1, 3, {9, 11, 13}),
-  };
+  const std::vector<present::Mtton>& mttons = SampleMttons();
   const std::string batch = EncodeBatchFrame(9, mttons);
   XK_ASSERT_OK_AND_ASSIGN(const std::vector<present::Mtton> decoded_batch,
                           DecodeBatchBody(PayloadOf(batch)));
   EXPECT_EQ(decoded_batch, mttons);
 
-  QueryResponse response;
-  response.status = Status::DeadlineExceeded("deadline exceeded");
-  response.mttons = mttons;
-  response.completeness = Completeness::kDegraded;
-  response.coverage.cns_executed = 4;
-  response.coverage.cns_skipped = 2;
-  response.coverage.exhausted_class = 1;
-  response.coverage.interrupted = true;
-  response.coverage.deadline_limited = true;
-  response.stats.probes.probes = 100;
-  response.stats.results = 3;
-  response.stats.subplan_hits = 5;
-
+  const QueryResponse response = NonDefaultResponse(mttons);
   // tail_start = 2: the final frame ships only the last result.
   const std::string final_frame = EncodeFinalFrame(9, response, 2);
   XK_ASSERT_OK_AND_ASSIGN(const FrameHead head,
@@ -139,9 +186,41 @@ TEST(WireTest, BatchAndFinalFrameRoundTrip) {
   EXPECT_EQ(body.response.coverage.exhausted_class, 1);
   EXPECT_TRUE(body.response.coverage.interrupted);
   EXPECT_TRUE(body.response.coverage.deadline_limited);
-  EXPECT_EQ(body.response.stats.probes.probes, 100u);
-  EXPECT_EQ(body.response.stats.results, 3u);
-  EXPECT_EQ(body.response.stats.subplan_hits, 5u);
+  const engine::ExecutionStats& want = response.stats;
+  const engine::ExecutionStats& got = body.response.stats;
+  EXPECT_EQ(got.probes.probes, want.probes.probes);
+  EXPECT_EQ(got.probes.rows_scanned, want.probes.rows_scanned);
+  EXPECT_EQ(got.probes.rows_matched, want.probes.rows_matched);
+  EXPECT_EQ(got.probes.bloom_skips, want.probes.bloom_skips);
+  EXPECT_EQ(got.cache_hits, want.cache_hits);
+  EXPECT_EQ(got.cache_misses, want.cache_misses);
+  EXPECT_EQ(got.results, want.results);
+  EXPECT_EQ(got.reuse_hits, want.reuse_hits);
+  EXPECT_EQ(got.reuse_misses, want.reuse_misses);
+  EXPECT_EQ(got.bloom_build_rows, want.bloom_build_rows);
+  EXPECT_EQ(got.subplan_hits, want.subplan_hits);
+  EXPECT_EQ(got.subplan_misses, want.subplan_misses);
+  EXPECT_EQ(got.subplan_bytes, want.subplan_bytes);
+  EXPECT_EQ(got.dedup_saved_rows, want.dedup_saved_rows);
+}
+
+TEST(WireTest, EveryTruncationIsCorruption) {
+  // Every strict prefix of a body — cut inside the head, a string, a count
+  // or an mtton's object list — must decode to Corruption: no crash, no
+  // allocation sized by a count the bytes cannot back.
+  const std::string query_frame = EncodeQueryFrame(3, NonDefaultRequest());
+  const auto query = PayloadOf(query_frame);
+  for (size_t n = 0; n < query.size(); ++n) {
+    EXPECT_TRUE(DecodeQueryBody(query.first(n)).status().IsCorruption())
+        << "query prefix " << n << " of " << query.size();
+  }
+  const std::string final_frame =
+      EncodeFinalFrame(3, NonDefaultResponse(SampleMttons()), 0);
+  const auto final_body = PayloadOf(final_frame);
+  for (size_t n = 0; n < final_body.size(); ++n) {
+    EXPECT_TRUE(DecodeFinalBody(final_body.first(n)).status().IsCorruption())
+        << "final prefix " << n << " of " << final_body.size();
+  }
 }
 
 TEST(WireTest, ErrorFrameRoundTrip) {

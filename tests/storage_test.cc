@@ -6,11 +6,8 @@
 #include <cstdlib>
 #include <new>
 #include <thread>
-
-#include <numeric>
 #include <vector>
 
-#include "common/random.h"
 #include "storage/blob_store.h"
 #include "storage/catalog.h"
 #include "storage/statistics.h"
@@ -273,60 +270,6 @@ TEST(StatisticsTest, CountsAndFanouts) {
   EXPECT_DOUBLE_EQ(stats.AvgFanout(5), 2.5);
   stats.SetAvgReverseFanout(5, 0.4);
   EXPECT_DOUBLE_EQ(stats.AvgReverseFanout(5), 0.4);
-}
-
-TEST(BloomFilterTest, MayContainBlockMatchesPerKeyProbes) {
-  for (uint64_t seed : {11u, 29u, 47u}) {
-    Random rng(seed);
-    BloomFilter bloom(/*expected_keys=*/128);
-    for (int i = 0; i < 128; ++i) bloom.Add(rng.Uniform(0, 500));
-    // Ragged sizes cross the 64-entry batching boundary of the block probe.
-    for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{65},
-                     size_t{300}}) {
-      std::vector<ObjectId> values(n == 0 ? 1 : n);
-      for (auto& v : values) v = rng.Uniform(0, 1000);  // mixed hits + misses
-
-      std::vector<uint32_t> expected;
-      for (uint32_t i = 0; i < n; ++i) {
-        if (bloom.MayContain(values[i])) expected.push_back(i);
-      }
-
-      for (bool force_scalar : {false, true}) {
-        std::vector<uint32_t> sel(n);
-        std::iota(sel.begin(), sel.end(), 0u);
-        const size_t kept =
-            bloom.MayContainBlock(values.data(), sel.data(), n, force_scalar);
-        ASSERT_EQ(kept, expected.size())
-            << "seed=" << seed << " n=" << n
-            << " force_scalar=" << force_scalar;
-        for (size_t i = 0; i < kept; ++i) {
-          // Order-preserving compaction: survivors stay ascending.
-          EXPECT_EQ(sel[i], expected[i]) << "seed=" << seed << " n=" << n;
-        }
-      }
-    }
-  }
-}
-
-TEST(BloomFilterTest, MayContainBlockHonorsIncomingSelection) {
-  BloomFilter bloom(/*expected_keys=*/16);
-  for (ObjectId k = 0; k < 16; ++k) bloom.Add(k * 3);
-  std::vector<ObjectId> values(100);
-  for (size_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<ObjectId>(i);
-  }
-  // Pre-filtered selection (every 7th row): the block probe must only consult
-  // selected entries and keep their relative order.
-  std::vector<uint32_t> sel;
-  for (uint32_t i = 0; i < 100; i += 7) sel.push_back(i);
-  std::vector<uint32_t> expected;
-  for (uint32_t i : sel) {
-    if (bloom.MayContain(values[i])) expected.push_back(i);
-  }
-  const size_t kept = bloom.MayContainBlock(values.data(), sel.data(),
-                                            sel.size());
-  ASSERT_EQ(kept, expected.size());
-  for (size_t i = 0; i < kept; ++i) EXPECT_EQ(sel[i], expected[i]);
 }
 
 TEST(StatisticsTest, EstimateProbeRows) {

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/simd.h"
 #include "datagen/dblp_gen.h"
 #include "engine/xkeyword.h"
 #include "test_util.h"
@@ -272,72 +271,6 @@ TEST_F(TopKExecutorTest, SingleObjectPlansRecordStats) {
   EXPECT_EQ(parallel_results, results);
   EXPECT_EQ(parallel_stats.results, results.size());
   EXPECT_GT(parallel_stats.probes.rows_scanned, 0u);
-}
-
-// The kernel-dispatch knob is a pure implementation switch: forcing every
-// block kernel onto its scalar reference must reproduce the auto-dispatched
-// result list byte for byte, across decompositions and the vectorized path.
-// The dispatched ISA is reported through ExecutionStats.
-TEST_F(TopKExecutorTest, ForceScalarKernelsAreByteIdentical) {
-  const std::vector<std::vector<std::string>> queries = {
-      {"ullman", "widom"}, {"gray", "codd"}, {"stonebraker", "author47"}};
-  for (const std::string& decomposition :
-       {std::string("MinClust"), std::string("XKeyword")}) {
-    for (bool vectorized : {false, true}) {
-      QueryOptions auto_dispatch;
-      auto_dispatch.max_size_z = 6;
-      auto_dispatch.per_network_k = 50;
-      auto_dispatch.num_threads = 1;
-      auto_dispatch.vectorized = vectorized;
-      auto_dispatch.enable_semijoin_pruning = true;
-      QueryOptions scalar = auto_dispatch;
-      scalar.kernel_dispatch = KernelDispatch::kForceScalar;
-      for (const auto& q : queries) {
-        ExecutionStats auto_stats, scalar_stats;
-        XK_ASSERT_OK_AND_ASSIGN(
-            std::vector<Mtton> expected,
-            RunTopK(*xk_, q, decomposition, auto_dispatch, &auto_stats));
-        XK_ASSERT_OK_AND_ASSIGN(
-            std::vector<Mtton> actual,
-            RunTopK(*xk_, q, decomposition, scalar, &scalar_stats));
-        EXPECT_EQ(actual, expected)
-            << decomposition << " vec=" << vectorized << " " << q[0] << ","
-            << q[1];
-        // Forced-scalar runs always report the scalar ISA; auto runs report
-        // whatever the process detected (scalar under XK_FORCE_SCALAR_KERNELS
-        // or on non-SIMD builds, so only consistency is asserted).
-        EXPECT_EQ(scalar_stats.simd_isa,
-                  static_cast<uint32_t>(simd::IsaLevel::kScalar));
-        EXPECT_EQ(auto_stats.simd_isa,
-                  static_cast<uint32_t>(simd::DetectedIsaLevel()));
-        // Kernel choice must not change what work is counted either.
-        EXPECT_EQ(scalar_stats.probes.rows_scanned,
-                  auto_stats.probes.rows_scanned);
-        EXPECT_EQ(scalar_stats.probes.bloom_skips,
-                  auto_stats.probes.bloom_skips);
-      }
-    }
-  }
-}
-
-// kRequireSimd is an assertion knob: it must be rejected up front exactly when
-// dispatch would silently fall back to scalar (non-SIMD build, unsupported
-// CPU, or the XK_FORCE_SCALAR_KERNELS escape hatch), and accepted otherwise.
-TEST_F(TopKExecutorTest, RequireSimdValidatesAgainstDetectedIsa) {
-  QueryOptions options;
-  options.kernel_dispatch = KernelDispatch::kRequireSimd;
-  const Status status = options.Validate();
-  if (simd::DetectedIsaLevel() == simd::IsaLevel::kScalar) {
-    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
-  } else {
-    XK_EXPECT_OK(status);
-    ExecutionStats stats;
-    XK_ASSERT_OK_AND_ASSIGN(
-        std::vector<Mtton> results,
-        RunTopK(*xk_, {"ullman", "widom"}, "MinClust", options, &stats));
-    (void)results;
-    EXPECT_GT(stats.simd_isa, static_cast<uint32_t>(simd::IsaLevel::kScalar));
-  }
 }
 
 // global_k under the default pool: the answer is the serial one. Each plan
