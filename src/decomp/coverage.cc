@@ -12,12 +12,33 @@ using schema::TssTreeEdge;
 
 namespace {
 
+/// True when `target` has at least as many edges of every TSS edge id as
+/// `frag`, which every embedding needs (it maps edges injectively and keeps
+/// their ids). Rejects most non-embedding pairs before any matching.
+bool EdgeCountsFit(const TssTree& frag, const TssTree& target) {
+  for (size_t i = 0; i < frag.edges.size(); ++i) {
+    const schema::TssEdgeId id = frag.edges[i].tss_edge;
+    bool first = true;
+    for (size_t j = 0; j < i && first; ++j) first = frag.edges[j].tss_edge != id;
+    if (!first) continue;
+    int need = 0;
+    for (const TssTreeEdge& e : frag.edges) need += e.tss_edge == id ? 1 : 0;
+    for (const TssTreeEdge& e : target.edges) need -= e.tss_edge == id ? 1 : 0;
+    if (need > 0) return false;
+  }
+  return true;
+}
+
 /// Backtracking matcher. Fragment edges are processed in a DFS order from
 /// occurrence 0 so each edge always has one endpoint already mapped.
 class Matcher {
  public:
-  Matcher(const TssTree& frag, const TssTree& target, int fragment_index)
-      : frag_(frag), target_(target), fragment_index_(fragment_index) {
+  /// With `masks` set, Run() only appends each embedding's edge mask there
+  /// and returns nothing.
+  Matcher(const TssTree& frag, const TssTree& target, int fragment_index,
+          std::vector<uint32_t>* masks = nullptr)
+      : frag_(frag), target_(target), fragment_index_(fragment_index),
+        masks_(masks) {
     // DFS edge order from occurrence 0.
     auto adj = frag_.Adjacency();
     std::vector<bool> node_seen(frag_.nodes.size(), false);
@@ -55,7 +76,11 @@ class Matcher {
  private:
   void Extend(size_t edge_pos, uint32_t mask) {
     if (edge_pos == edge_order_.size()) {
-      results_.push_back(Embedding{fragment_index_, node_map_, mask});
+      if (masks_ != nullptr) {
+        masks_->push_back(mask);
+      } else {
+        results_.push_back(Embedding{fragment_index_, node_map_, mask});
+      }
       return;
     }
     const TssTreeEdge& fe = frag_.edges[static_cast<size_t>(edge_order_[edge_pos])];
@@ -93,6 +118,7 @@ class Matcher {
   const TssTree& frag_;
   const TssTree& target_;
   int fragment_index_;
+  std::vector<uint32_t>* masks_;
   std::vector<int> edge_order_;
   std::vector<std::vector<int>> target_adj_;
   std::vector<int> node_map_;
@@ -105,8 +131,15 @@ class Matcher {
 std::vector<Embedding> FindEmbeddings(const TssTree& frag, const TssTree& target,
                                       const TssGraph& tss, int fragment_index) {
   (void)tss;
-  if (frag.size() > target.size()) return {};
+  if (frag.size() > target.size() || !EdgeCountsFit(frag, target)) return {};
   return Matcher(frag, target, fragment_index).Run();
+}
+
+void AppendEmbeddingMasks(const TssTree& frag, const TssTree& target,
+                          const TssGraph& tss, std::vector<uint32_t>* masks) {
+  (void)tss;
+  if (frag.size() > target.size() || !EdgeCountsFit(frag, target)) return;
+  Matcher(frag, target, 0, masks).Run();
 }
 
 std::optional<Tiling> MinJoinTiling(const TssTree& target, const TssGraph& tss,

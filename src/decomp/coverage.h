@@ -35,6 +35,13 @@ std::vector<Embedding> FindEmbeddings(const schema::TssTree& frag,
                                       const schema::TssGraph& tss,
                                       int fragment_index);
 
+/// Appends the edge mask of every embedding of `frag` into `target` to
+/// `*masks`, in FindEmbeddings order, without building the node maps.
+void AppendEmbeddingMasks(const schema::TssTree& frag,
+                          const schema::TssTree& target,
+                          const schema::TssGraph& tss,
+                          std::vector<uint32_t>* masks);
+
 /// A tiling of a target tree by fragment embeddings.
 struct Tiling {
   std::vector<Embedding> pieces;

@@ -1,6 +1,8 @@
 #include "decomp/decomposition.h"
 
 #include <algorithm>
+#include <bit>
+#include <span>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -13,7 +15,7 @@ using schema::TssTree;
 using schema::TssTreeEdge;
 
 int Decomposition::FindFragment(const TssTree& tree, const TssGraph& tss) const {
-  std::string key = schema::CanonicalKey(tree, tss);
+  const schema::CanonicalCode key = schema::CanonicalKey(tree, tss);
   for (size_t i = 0; i < fragments.size(); ++i) {
     if (schema::CanonicalKey(fragments[i].tree, tss) == key) {
       return static_cast<int>(i);
@@ -92,51 +94,71 @@ Result<Decomposition> MakeMaximal(const TssGraph& tss, int M) {
 
 namespace {
 
-/// Incremental coverage state for one candidate network: the edge-masks of
-/// every embedding of the decomposition-so-far, so testing a new fragment
-/// only runs the matcher for that fragment.
+/// True when at most `pieces` of the embedding masks in `masks` and `extra`
+/// together cover every edge of `full`. A cover must hold a piece covering
+/// the lowest uncovered edge and the order of pieces does not matter, so
+/// trying only those pieces is exact; once no more edges are missing than
+/// pieces are left, one piece per missing edge suffices and the union
+/// decides. Allocation-free; stops at `pieces` and returns as soon as `full`
+/// is reached.
+bool CoverableWithin(uint32_t covered, uint32_t full, int pieces,
+                     std::span<const uint32_t> masks,
+                     std::span<const uint32_t> extra) {
+  const uint32_t missing = full & ~covered;
+  if (missing == 0) return true;
+  if (pieces == 0) return false;
+  if (std::popcount(missing) <= pieces) {
+    uint32_t all = 0;
+    for (uint32_t m : masks) all |= m;
+    for (uint32_t m : extra) all |= m;
+    return (missing & ~all) == 0;
+  }
+  const uint32_t need = missing & (~missing + 1);
+  for (std::span<const uint32_t> set : {masks, extra}) {
+    for (uint32_t m : set) {
+      if ((m & need) != 0 &&
+          CoverableWithin(covered | m, full, pieces - 1, masks, extra)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Sorts and dedupes embedding masks (coverage only depends on the set).
+void Dedupe(std::vector<uint32_t>* masks) {
+  std::sort(masks->begin(), masks->end());
+  masks->erase(std::unique(masks->begin(), masks->end()), masks->end());
+}
+
+/// Coverage state of one candidate network: the deduped edge masks of every
+/// embedding of the decomposition-so-far, so testing a new fragment only
+/// runs the matcher for that fragment.
 struct NetworkCoverage {
   const TssTree* tree;
   std::vector<uint32_t> masks;
 
-  /// Minimum pieces to cover all edges given masks + extra; INT_MAX if
-  /// uncoverable. Networks have <= ~8 edges so the DP is tiny.
-  int MinPieces(const std::vector<uint32_t>& extra) const {
+  /// Evaluable with at most `max_joins` joins, given `extra` masks too.
+  bool CoveredWith(std::span<const uint32_t> extra, int max_joins) const {
     const uint32_t full = (1u << tree->size()) - 1;
-    constexpr int kInf = 1 << 29;
-    std::vector<int> dist(full + 1, kInf);
-    dist[0] = 0;
-    auto relax = [&](uint32_t mask, uint32_t bits) {
-      uint32_t next = mask | bits;
-      if (next != mask && dist[mask] + 1 < dist[next]) dist[next] = dist[mask] + 1;
-    };
-    for (uint32_t mask = 0; mask <= full; ++mask) {
-      if (dist[mask] == (1 << 29)) continue;
-      for (uint32_t bits : masks) relax(mask, bits);
-      for (uint32_t bits : extra) relax(mask, bits);
-    }
-    return dist[full];
+    return CoverableWithin(0, full, max_joins + 1, masks, extra);
   }
 
-  bool CoveredWith(const std::vector<uint32_t>& extra, int max_joins) const {
-    int pieces = MinPieces(extra);
-    return pieces != (1 << 29) && pieces - 1 <= max_joins;
+  void Add(std::span<const uint32_t> more) {
+    masks.insert(masks.end(), more.begin(), more.end());
+    Dedupe(&masks);
   }
 };
-
-std::vector<uint32_t> EmbeddingMasks(const TssTree& frag, const TssTree& target,
-                                     const TssGraph& tss) {
-  std::vector<uint32_t> masks;
-  for (const Embedding& e : FindEmbeddings(frag, target, tss, 0)) {
-    masks.push_back(e.edge_mask);
-  }
-  return masks;
-}
 
 }  // namespace
 
 Result<Decomposition> MakeXKeyword(const TssGraph& tss, int B, int M) {
   if (B < 0 || M < 1) return Status::InvalidArgument("need B >= 0, M >= 1");
+  if (M >= 32) {
+    return Status::InvalidArgument(StrFormat(
+        "M = %d: networks are tracked in 32-bit edge masks, so M must be below 32",
+        M));
+  }
   const int L = FragmentSizeBound(M, B);
 
   Decomposition d;
@@ -144,86 +166,114 @@ Result<Decomposition> MakeXKeyword(const TssGraph& tss, int B, int M) {
   d.physical = PhysicalDesign::kClusterPerDirection;
 
   XK_ASSIGN_OR_RETURN(std::vector<TssTree> all_trees, UsefulTrees(tss, M));
+  std::vector<bool> is_mvd(all_trees.size());
+  for (size_t t = 0; t < all_trees.size(); ++t) {
+    is_mvd[t] = Classify(all_trees[t], tss) == FragmentClass::kMVD;
+  }
 
   // Step 1: all non-MVD fragments of size <= L.
-  for (const TssTree& tree : all_trees) {
-    if (tree.size() > L) continue;
-    if (Classify(tree, tss) != FragmentClass::kMVD) {
-      d.fragments.push_back(MakeFragment(tree, tss));
+  for (size_t t = 0; t < all_trees.size(); ++t) {
+    if (all_trees[t].size() <= L && !is_mvd[t]) {
+      d.fragments.push_back(MakeFragment(all_trees[t], tss));
     }
   }
 
   // Step 2: candidate TSS networks of size <= M not covered with <= B joins.
   // Embedding masks of the current decomposition are cached per network.
   std::vector<NetworkCoverage> uncovered;
+  std::vector<uint32_t> masks;
   for (const TssTree& tree : all_trees) {
     NetworkCoverage cov{&tree, {}};
     for (const Fragment& f : d.fragments) {
-      std::vector<uint32_t> masks = EmbeddingMasks(f.tree, tree, tss);
-      cov.masks.insert(cov.masks.end(), masks.begin(), masks.end());
+      AppendEmbeddingMasks(f.tree, tree, tss, &cov.masks);
     }
+    Dedupe(&cov.masks);
     if (!cov.CoveredWith({}, B)) uncovered.push_back(std::move(cov));
   }
 
-  auto adopt_fragment = [&](const TssTree& frag) {
-    d.fragments.push_back(MakeFragment(frag, tss));
-    std::vector<NetworkCoverage> still;
-    for (NetworkCoverage& cov : uncovered) {
-      std::vector<uint32_t> masks = EmbeddingMasks(frag, *cov.tree, tss);
-      cov.masks.insert(cov.masks.end(), masks.begin(), masks.end());
-      if (!cov.CoveredWith({}, B)) still.push_back(std::move(cov));
-    }
-    uncovered = std::move(still);
-  };
-
   // Step 3: non-MVD fragments of size > L that help cover some remaining
   // network (Figure 11: a bigger non-MVD fragment can displace an MVD one).
-  for (const TssTree& tree : all_trees) {
+  for (size_t t = 0; t < all_trees.size(); ++t) {
     if (uncovered.empty()) break;
-    if (tree.size() <= L) continue;
-    if (Classify(tree, tss) == FragmentClass::kMVD) continue;
+    if (all_trees[t].size() <= L || is_mvd[t]) continue;
     bool helps = false;
     for (const NetworkCoverage& cov : uncovered) {
-      if (cov.CoveredWith(EmbeddingMasks(tree, *cov.tree, tss), B)) {
+      masks.clear();
+      AppendEmbeddingMasks(all_trees[t], *cov.tree, tss, &masks);
+      if (!masks.empty() && cov.CoveredWith(masks, B)) {
         helps = true;
         break;
       }
     }
-    if (helps) adopt_fragment(tree);
+    if (!helps) continue;
+    d.fragments.push_back(MakeFragment(all_trees[t], tss));
+    std::vector<NetworkCoverage> still;
+    for (NetworkCoverage& cov : uncovered) {
+      masks.clear();
+      AppendEmbeddingMasks(all_trees[t], *cov.tree, tss, &masks);
+      cov.Add(masks);
+      if (!cov.CoveredWith({}, B)) still.push_back(std::move(cov));
+    }
+    uncovered = std::move(still);
   }
 
   // Step 4: minimum number of MVD fragments of size <= L for the rest
-  // (greedy set cover — the exact problem is NP-complete).
-  std::vector<const TssTree*> mvd_candidates;
-  for (const TssTree& tree : all_trees) {
-    if (tree.size() <= L && Classify(tree, tss) == FragmentClass::kMVD) {
-      mvd_candidates.push_back(&tree);
+  // (greedy set cover — the exact problem is NP-complete). A candidate's
+  // embeddings into a network never change between rounds, so each
+  // candidate x network mask set is computed once; network n of round 1 is
+  // uncovered[n] for the whole loop.
+  std::vector<size_t> candidates;
+  for (size_t t = 0; t < all_trees.size(); ++t) {
+    if (all_trees[t].size() <= L && is_mvd[t]) candidates.push_back(t);
+  }
+  const size_t num_networks = uncovered.size();
+  std::vector<uint32_t> memo;                      // every mask set, back to back
+  std::vector<std::pair<size_t, size_t>> memo_at;  // [candidate * N + network]
+  memo_at.reserve(candidates.size() * num_networks);
+  for (size_t t : candidates) {
+    for (const NetworkCoverage& cov : uncovered) {
+      masks.clear();
+      AppendEmbeddingMasks(all_trees[t], *cov.tree, tss, &masks);
+      Dedupe(&masks);
+      memo_at.emplace_back(memo.size(), masks.size());
+      memo.insert(memo.end(), masks.begin(), masks.end());
     }
   }
-  while (!uncovered.empty()) {
-    const TssTree* best = nullptr;
+  auto memo_masks = [&](size_t c, size_t n) {
+    const auto [at, count] = memo_at[c * num_networks + n];
+    return std::span<const uint32_t>(memo.data() + at, count);
+  };
+  std::vector<size_t> alive(num_networks);
+  for (size_t n = 0; n < num_networks; ++n) alive[n] = n;
+  while (!alive.empty()) {
+    size_t best = candidates.size();
     size_t best_covers = 0;
-    for (const TssTree* candidate : mvd_candidates) {
+    for (size_t c = 0; c < candidates.size(); ++c) {
       size_t covers = 0;
-      for (const NetworkCoverage& cov : uncovered) {
-        if (cov.CoveredWith(EmbeddingMasks(*candidate, *cov.tree, tss), B)) {
-          ++covers;
-        }
+      for (size_t n : alive) {
+        std::span<const uint32_t> extra = memo_masks(c, n);
+        if (!extra.empty() && uncovered[n].CoveredWith(extra, B)) ++covers;
       }
       if (covers > best_covers) {
-        best = candidate;
+        best = c;
         best_covers = covers;
       }
     }
-    if (best == nullptr) {
+    if (best == candidates.size()) {
       // No MVD fragment helps; the join bound B is unreachable for the
       // remaining networks. They are still *evaluable* (Lemma 5.1 holds via
       // the single-edge fragments of step 1), just with more joins.
-      XK_LOG(Warning) << d.name << ": " << uncovered.size()
+      XK_LOG(Warning) << d.name << ": " << alive.size()
                       << " networks stay above the B=" << B << " join bound";
       break;
     }
-    adopt_fragment(*best);
+    d.fragments.push_back(MakeFragment(all_trees[candidates[best]], tss));
+    std::vector<size_t> still;
+    for (size_t n : alive) {
+      uncovered[n].Add(memo_masks(best, n));
+      if (!uncovered[n].CoveredWith({}, B)) still.push_back(n);
+    }
+    alive = std::move(still);
   }
   return d;
 }
@@ -254,7 +304,7 @@ Decomposition Combine(const Decomposition& a, const Decomposition& b,
   d.name = std::move(name);
   d.physical = a.physical;
   d.use_indexes_at_runtime = a.use_indexes_at_runtime && b.use_indexes_at_runtime;
-  std::unordered_set<std::string> seen;
+  std::unordered_set<schema::CanonicalCode, schema::CanonicalCodeHash> seen;
   for (const Decomposition* src : {&a, &b}) {
     for (const Fragment& f : src->fragments) {
       if (seen.insert(schema::CanonicalKey(f.tree, tss)).second) {

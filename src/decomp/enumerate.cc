@@ -14,15 +14,18 @@ using schema::TssTreeEdge;
 Result<std::vector<TssTree>> EnumerateTrees(const TssGraph& tss,
                                             const EnumerateOptions& options) {
   std::vector<TssTree> out;
-  std::unordered_set<std::string> seen;
+  std::unordered_set<schema::CanonicalCode, schema::CanonicalCodeHash> seen;
   std::vector<TssTree> frontier;
+  schema::CanonicalEncoder encoder;
+  schema::CanonicalCode code;
 
   // Size-0 seeds: one occurrence per segment.
   for (schema::TssId t = 0; t < tss.NumSegments(); ++t) {
     TssTree tree;
     tree.nodes = {t};
     frontier.push_back(tree);
-    seen.insert(schema::CanonicalKey(tree, tss));
+    encoder.Encode(tree, &code);
+    seen.insert(code);
     if (options.include_empty) out.push_back(frontier.back());
   }
 
@@ -47,8 +50,8 @@ Result<std::vector<TssTree>> EnumerateTrees(const TssGraph& tss,
                 !schema::IsStructurallyPossible(grown, tss)) {
               continue;
             }
-            std::string key = schema::CanonicalKey(grown, tss);
-            if (!seen.insert(std::move(key)).second) continue;
+            encoder.Encode(grown, &code);
+            if (!seen.insert(code).second) continue;
             if (seen.size() > options.max_trees) {
               return Status::ResourceExhausted(
                   StrFormat("tree enumeration exceeded %zu trees",

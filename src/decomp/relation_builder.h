@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
 #include "decomp/decomposition.h"
 #include "schema/decomposer.h"
@@ -24,8 +25,28 @@ namespace xk::decomp {
 /// catalog for the Section-7 comparisons.
 std::string RelationName(const Decomposition& d, const Fragment& f);
 
-/// Builds (and freezes) all connection relations of `d` into `catalog`.
-/// Idempotent per relation name: existing tables are left untouched.
+/// A connection relation whose table exists but is not yet filled.
+struct PendingRelation {
+  const Fragment* fragment;
+  storage::Table* table;
+};
+
+/// Creates, in fragment order, the empty table of every relation of `d` not
+/// yet in `catalog`, and returns them. Tables already present are left
+/// untouched, so building a decomposition is idempotent per relation name.
+Result<std::vector<PendingRelation>> CreateConnectionTables(
+    const Decomposition& d, const schema::TssGraph& tss, storage::Catalog* catalog);
+
+/// Fills one created table: its instances, the physical design, then
+/// Freeze. Touches nothing but `table`, so distinct relations may be filled
+/// concurrently; the result does not depend on which thread fills it.
+Status FillConnectionRelation(const Fragment& f, PhysicalDesign physical,
+                              const schema::TargetObjectGraph& objects,
+                              storage::Table* table);
+
+/// Builds (and freezes) all connection relations of `d` into `catalog` on
+/// the calling thread: CreateConnectionTables, then FillConnectionRelation
+/// on each. Idempotent per relation name: existing tables are left untouched.
 Status BuildConnectionRelations(const Decomposition& d,
                                 const schema::TargetObjectGraph& objects,
                                 const schema::TssGraph& tss,

@@ -1,9 +1,13 @@
 #include "engine/load_stage.h"
 
+#include <algorithm>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "common/logging.h"
 #include "decomp/relation_builder.h"
+#include "engine/thread_pool.h"
 #include "xml/xml_writer.h"
 
 namespace xk::engine {
@@ -71,8 +75,26 @@ Result<std::unique_ptr<LoadedData>> RunLoadStage(
 
 Status MaterializeDecomposition(const decomp::Decomposition& d,
                                 const schema::TssGraph& tss, LoadedData* data) {
-  XK_RETURN_NOT_OK(
-      decomp::BuildConnectionRelations(d, data->objects, tss, &data->catalog));
+  // Tables are created serially in fragment order; then each relation is
+  // filled by one pool task writing only its own table and status slot, so
+  // the catalog is the same at any thread count and schedule.
+  XK_ASSIGN_OR_RETURN(std::vector<decomp::PendingRelation> pending,
+                      decomp::CreateConnectionTables(d, tss, &data->catalog));
+  std::vector<Status> filled(pending.size());
+  if (!pending.empty()) {
+    const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+    ThreadPool pool(static_cast<int>(std::min(cores, pending.size())));
+    for (size_t i = 0; i < pending.size(); ++i) {
+      pool.Submit([&, i] {
+        filled[i] = decomp::FillConnectionRelation(
+            *pending[i].fragment, d.physical, data->objects, pending[i].table);
+      });
+    }
+    pool.Wait();
+  }
+  for (const Status& st : filled) XK_RETURN_NOT_OK(st);
+  // The spill stays serial, in catalog-name order, so the page file does
+  // not depend on the build schedule.
   if (data->storage_tier != nullptr) {
     // Spills the relations this decomposition just built (no-op for tables
     // already on pages).

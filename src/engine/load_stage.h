@@ -47,8 +47,10 @@ Result<std::unique_ptr<LoadedData>> RunLoadStage(
     const xml::XmlGraph& graph, const schema::SchemaGraph& schema,
     const schema::TssGraph& tss, const storage::StorageOptions& options = {});
 
-/// Materializes the connection relations of `d` into the loaded catalog and,
-/// on the disk backend, spills the new tables onto pages.
+/// Materializes the connection relations of `d` into the loaded catalog,
+/// filling them on a pool of up to `hardware_concurrency()` threads, and,
+/// on the disk backend, spills the new tables onto pages one at a time in
+/// catalog-name order. The result does not depend on the thread count.
 Status MaterializeDecomposition(const decomp::Decomposition& d,
                                 const schema::TssGraph& tss, LoadedData* data);
 

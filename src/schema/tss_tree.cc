@@ -85,39 +85,124 @@ Mult OutwardMult(const TssTree& tree, const TssGraph& tss, int node,
   return e.from == node ? te.forward_mult : te.reverse_mult;
 }
 
-namespace {
-
-/// AHU encoding of the tree rooted at `root`.
-std::string Encode(const TssTree& tree, const std::vector<std::vector<int>>& adj,
-                   int root, int via_edge) {
-  std::vector<std::string> child_codes;
-  for (int ei : adj[static_cast<size_t>(root)]) {
-    if (ei == via_edge) continue;
-    const TssTreeEdge& e = tree.edges[static_cast<size_t>(ei)];
-    int child = e.from == root ? e.to : e.from;
-    // Direction marker: does the traversal follow the TSS edge direction?
-    char dir = e.from == root ? '>' : '<';
-    child_codes.push_back(StrFormat("%c%d", dir, e.tss_edge) +
-                          Encode(tree, adj, child, ei));
+size_t CanonicalCodeHash::operator()(const CanonicalCode& code) const {
+  uint64_t h = 0x9e3779b97f4a7c15ULL ^ code.size();
+  for (uint32_t t : code) {
+    h ^= t;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
   }
-  std::sort(child_codes.begin(), child_codes.end());
-  std::string code = StrFormat("[%d", tree.nodes[static_cast<size_t>(root)]);
-  for (const std::string& c : child_codes) code += c;
-  code += "]";
-  return code;
+  return static_cast<size_t>(h);
 }
 
-}  // namespace
-
-std::string CanonicalKey(const TssTree& tree, const TssGraph& tss) {
-  (void)tss;
-  auto adj = tree.Adjacency();
-  std::string best;
-  for (int r = 0; r < tree.num_nodes(); ++r) {
-    std::string code = Encode(tree, adj, r, -1);
-    if (best.empty() || code < best) best = std::move(code);
+void CanonicalEncoder::Encode(const TssTree& tree, CanonicalCode* code) {
+  code->clear();
+  const int n = tree.num_nodes();
+  if (n == 0) return;
+  adj_begin_.assign(static_cast<size_t>(n) + 1, 0);
+  for (const TssTreeEdge& e : tree.edges) {
+    ++adj_begin_[static_cast<size_t>(e.from) + 1];
+    ++adj_begin_[static_cast<size_t>(e.to) + 1];
   }
-  return best;
+  for (int v = 0; v < n; ++v) {
+    adj_begin_[static_cast<size_t>(v) + 1] += adj_begin_[static_cast<size_t>(v)];
+  }
+  adj_.resize(2 * tree.edges.size());
+  fill_ = adj_begin_;
+  for (size_t ei = 0; ei < tree.edges.size(); ++ei) {
+    const TssTreeEdge& e = tree.edges[ei];
+    adj_[static_cast<size_t>(fill_[static_cast<size_t>(e.from)]++)] = static_cast<int>(ei);
+    adj_[static_cast<size_t>(fill_[static_cast<size_t>(e.to)]++)] = static_cast<int>(ei);
+  }
+
+  FindCentres(tree);
+  EncodeFrom(tree, layer_[0], -1, code);
+  if (layer_.size() == 2) {
+    alt_.clear();
+    EncodeFrom(tree, layer_[1], -1, &alt_);
+    if (alt_ < *code) code->swap(alt_);
+  }
+}
+
+void CanonicalEncoder::FindCentres(const TssTree& tree) {
+  const int n = tree.num_nodes();
+  layer_.clear();
+  if (n <= 2) {
+    for (int v = 0; v < n; ++v) layer_.push_back(v);
+    return;
+  }
+  peel_degree_.resize(static_cast<size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    const size_t u = static_cast<size_t>(v);
+    peel_degree_[u] = adj_begin_[u + 1] - adj_begin_[u];
+    if (peel_degree_[u] == 1) layer_.push_back(v);
+  }
+  // Strip the leaves layer by layer; the last one or two left are the
+  // centres.
+  int remaining = n;
+  while (remaining > 2) {
+    remaining -= static_cast<int>(layer_.size());
+    next_layer_.clear();
+    for (int leaf : layer_) {
+      for (int k = adj_begin_[static_cast<size_t>(leaf)];
+           k < adj_begin_[static_cast<size_t>(leaf) + 1]; ++k) {
+        const TssTreeEdge& e = tree.edges[static_cast<size_t>(adj_[static_cast<size_t>(k)])];
+        const int other = e.from == leaf ? e.to : e.from;
+        if (--peel_degree_[static_cast<size_t>(other)] == 1) {
+          next_layer_.push_back(other);
+        }
+      }
+    }
+    layer_.swap(next_layer_);
+  }
+}
+
+void CanonicalEncoder::EncodeFrom(const TssTree& tree, int v, int via_edge,
+                                  CanonicalCode* out) {
+  out->push_back(static_cast<uint32_t>(tree.nodes[static_cast<size_t>(v)]));
+  const size_t count_at = out->size();
+  out->push_back(0);
+  const size_t children_begin = out->size();
+  const size_t base = segments_.size();
+  for (int k = adj_begin_[static_cast<size_t>(v)];
+       k < adj_begin_[static_cast<size_t>(v) + 1]; ++k) {
+    const int ei = adj_[static_cast<size_t>(k)];
+    if (ei == via_edge) continue;
+    const TssTreeEdge& e = tree.edges[static_cast<size_t>(ei)];
+    const bool v_is_source = e.from == v;
+    const size_t begin = out->size();
+    out->push_back(static_cast<uint32_t>(e.tss_edge) * 2 + (v_is_source ? 1 : 0));
+    EncodeFrom(tree, v_is_source ? e.to : e.from, ei, out);
+    segments_.emplace_back(begin, out->size());
+  }
+  const size_t children = segments_.size() - base;
+  (*out)[count_at] = static_cast<uint32_t>(children);
+  if (children >= 2) {
+    const auto first = segments_.begin() + static_cast<ptrdiff_t>(base);
+    std::sort(first, segments_.end(), [out](const auto& a, const auto& b) {
+      return std::lexicographical_compare(
+          out->begin() + static_cast<ptrdiff_t>(a.first),
+          out->begin() + static_cast<ptrdiff_t>(a.second),
+          out->begin() + static_cast<ptrdiff_t>(b.first),
+          out->begin() + static_cast<ptrdiff_t>(b.second));
+    });
+    sorted_.clear();
+    for (auto it = first; it != segments_.end(); ++it) {
+      sorted_.insert(sorted_.end(), out->begin() + static_cast<ptrdiff_t>(it->first),
+                     out->begin() + static_cast<ptrdiff_t>(it->second));
+    }
+    std::copy(sorted_.begin(), sorted_.end(),
+              out->begin() + static_cast<ptrdiff_t>(children_begin));
+  }
+  segments_.resize(base);
+}
+
+CanonicalCode CanonicalKey(const TssTree& tree, const TssGraph& tss) {
+  (void)tss;
+  CanonicalEncoder encoder;
+  CanonicalCode code;
+  encoder.Encode(tree, &code);
+  return code;
 }
 
 Impossibility CheckStructurallyPossible(const TssTree& tree, const TssGraph& tss) {

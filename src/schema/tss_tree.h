@@ -14,7 +14,10 @@
 #ifndef XK_SCHEMA_TSS_TREE_H_
 #define XK_SCHEMA_TSS_TREE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -57,10 +60,38 @@ struct TssTree {
 Mult OutwardMult(const TssTree& tree, const TssGraph& tss, int node,
                  int edge_index);
 
-/// Canonical string key: equal iff the trees are isomorphic respecting
-/// segment labels, TSS edge ids and edge directions. AHU encoding minimized
-/// over all roots (trees here have <= ~9 nodes).
-std::string CanonicalKey(const TssTree& tree, const TssGraph& tss);
+/// Canonical code of a tree: equal iff the trees are isomorphic respecting
+/// segment labels, TSS edge ids and edge directions. An AHU token sequence:
+/// a subtree encodes as its segment, its number of children, then one
+/// (edge token, child code) pair per child in lexicographic order, where the
+/// edge token is 2 * TSS edge id plus 1 when the edge leaves the parent. The
+/// count makes the code prefix-free, so the code is exact, not a hash. The
+/// tree is rooted at its centre; a bicentral tree takes the smaller of its
+/// two rootings.
+using CanonicalCode = std::vector<uint32_t>;
+
+struct CanonicalCodeHash {
+  size_t operator()(const CanonicalCode& code) const;
+};
+
+/// Computes canonical codes, reusing its scratch buffers across calls (the
+/// tree enumerators encode hundreds of thousands of trees). Not thread-safe.
+class CanonicalEncoder {
+ public:
+  void Encode(const TssTree& tree, CanonicalCode* code);
+
+ private:
+  void FindCentres(const TssTree& tree);
+  void EncodeFrom(const TssTree& tree, int v, int via_edge, CanonicalCode* out);
+
+  std::vector<int> adj_begin_, fill_, adj_;  // CSR: edge indexes per occurrence
+  std::vector<int> peel_degree_, layer_, next_layer_;
+  std::vector<std::pair<size_t, size_t>> segments_;  // stack across the recursion
+  CanonicalCode sorted_, alt_;
+};
+
+/// The canonical code of one tree (a fresh encoder per call).
+CanonicalCode CanonicalKey(const TssTree& tree, const TssGraph& tss);
 
 /// Why a tree admits no instance (used in diagnostics and tests).
 enum class Impossibility {

@@ -1,12 +1,68 @@
 #include "storage/index.h"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 
 #include "common/logging.h"
 #include "storage/storage_tier.h"
 #include "storage/table.h"
 
 namespace xk::storage {
+
+void StableRadixSortRows(const Table& table, std::span<const int> key_columns,
+                         std::span<RowId> rows) {
+  constexpr int kMaxDigitBits = 16;
+  const size_t n = rows.size();
+  if (n < 2) return;
+  TableReadCursor cursor(table);
+  MappedVector<RowId> scratch(n);
+  MappedVector<uint16_t> digits(n);
+  std::vector<uint32_t> counts;
+  // Each pass scatters `from` into `to`; the two swap roles after it.
+  RowId* from = rows.data();
+  RowId* to = scratch.data();
+  for (auto col = key_columns.rbegin(); col != key_columns.rend(); ++col) {
+    const int c = *col;
+    // One read for the column's range and whether it is already in order.
+    ObjectId lo = cursor.At(from[0], c);
+    ObjectId hi = lo;
+    ObjectId prev = lo;
+    bool in_order = true;
+    for (size_t i = 1; i < n; ++i) {
+      const ObjectId v = cursor.At(from[i], c);
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+      in_order = in_order && prev <= v;
+      prev = v;
+    }
+    if (in_order) continue;  // a stable pass would not move anything
+    const uint64_t range = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    const int bits = std::bit_width(range);
+    const int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+    const int width = (bits + passes - 1) / passes;
+    const uint64_t mask = (uint64_t{1} << width) - 1;
+    for (int p = 0; p < passes; ++p) {
+      const int shift = p * width;
+      counts.assign(size_t{1} << width, 0);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t offset = static_cast<uint64_t>(cursor.At(from[i], c)) -
+                                static_cast<uint64_t>(lo);
+        digits[i] = static_cast<uint16_t>((offset >> shift) & mask);
+        ++counts[digits[i]];
+      }
+      uint32_t start = 0;
+      for (uint32_t& count : counts) {
+        const uint32_t here = count;
+        count = start;
+        start += here;
+      }
+      for (size_t i = 0; i < n; ++i) to[counts[digits[i]]++] = from[i];
+      std::swap(from, to);
+    }
+  }
+  if (from != rows.data()) std::copy(from, from + n, rows.data());
+}
 
 HashIndex::HashIndex(const Table& table, int column) : column_(column) {
   // Two-pass build: count rows per key first, then reserve every bucket
@@ -99,20 +155,9 @@ bool BloomFilter::MayContain(ObjectId key) const {
 CompositeIndex::CompositeIndex(const Table& table, std::vector<int> key_columns)
     : table_(table), key_columns_(std::move(key_columns)) {
   XK_CHECK(!key_columns_.empty());
-  order_.resize(table.NumRows());
-  num_entries_ = order_.size();
-  for (size_t i = 0; i < order_.size(); ++i) order_[i] = static_cast<RowId>(i);
-  std::stable_sort(order_.begin(), order_.end(), [&](RowId a, RowId b) {
-    for (int c : key_columns_) {
-      ObjectId va = table_.At(a, c);
-      ObjectId vb = table_.At(b, c);
-      if (va != vb) return va < vb;
-    }
-    return false;
-  });
-  // Rows are sorted on the clustering key, and the sort above is stable (ties
-  // keep row order), so one lead value's entries ascend in row order when the
-  // rest of the key is a prefix of the clustering key without the lead.
+  // Rows are sorted on the clustering key, so one lead value's rows ascend
+  // in row order on the rest of that key; when the rest of this key is a
+  // prefix of it, the lead runs of the full-key order are in row order.
   if (table.IsClustered()) {
     std::vector<int> rest;
     for (int c : table.clustering_key()) {
@@ -122,6 +167,14 @@ CompositeIndex::CompositeIndex(const Table& table, std::vector<int> key_columns)
         key_columns_.size() - 1 <= rest.size() &&
         std::equal(key_columns_.begin() + 1, key_columns_.end(), rest.begin());
   }
+  order_.resize(table.NumRows());
+  num_entries_ = order_.size();
+  std::iota(order_.begin(), order_.end(), RowId{0});
+  // With lead runs in row order, a stable sort on the lead alone already
+  // yields the full-key order.
+  const size_t sort_columns = lead_runs_in_row_order_ ? 1 : key_columns_.size();
+  StableRadixSortRows(table, std::span<const int>(key_columns_.data(), sort_columns),
+                      order_);
 }
 
 int CompositeIndex::ComparePrefix(RowId row, TupleView prefix) const {
@@ -208,7 +261,7 @@ Status CompositeIndex::SpillToDisk(StorageTier* tier) {
     XK_CHECK_EQ(page, paged->first_page + start / epp);
   }
   paged_ = std::move(paged);
-  std::vector<RowId>().swap(order_);
+  MappedVector<RowId>().swap(order_);
   return Status::OK();
 }
 

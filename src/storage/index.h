@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "storage/mapped_allocator.h"
 #include "storage/page_store.h"
 #include "storage/tuple.h"
 
@@ -29,6 +30,16 @@ class StorageTier;
 
 /// Row positions within a table.
 using RowId = uint32_t;
+
+/// Stable sort of `rows` by the values of `key_columns` in `table` (most
+/// significant first): afterwards `rows` is in exactly the order a stable
+/// comparison sort on those columns gives, ties in their incoming order.
+/// LSD radix sort: one stable counting pass per digit, least significant
+/// column first, with the digit width taken from the column's observed value
+/// range (one pass up to 2^16 distinct offsets). A column that is constant or
+/// already in order over `rows` costs one read and no pass.
+void StableRadixSortRows(const Table& table, std::span<const int> key_columns,
+                         std::span<RowId> rows);
 
 /// Single-column hash index: column value -> row ids.
 class HashIndex {
@@ -126,7 +137,7 @@ class CompositeIndex {
 
   const Table& table_;
   std::vector<int> key_columns_;
-  std::vector<RowId> order_;  // row ids sorted by key columns
+  MappedVector<RowId> order_;  // row ids sorted by key columns
   size_t num_entries_ = 0;
   bool lead_runs_in_row_order_ = false;
   std::unique_ptr<PagedOrder> paged_;

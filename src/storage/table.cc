@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -52,17 +53,10 @@ Status Table::Cluster(std::vector<int> key_columns) {
     }
   }
   // Stable sort of row ids by key, then rewrite the flat storage in order.
-  std::vector<RowId> order(num_rows_);
-  for (size_t i = 0; i < num_rows_; ++i) order[i] = static_cast<RowId>(i);
-  std::stable_sort(order.begin(), order.end(), [&](RowId a, RowId b) {
-    for (int c : key_columns) {
-      ObjectId va = At(a, c);
-      ObjectId vb = At(b, c);
-      if (va != vb) return va < vb;
-    }
-    return false;
-  });
-  std::vector<ObjectId> sorted;
+  MappedVector<RowId> order(num_rows_);
+  std::iota(order.begin(), order.end(), RowId{0});
+  StableRadixSortRows(*this, key_columns, order);
+  MappedVector<ObjectId> sorted;
   sorted.reserve(rows_.size());
   for (RowId r : order) {
     TupleView row = Row(r);
@@ -189,7 +183,7 @@ Status Table::SpillToDisk(StorageTier* tier) {
     XK_RETURN_NOT_OK(idx->SpillToDisk(tier));
   }
   paged_ = std::move(paged);
-  std::vector<ObjectId>().swap(rows_);
+  MappedVector<ObjectId>().swap(rows_);
   return Status::OK();
 }
 

@@ -23,6 +23,7 @@
 #include "common/status.h"
 #include "storage/buffer_pool.h"
 #include "storage/index.h"
+#include "storage/mapped_allocator.h"
 #include "storage/tuple.h"
 
 namespace xk::storage {
@@ -177,7 +178,7 @@ class Table {
   std::string name_;
   std::vector<std::string> column_names_;
   int arity_;
-  std::vector<ObjectId> rows_;  // row-major, arity_ ids per row
+  MappedVector<ObjectId> rows_;  // row-major, arity_ ids per row
   size_t num_rows_ = 0;
   bool frozen_ = false;
   std::optional<std::vector<int>> clustering_;

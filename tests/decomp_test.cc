@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+
+#include "datagen/dblp_gen.h"
 #include "datagen/tpch_gen.h"
 #include "decomp/classify.h"
 #include "decomp/coverage.h"
@@ -19,6 +23,17 @@ namespace {
 
 using schema::TssTree;
 using schema::TssTreeEdge;
+
+/// FNV-1a over `bytes`, continuing from `h`: an order-sensitive digest for
+/// the golden tests below.
+uint64_t Fnv(uint64_t h, std::string_view bytes) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+constexpr uint64_t kFnvBasis = 1469598103934665603ULL;
 
 class DecompTest : public ::testing::Test {
  protected:
@@ -143,7 +158,7 @@ TEST_F(DecompTest, EnumerateDeduplicatesAndFiltersImpossible) {
   EnumerateOptions opts;
   opts.max_size = 2;
   XK_ASSERT_OK_AND_ASSIGN(std::vector<TssTree> trees, EnumerateTrees(*tss_, opts));
-  std::set<std::string> keys;
+  std::set<schema::CanonicalCode> keys;
   for (const TssTree& t : trees) {
     EXPECT_TRUE(keys.insert(schema::CanonicalKey(t, *tss_)).second);
     EXPECT_TRUE(schema::IsStructurallyPossible(t, *tss_));
@@ -251,6 +266,14 @@ TEST_F(DecompTest, XKeywordDecompositionMeetsJoinBound) {
   }
 }
 
+// Coverage tracks a network's edges in 32-bit masks: M >= 32 is refused
+// up front instead of shifting past the mask width.
+TEST_F(DecompTest, XKeywordRejectsNetworksWiderThanTheEdgeMasks) {
+  EXPECT_TRUE(MakeXKeyword(*tss_, 2, 32).status().IsInvalidArgument());
+  EXPECT_TRUE(MakeXKeyword(*tss_, 0, 64).status().IsInvalidArgument());
+  EXPECT_TRUE(MakeInlined(*tss_, 2, 32).status().IsInvalidArgument());
+}
+
 TEST_F(DecompTest, XKeywordPrefersNonMvdFragments) {
   XK_ASSERT_OK_AND_ASSIGN(Decomposition d, MakeXKeyword(*tss_, 1, 4));
   size_t mvd = 0;
@@ -339,6 +362,124 @@ TEST_F(DecompTest, PhysicalDesignsApplied) {
                               RelationName(none, none.fragments[0])));
   EXPECT_FALSE(no_idx->HasAnyIndex());
   EXPECT_FALSE(no_idx->IsClustered());
+}
+
+// --- Golden outputs of the set-up path -------------------------------------
+//
+// The Figure-12 build must produce the same trees, in the same order, and the
+// same fragments whatever keys, memo or pruning it uses internally. These
+// values were recorded from the string-keyed enumeration and the unmemoised
+// greedy cover; any change to them is a change of the built decomposition.
+
+/// Count and order-sensitive digest of the emitted trees (each tree's
+/// occurrences and edges exactly as emitted).
+std::pair<size_t, uint64_t> TreeDigest(const std::vector<TssTree>& trees,
+                                       const schema::TssGraph& tss) {
+  uint64_t h = kFnvBasis;
+  for (const TssTree& t : trees) h = Fnv(h, t.ToString(tss) + "\n");
+  return {trees.size(), h};
+}
+
+std::string FragmentNames(const Decomposition& d) {
+  std::string out;
+  for (const Fragment& f : d.fragments) out += f.name + "\n";
+  return out;
+}
+
+TEST(DecompGoldenTest, EnumerateTreesDblpM6) {
+  schema::SchemaGraph schema;
+  auto tss = datagen::BuildDblpSchema(&schema).MoveValueUnsafe();
+  EnumerateOptions opts;
+  opts.max_size = 6;
+  XK_ASSERT_OK_AND_ASSIGN(std::vector<TssTree> trees, EnumerateTrees(*tss, opts));
+  EXPECT_EQ(TreeDigest(trees, *tss),
+            std::make_pair(size_t{5541}, uint64_t{1964007737463455290ULL}));
+}
+
+TEST(DecompGoldenTest, EnumerateTreesTpchM5) {
+  schema::SchemaGraph schema;
+  auto tss = datagen::BuildTpchSchema(&schema).MoveValueUnsafe();
+  EnumerateOptions opts;
+  opts.max_size = 5;
+  opts.include_empty = true;
+  XK_ASSERT_OK_AND_ASSIGN(std::vector<TssTree> trees, EnumerateTrees(*tss, opts));
+  EXPECT_EQ(TreeDigest(trees, *tss),
+            std::make_pair(size_t{1173}, uint64_t{14922566660037001234ULL}));
+}
+
+TEST(DecompGoldenTest, XKeywordFragmentsDblpB2M6) {
+  schema::SchemaGraph schema;
+  auto tss = datagen::BuildDblpSchema(&schema).MoveValueUnsafe();
+  XK_ASSERT_OK_AND_ASSIGN(Decomposition d, MakeXKeyword(*tss, 2, 6));
+  EXPECT_EQ(FragmentNames(d),
+            "F_Conf_Year_e0.0.1\n"
+            "F_Year_Paper_e0.1.1\n"
+            "F_Paper_Author_e0.2.1\n"
+            "F_Paper_Paper_e1.3.0\n"
+            "F_Conf_Year_Paper_e0.0.11.1.2\n"
+            "F_Year_Paper_Author_e0.1.11.2.2\n"
+            "F_Year_Paper_Paper_e0.1.12.3.1\n"
+            "F_Year_Paper_Paper_e0.1.11.3.2\n"
+            "F_Conf_Year_Paper_Author_e0.0.11.1.22.2.3\n"
+            "F_Conf_Year_Paper_Paper_e0.0.11.1.23.3.2\n"
+            "F_Conf_Year_Paper_Paper_e0.0.11.1.22.3.3\n"
+            "F_Year_Paper_Paper_Year_e0.1.12.3.13.1.2\n"
+            "F_Conf_Year_Paper_Paper_Year_e0.0.11.1.23.3.24.1.3\n"
+            "F_Conf_Year_Paper_Paper_Year_e0.0.11.1.22.3.34.1.3\n"
+            "F_Paper_Paper_Paper_e1.3.00.3.2\n"
+            "F_Paper_Paper_Paper_e1.3.02.3.0\n"
+            "F_Paper_Paper_Paper_e1.3.01.3.2\n"
+            "F_Paper_Author_Paper_e0.2.12.3.0\n"
+            "F_Paper_Author_Paper_e0.2.10.3.2\n"
+            "F_Year_Paper_Paper_e0.1.10.1.2\n"
+            "F_Paper_Author_Author_e0.2.10.2.2\n"
+            "F_Conf_Year_Year_e0.0.10.0.2\n");
+}
+
+TEST(DecompGoldenTest, XKeywordFragmentsTpchB2M5) {
+  schema::SchemaGraph schema;
+  auto tss = datagen::BuildTpchSchema(&schema).MoveValueUnsafe();
+  XK_ASSERT_OK_AND_ASSIGN(Decomposition d, MakeXKeyword(*tss, 2, 5));
+  EXPECT_EQ(FragmentNames(d),
+            "F_P_S_e0.0.1\n"
+            "F_P_O_e0.1.1\n"
+            "F_P_L_e1.3.0\n"
+            "F_O_L_e0.2.1\n"
+            "F_L_Pa_e0.4.1\n"
+            "F_L_Pr_e0.5.1\n"
+            "F_Pa_Pa_e1.6.0\n"
+            "F_P_O_L_e0.1.11.2.2\n"
+            "F_P_L_O_e1.3.02.2.1\n"
+            "F_P_L_Pa_e1.3.01.4.2\n"
+            "F_P_L_Pr_e1.3.01.5.2\n"
+            "F_O_L_Pa_e0.2.11.4.2\n"
+            "F_O_L_Pr_e0.2.11.5.2\n"
+            "F_P_O_L_P_e0.1.11.2.22.3.3\n"
+            "F_P_O_L_Pa_e0.1.11.2.22.4.3\n"
+            "F_P_O_L_Pr_e0.1.11.2.22.5.3\n"
+            "F_P_L_O_Pa_e1.3.02.2.11.4.3\n"
+            "F_P_L_O_Pr_e1.3.02.2.11.5.3\n"
+            "F_Pa_Pa_Pa_e1.6.00.6.2\n"
+            "F_Pa_Pa_Pa_e1.6.02.6.0\n"
+            "F_L_Pa_Pa_e0.4.12.6.1\n"
+            "F_L_Pa_Pa_e0.4.11.6.2\n"
+            "F_Pa_Pa_Pa_e1.6.01.6.2\n"
+            "F_P_S_L_e0.0.12.3.0\n"
+            "F_P_O_O_e0.1.10.1.2\n"
+            "F_P_L_L_e1.3.02.3.0\n"
+            "F_O_L_L_e0.2.10.2.2\n"
+            "F_L_Pa_L_e0.4.12.4.1\n"
+            "F_P_S_S_e0.0.10.0.2\n"
+            "F_L_Pr_L_e0.5.12.5.1\n");
+}
+
+// B = 1 leaves many networks to step 4's greedy MVD cover: 76 fragments.
+TEST(DecompGoldenTest, XKeywordFragmentsTpchB1M5) {
+  schema::SchemaGraph schema;
+  auto tss = datagen::BuildTpchSchema(&schema).MoveValueUnsafe();
+  XK_ASSERT_OK_AND_ASSIGN(Decomposition d, MakeXKeyword(*tss, 1, 5));
+  EXPECT_EQ(d.fragments.size(), 76u);
+  EXPECT_EQ(Fnv(kFnvBasis, FragmentNames(d)), uint64_t{17765250253069231427ULL});
 }
 
 }  // namespace

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <numeric>
+#include <random>
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "storage/blob_store.h"
 #include "storage/catalog.h"
 #include "storage/statistics.h"
@@ -161,6 +165,102 @@ TEST(CompositeIndexTest, PrefixLookups) {
   ASSERT_EQ(exact.size(), 1u);
   EXPECT_EQ(t.At(exact[0], 2), 9);
   EXPECT_TRUE(idx->LookupPrefix(Tuple{42}).empty());
+}
+
+// --- Radix-sorted clustering and indexes ---------------------------------
+
+/// The order a stable comparison sort on `key` gives `rows`: the oracle the
+/// radix sort must reproduce exactly, ties included.
+std::vector<RowId> StableSortOracle(const Table& t, const std::vector<int>& key,
+                                    std::vector<RowId> rows) {
+  std::stable_sort(rows.begin(), rows.end(), [&](RowId a, RowId b) {
+    for (int c : key) {
+      if (t.At(a, c) != t.At(b, c)) return t.At(a, c) < t.At(b, c);
+    }
+    return false;
+  });
+  return rows;
+}
+
+/// 4 columns of `rows` random ids: a 3-value column (many ties), a column
+/// over 5,000 values (one 13-bit pass), one spanning 2^40 (several passes)
+/// and one with negative ids.
+Table RandomWideTable(uint64_t seed, size_t rows) {
+  Table t("wide", {"few", "mid", "wide", "signed"});
+  Random rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    XK_CHECK(t.Append(Tuple{rng.Uniform(0, 2), rng.Uniform(0, 4999),
+                            rng.Uniform(0, int64_t{1} << 40),
+                            rng.Uniform(-1000, 1000)})
+                 .ok());
+  }
+  return t;
+}
+
+TEST(RadixSortTest, MatchesStableSortOnEveryKeyOrder) {
+  for (uint64_t seed : {1, 2, 3}) {
+    Table t = RandomWideTable(seed, 3000);
+    std::vector<RowId> identity(t.NumRows());
+    std::iota(identity.begin(), identity.end(), RowId{0});
+    std::vector<RowId> shuffled = identity;
+    std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(seed));
+    for (const std::vector<int>& key :
+         std::vector<std::vector<int>>{{0}, {1}, {2}, {3}, {0, 1}, {0, 2, 3},
+                                       {3, 0}, {2, 1, 0, 3}, {0, 0}}) {
+      for (const std::vector<RowId>& incoming : {identity, shuffled}) {
+        std::vector<RowId> rows = incoming;
+        StableRadixSortRows(t, key, rows);
+        EXPECT_EQ(rows, StableSortOracle(t, key, incoming)) << "seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(RadixSortTest, ConstantAndSortedColumnsAndTinyInputs) {
+  Table t("t", {"a", "b"});
+  for (int r = 0; r < 50; ++r) XK_ASSERT_OK(t.Append(Tuple{7, r / 3}));
+  std::vector<RowId> rows(t.NumRows());
+  std::iota(rows.begin(), rows.end(), RowId{0});
+  const std::vector<RowId> identity = rows;
+  StableRadixSortRows(t, std::vector<int>{0, 1}, rows);
+  EXPECT_EQ(rows, identity);
+  std::vector<RowId> one = {3};
+  StableRadixSortRows(t, std::vector<int>{1}, one);
+  EXPECT_EQ(one, std::vector<RowId>{3});
+  std::vector<RowId> none;
+  StableRadixSortRows(t, std::vector<int>{1}, none);
+  EXPECT_TRUE(none.empty());
+}
+
+// Clustering and every composite index equal the stable full-key sort; the
+// per-direction indexes of a clustered table sort on their lead alone, which
+// must give the same order.
+TEST(RadixSortTest, ClusterAndCompositeIndexesMatchStableSort) {
+  Table raw = RandomWideTable(9, 2000);
+  std::vector<RowId> all(raw.NumRows());
+  std::iota(all.begin(), all.end(), RowId{0});
+  const std::vector<RowId> clustered_order =
+      StableSortOracle(raw, {0, 1, 2, 3}, all);
+
+  Table t = RandomWideTable(9, 2000);
+  XK_ASSERT_OK(t.Cluster({0, 1, 2, 3}));
+  for (size_t i = 0; i < clustered_order.size(); ++i) {
+    for (int c = 0; c < 4; ++c) {
+      ASSERT_EQ(t.At(static_cast<RowId>(i), c), raw.At(clustered_order[i], c));
+    }
+  }
+  for (const std::vector<int>& key :
+       std::vector<std::vector<int>>{{1, 0, 2, 3}, {2, 0, 1, 3}, {3, 0, 1, 2},
+                                     {2, 0}, {3, 1}, {1, 2, 3}}) {
+    XK_ASSERT_OK(t.BuildCompositeIndex(key));
+    const CompositeIndex* idx = t.GetCompositeIndex(key);
+    ASSERT_NE(idx, nullptr);
+    std::span<const RowId> got = idx->LookupPrefix(TupleView());
+    EXPECT_EQ(std::vector<RowId>(got.begin(), got.end()),
+              StableSortOracle(t, key, all));
+  }
+  EXPECT_TRUE(t.GetCompositeIndex({1, 0, 2, 3})->lead_runs_in_row_order());
+  EXPECT_FALSE(t.GetCompositeIndex({3, 1})->lead_runs_in_row_order());
 }
 
 TEST(CompositeIndexTest, GetRequiresKeyPrefixMatch) {

@@ -900,6 +900,28 @@ TEST_F(DiskBackendDifferential, ByteIdenticalAcrossModesAndKnobs) {
   EXPECT_GT(tier->PoolStats().evictions, 0u);
 }
 
+// The page file written by Load + AddDecomposition is pinned byte for byte:
+// relations spill one at a time in catalog-name order, so however the
+// relations are built, every table and ordering lands on the same pages and
+// a disk workload's page misses stay the same. The digest was recorded from
+// the serial build.
+TEST_F(DiskBackendDifferential, PageFileAfterAddDecompositionIsGolden) {
+  storage::StorageTier* tier = disk_->data().storage_tier.get();
+  ASSERT_NE(tier, nullptr);
+  const size_t pages = tier->store()->num_pages();
+  std::vector<char> page(kPageSize);
+  uint64_t h = 1469598103934665603ULL;
+  for (PageNo p = 0; p < pages; ++p) {
+    XK_ASSERT_OK(tier->store()->ReadPage(p, page.data()));
+    for (char c : page) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(pages, size_t{46});
+  EXPECT_EQ(h, uint64_t{17564553267297724992ULL});
+}
+
 TEST_F(DiskBackendDifferential, PageCountersReachResponseStats) {
   QueryOptions options;
   options.max_size_z = 4;
