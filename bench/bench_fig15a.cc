@@ -6,8 +6,7 @@
 //
 // Workload: DBLP, 2-keyword author queries, Z = 8 (paper Section 7).
 //
-// Two engine-side series beyond the paper's figure:
-//   Fig15aVec/*    — row-at-a-time vs vectorized execution;
+// One engine-side series beyond the paper's figure:
 //   Fig15aPrune/*  — semi-join Bloom pruning on/off (rows_scanned drops,
 //                    bloom_skips counts rejected probes).
 
@@ -21,7 +20,6 @@ namespace {
 struct TopKSetup {
   std::string decomposition;
   bool semijoin_pruning = true;
-  bool vectorized = true;
 };
 
 void BM_TopK(benchmark::State& state, const TopKSetup& setup, size_t k,
@@ -40,7 +38,6 @@ void BM_TopK(benchmark::State& state, const TopKSetup& setup, size_t k,
   // pool spawn would dominate the measurement.
   options.num_threads = 1;
   options.enable_semijoin_pruning = setup.semijoin_pruning;
-  options.vectorized = setup.vectorized;
 
   uint64_t results = 0;
   uint64_t probes = 0;
@@ -85,24 +82,6 @@ void RegisterAll() {
         });
     b->ArgName("K");
     for (int k : {1, 5, 10, 20, 50, 100}) b->Arg(k);
-    b->Unit(benchmark::kMillisecond);
-    b->Iterations(3);
-  }
-
-  // Vectorized batch execution ablation at K = 100: V:0 is the row-at-a-time
-  // engine, V:1 the RowBlock path (results byte-identical).
-  for (const char* decomposition : {"MinClust", "MinNClustIndx"}) {
-    auto* b = benchmark::RegisterBenchmark(
-        (std::string("Fig15aVec/") + decomposition).c_str(),
-        [decomposition](benchmark::State& state) {
-          TopKSetup setup{decomposition};
-          setup.vectorized = state.range(0) != 0;
-          BM_TopK(state, setup, /*k=*/100,
-                  setup.vectorized ? "block" : "row");
-        });
-    b->ArgName("V");
-    b->Arg(0);
-    b->Arg(1);
     b->Unit(benchmark::kMillisecond);
     b->Iterations(3);
   }

@@ -1,7 +1,7 @@
 // Ablation A4 — storage substrate microbenchmarks: the four physical access
 // paths (clustered range, composite index, hash index, full scan) on a
-// citation-sized connection relation, plus join-executor throughput. These
-// are the primitive costs behind every Section-7 curve.
+// citation-sized connection relation, plus index-nested-loop join
+// throughput. These are the primitive costs behind every Section-7 curve.
 
 #include <benchmark/benchmark.h>
 
@@ -69,7 +69,7 @@ void BM_Probe(benchmark::State& state, Physical physical) {
       static_cast<double>(matched) / static_cast<double>(state.iterations()));
 }
 
-void BM_Join(benchmark::State& state, bool hash_join) {
+void BM_Join(benchmark::State& state) {
   auto left = MakeTable(Physical::kHash, kRows / 4, kDomain);
   auto right = MakeTable(Physical::kHash, kRows / 4, kDomain);
   xk::exec::JoinQuery query;
@@ -81,23 +81,13 @@ void BM_Join(benchmark::State& state, bool hash_join) {
 
   uint64_t rows = 0;
   for (auto _ : state) {
-    if (hash_join) {
-      xk::exec::HashJoinExecutor executor(&query);
-      XK_CHECK(executor
-                   .Run([&](const std::vector<xk::storage::TupleView>&) {
-                     ++rows;
-                     return true;
-                   })
-                   .ok());
-    } else {
-      xk::exec::NestedLoopExecutor executor(&query, ExecOptions{});
-      XK_CHECK(executor
-                   .Run([&](const std::vector<xk::storage::TupleView>&) {
-                     ++rows;
-                     return true;
-                   })
-                   .ok());
-    }
+    xk::exec::NestedLoopExecutor executor(&query, ExecOptions{});
+    XK_CHECK(executor
+                 .Run([&](const std::vector<xk::storage::TupleView>&) {
+                   ++rows;
+                   return true;
+                 })
+                 .ok());
   }
   state.counters["out_rows"] = benchmark::Counter(
       static_cast<double>(rows) / static_cast<double>(state.iterations()));
@@ -110,8 +100,7 @@ BENCHMARK_CAPTURE(BM_Probe, composite_index, Physical::kComposite);
 BENCHMARK_CAPTURE(BM_Probe, hash_index, Physical::kHash);
 BENCHMARK_CAPTURE(BM_Probe, full_scan, Physical::kNone)->Unit(benchmark::kMicrosecond);
 
-BENCHMARK_CAPTURE(BM_Join, index_nested_loop, false)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Join, hash_join, true)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Join)->Name("BM_Join/index_nested_loop")->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   return xk::bench::RunBenchMain("storage", argc, argv);

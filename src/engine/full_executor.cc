@@ -87,10 +87,9 @@ struct SubplanMemo {
 
 /// Hash-join evaluation of one plan over caller-provided filtered scans.
 /// Intermediates are kept as per-step indexes into the filtered scans (one
-/// uint32 per step per row), so joins shuffle indexes, not tuples. With
-/// `exec_options.vectorized` the build side is a flat open-addressing
-/// JoinHashTable; otherwise the legacy unordered_map.
-/// Either way output order is the scan-order nested enumeration.
+/// uint32 per step per row), so joins shuffle indexes, not tuples. The build
+/// side is a flat open-addressing JoinHashTable whose duplicate chains keep
+/// scan order, so output order is the scan-order nested enumeration.
 void HashJoinOnScans(const opt::CtssnPlan& plan,
                      const std::vector<const std::vector<storage::Tuple>*>& scans,
                      SubplanMemo* memo, const exec::ExecOptions& exec_options,
@@ -143,62 +142,33 @@ void HashJoinOnScans(const opt::CtssnPlan& plan,
     std::vector<uint32_t> next;
     const size_t rows = current.size() / width;
 
-    if (exec_options.vectorized) {
-      // Build: flat open-addressing table keyed on the eq columns; duplicate
-      // rows chain in scan order, so probe output matches the map path.
-      exec::JoinHashTable table(static_cast<int>(s.eq.size()));
-      table.Reserve(build_rows.size());
-      storage::Tuple key(s.eq.size());
-      for (size_t r = 0; r < build_rows.size(); ++r) {
-        for (size_t k = 0; k < s.eq.size(); ++k) {
-          key[k] = build_rows[r][static_cast<size_t>(s.eq[k].first)];
-        }
-        table.Insert(key.data(), static_cast<uint32_t>(r));
+    // Build: flat open-addressing table keyed on the eq columns; duplicate
+    // rows chain in scan order.
+    exec::JoinHashTable table(static_cast<int>(s.eq.size()));
+    table.Reserve(build_rows.size());
+    storage::Tuple key(s.eq.size());
+    for (size_t r = 0; r < build_rows.size(); ++r) {
+      for (size_t k = 0; k < s.eq.size(); ++k) {
+        key[k] = build_rows[r][static_cast<size_t>(s.eq[k].first)];
       }
-      // Probe: gather each row's key and walk its match chain, polling
-      // cancellation once per block of rows.
-      for (size_t base = 0; base < rows; base += block) {
-        if (stop_requested()) return;
-        for (size_t r = base; r < std::min(rows, base + block); ++r) {
-          const uint32_t* left = &current[r * width];
-          for (size_t k = 0; k < s.eq.size(); ++k) {
-            const exec::ColumnRef& ref = s.eq[k].second;
-            key[k] = (*scans[static_cast<size_t>(ref.step)])[left[ref.step]]
-                         [static_cast<size_t>(ref.column)];
-          }
-          for (uint32_t node = table.Lookup(key.data());
-               node != exec::JoinHashTable::kNil;
-               node = table.NextMatch(node)) {
-            next.insert(next.end(), left, left + width);
-            next.push_back(table.MatchRow(node));
-          }
-        }
-      }
-    } else {
-      // Legacy: hash build side on its eq columns via unordered_map.
-      std::unordered_map<storage::Tuple, std::vector<uint32_t>, storage::TupleHash>
-          build;
-      build.reserve(build_rows.size());
-      storage::Tuple key(s.eq.size());
-      for (uint32_t r = 0; r < build_rows.size(); ++r) {
-        for (size_t k = 0; k < s.eq.size(); ++k) {
-          key[k] = build_rows[r][static_cast<size_t>(s.eq[k].first)];
-        }
-        build[key].push_back(r);
-      }
-      for (size_t r = 0; r < rows; ++r) {
-        if ((r & 0x3FF) == 0 && stop_requested()) return;
+      table.Insert(key.data(), static_cast<uint32_t>(r));
+    }
+    // Probe: gather each row's key and walk its match chain, polling
+    // cancellation once per block of rows.
+    for (size_t base = 0; base < rows; base += block) {
+      if (stop_requested()) return;
+      for (size_t r = base; r < std::min(rows, base + block); ++r) {
         const uint32_t* left = &current[r * width];
         for (size_t k = 0; k < s.eq.size(); ++k) {
           const exec::ColumnRef& ref = s.eq[k].second;
           key[k] = (*scans[static_cast<size_t>(ref.step)])[left[ref.step]]
                        [static_cast<size_t>(ref.column)];
         }
-        auto it = build.find(key);
-        if (it == build.end()) continue;
-        for (uint32_t right : it->second) {
+        for (uint32_t node = table.Lookup(key.data());
+             node != exec::JoinHashTable::kNil;
+             node = table.NextMatch(node)) {
           next.insert(next.end(), left, left + width);
-          next.push_back(right);
+          next.push_back(table.MatchRow(node));
         }
       }
     }

@@ -100,18 +100,15 @@ bool ProgressBudget::AdmitPlan(size_t p) {
   return admit;
 }
 
-std::shared_ptr<RowGate> ProgressBudget::MakeRowGate() {
+uint64_t ProgressBudget::RowAllowance() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!deadline_mode_ || !calibrated_ || ewma_ns_per_row_ <= 0) return nullptr;
+  if (!deadline_mode_ || !calibrated_ || ewma_ns_per_row_ <= 0) return 0;
   int64_t remaining = RemainingNs(cancel_);
-  if (remaining <= 0) {
-    return std::make_shared<RowGate>(min_plan_rows_);
-  }
+  if (remaining <= 0) return min_plan_rows_;
   double rows =
       static_cast<double>(remaining) / (ewma_ns_per_row_ * headroom_);
-  uint64_t cap = static_cast<uint64_t>(
+  return static_cast<uint64_t>(
       std::max(static_cast<double>(min_plan_rows_), rows));
-  return std::make_shared<RowGate>(cap);
 }
 
 void ProgressBudget::Record(size_t p, Outcome outcome) {
@@ -147,8 +144,8 @@ void ProgressBudget::OnPlanComplete(size_t p, uint64_t rows_scanned,
 void ProgressBudget::OnPlanInterrupted(size_t p) {
   std::lock_guard<std::mutex> lock(mutex_);
   Record(p, Outcome::kInterrupted);
-  // A row-gate trip or the deadline itself; an explicit cancel is not the
-  // deadline's doing.
+  // A spent row allowance or the deadline itself; an explicit cancel is not
+  // the deadline's doing.
   if (deadline_mode_ && !cancel_->cancel_requested()) deadline_limited_ = true;
 }
 

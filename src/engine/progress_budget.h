@@ -22,8 +22,9 @@
 //    each plan's predicted time (estimated_cost x an EWMA of observed
 //    ns-per-cost-unit, scaled by anytime_headroom) against the remaining
 //    deadline, re-calibrated as plans complete. Additionally converts the
-//    remaining deadline into a per-plan scan-row allowance (RowGate) the
-//    evaluators poll, so one mispredicted plan cannot eat the entire budget.
+//    remaining deadline into a per-plan scan-row allowance (RowAllowance)
+//    that the plan's evaluator checks against its own rows_scanned, so one
+//    mispredicted plan cannot eat the entire budget.
 //
 // Soundness of the reported bound: the schedule is nondecreasing in size
 // class, so all plans of class <= exhausted_class precede the first deviation
@@ -32,9 +33,7 @@
 #ifndef XK_ENGINE_PROGRESS_BUDGET_H_
 #define XK_ENGINE_PROGRESS_BUDGET_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -42,33 +41,12 @@
 
 namespace xk::engine {
 
-/// Scan-row allowance of one plan's evaluator. Thread-safe; consumption is
-/// approximate (the evaluator batches its reports), which only ever lets a
-/// plan slightly overrun.
-class RowGate {
- public:
-  explicit RowGate(uint64_t cap) : cap_(cap) {}
-
-  bool Exhausted() const {
-    return used_.load(std::memory_order_relaxed) >= cap_;
-  }
-  void Consume(uint64_t rows) {
-    used_.fetch_add(rows, std::memory_order_relaxed);
-  }
-  uint64_t cap() const { return cap_; }
-  uint64_t used() const { return used_.load(std::memory_order_relaxed); }
-
- private:
-  const uint64_t cap_;
-  std::atomic<uint64_t> used_{0};
-};
-
 class ProgressBudget {
  public:
   /// `active[p]` = plan p participates in this query (not size-capped).
   /// Budgeting engages only when `options.enable_anytime` and either a cost
   /// budget is set or a deadline is armed on `options.cancel`; otherwise the
-  /// ledger only tracks outcomes (AdmitPlan always true, no row gates), so
+  /// ledger only tracks outcomes (AdmitPlan always true, no row allowance), so
   /// coverage is reported even for non-anytime runs.
   ProgressBudget(const PreparedQuery& query, const std::vector<bool>& active,
                  const QueryOptions& options);
@@ -83,14 +61,16 @@ class ProgressBudget {
   bool AdmitPlan(size_t p);
 
   /// Wall-clock mode, once calibrated: the scan-row allowance for a plan
-  /// about to run, derived from the remaining deadline. Null = unlimited.
-  std::shared_ptr<RowGate> MakeRowGate();
+  /// about to run, derived from the remaining deadline and never below
+  /// anytime_min_plan_rows. 0 = unlimited.
+  uint64_t RowAllowance();
 
   /// Plan `p` ran to completion (including an emit-cap stop, which is
   /// semantically complete). `rows_scanned`/`elapsed_ns` feed the wall-clock
   /// calibration; pass 0 when unknown.
   void OnPlanComplete(size_t p, uint64_t rows_scanned, uint64_t elapsed_ns);
-  /// Plan `p` stopped mid-execution (deadline, cancel, or row-gate trip).
+  /// Plan `p` stopped mid-execution (deadline, cancel, or a spent row
+  /// allowance).
   void OnPlanInterrupted(size_t p);
 
   /// The global-k bound was satisfied: every still-unvisited plan is

@@ -82,11 +82,7 @@ struct QueryOptions {
   /// (size class, then plan index).
   bool cost_ordered_scheduling = true;
 
-  /// Vectorized batch execution: probes stream candidates through RowBlocks
-  /// and evaluate predicates as selection-vector kernels, with cancellation
-  /// polled once per block; hash joins build flat open-addressing tables.
-  /// Off = the row-at-a-time legacy path. Results are byte-identical either
-  /// way (kept as a knob so benches can A/B the two engines).
+  /// Ignored by the library; kept only because perfbench/xkbench.cc names it.
   bool vectorized = true;
 
   /// Ignored by the library; kept only because perfbench/xkbench.cc names it.

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "engine/progress_budget.h"
 #include "engine/thread_pool.h"
 #include "storage/table.h"
 
@@ -236,16 +237,8 @@ bool PlanEvaluator::Eval(
   if (exec_options_.cancel != nullptr && exec_options_.cancel->StopRequested()) {
     return false;
   }
-  // Anytime scan-row allowance, same unwind semantics. Consumption is
-  // reported in batches to keep the shared atomic off the hot path.
-  if (row_gate_ != nullptr) {
-    const uint64_t scanned = stats_.probes.rows_scanned;
-    if (scanned - gate_reported_rows_ >= 1024) {
-      row_gate_->Consume(scanned - gate_reported_rows_);
-      gate_reported_rows_ = scanned;
-    }
-    if (row_gate_->Exhausted()) return false;
-  }
+  // Anytime scan-row allowance, same unwind semantics.
+  if (row_allowance_spent()) return false;
   const std::vector<exec::JoinStep>& steps = plan_->query.steps;
   if (i == steps.size()) {
     ProjectToCollectors(*objs);
@@ -494,9 +487,6 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
   const CancelToken* cancel = options.cancel;
   exec::ExecOptions exec_options = query.exec_options;
   exec_options.cancel = cancel;
-  // Run-time knob wins over the Prepare-time snapshot, so one prepared query
-  // can be executed both row-at-a-time and vectorized (the benches A/B this).
-  exec_options.vectorized = options.vectorized;
 
   auto skip_plan = [&](size_t p) {
     return options.max_network_size > 0 &&
@@ -675,10 +665,9 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
       PlanLayout layout(&query.plans[p], options.enable_semijoin_pruning,
                         bloom_cache_ptr, &per_plan_stats[p]);
       opt::SubplanCache::SubplanPtr prefix = acquire_prefix(p, layout);
-      std::shared_ptr<RowGate> gate = budget.MakeRowGate();
       PlanEvaluator evaluator(&layout, exec_options, options.enable_cache,
                               options.cache_capacity);
-      evaluator.set_row_gate(gate.get());
+      evaluator.set_row_allowance(budget.RowAllowance());
       if (prefix != nullptr) {
         evaluator.RunReplay(*prefix, emit);
       } else {
@@ -687,8 +676,9 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
       per_plan_stats[p].Add(evaluator.stats());
       release_prefix(p);
       // A sink decline (per-network-k / global-k) is a complete outcome; only
-      // a deadline/cancel trip or a dry row gate marks the plan interrupted.
-      if (stop_requested() || (gate != nullptr && gate->Exhausted())) {
+      // a deadline/cancel trip or a spent row allowance marks the plan
+      // interrupted.
+      if (stop_requested() || evaluator.row_allowance_spent()) {
         budget.OnPlanInterrupted(p);
       } else {
         budget.OnPlanComplete(p, per_plan_stats[p].probes.rows_scanned,

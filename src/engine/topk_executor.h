@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/lru_cache.h"
-#include "engine/progress_budget.h"
 #include "engine/query_context.h"
 #include "engine/result_sink.h"
 #include "exec/subplan_source.h"
@@ -131,11 +130,17 @@ class PlanEvaluator {
 
   const ExecutionStats& stats() const { return stats_; }
 
-  /// Installs a shared scan-row allowance (not owned, may be null). When it
-  /// runs dry the evaluator unwinds exactly like a cancellation — as if the
-  /// sink declined — so no truncated suffix enumeration is ever cached.
-  /// Consumption is reported in batches, so the gate may overrun slightly.
-  void set_row_gate(RowGate* gate) { row_gate_ = gate; }
+  /// Caps the rows this evaluator may scan (0 = unlimited). Once its
+  /// rows_scanned reaches the allowance the evaluator unwinds exactly like a
+  /// cancellation — as if the sink declined — so no truncated suffix
+  /// enumeration is ever cached. Checked at every Eval entry, so the last
+  /// probe may overrun it.
+  void set_row_allowance(uint64_t rows) { row_allowance_ = rows; }
+
+  /// True when a row allowance is set and the rows scanned reached it.
+  bool row_allowance_spent() const {
+    return row_allowance_ != 0 && stats_.probes.rows_scanned >= row_allowance_;
+  }
 
  private:
   struct Collector {
@@ -163,10 +168,8 @@ class PlanEvaluator {
       LruCache<std::string, std::vector<std::vector<storage::ObjectId>>>>>
       caches_;
   std::vector<Collector*> active_collectors_;
-  /// Anytime scan-row allowance; checked (and consumption reported) at every
-  /// Eval entry. Null = unlimited.
-  RowGate* row_gate_ = nullptr;
-  uint64_t gate_reported_rows_ = 0;
+  /// Anytime scan-row allowance; 0 = unlimited.
+  uint64_t row_allowance_ = 0;
   ExecutionStats stats_;
   /// Per-depth probe bindings, reused across outer rows (Eval runs once per
   /// outer row — rebuilding this vector there was a hot-loop allocation).

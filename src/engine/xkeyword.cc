@@ -56,7 +56,6 @@ Result<PreparedQuery> XKeyword::Prepare(const std::vector<std::string>& keywords
   PreparedQuery q;
   q.keywords = keywords;
   q.exec_options.use_indexes = d->use_indexes_at_runtime;
-  q.exec_options.vectorized = options.vectorized;
 
   // Keyword discoverer: which schema nodes hold each keyword.
   std::vector<std::vector<schema::SchemaNodeId>> keyword_schema_nodes;

@@ -1,9 +1,8 @@
 // Copyright (c) the XKeyword authors.
 //
-// The access-path decision and candidate enumeration shared by the
-// row-at-a-time probe (operators.cc) and the batch probe (block_ops.cc). One
-// decision for both keeps their row sequences — and their scan counters —
-// identical by construction.
+// The access-path decision and candidate enumeration behind ForEachMatch
+// (operators.cc): both its scalar loop and its block loop (block_ops.cc)
+// consume one CandidateCursor, so they visit the same rows in the same order.
 //
 // Paths, in order of preference for a probe:
 //   bound path    — clustered range, composite index or hash index on the

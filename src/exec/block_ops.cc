@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "common/cancel_token.h"
-#include "common/logging.h"
 
 namespace xk::exec {
 
@@ -15,10 +14,9 @@ namespace {
 /// Largest IN-set SelInSet compares against an unrolled ladder.
 constexpr size_t kMaxInlineInSet = 4;
 
-/// The compress loop behind every selection kernel and the Bloom prune:
-/// keeps the selected candidates s for which keep(s) holds, in place and in
-/// order (the write cursor never passes the read cursor), and returns the
-/// survivor count.
+/// The compress loop behind every selection kernel: keeps the selected
+/// candidates s for which keep(s) holds, in place and in order (the write
+/// cursor never passes the read cursor), and returns the survivor count.
 template <typename Keep>
 size_t SelCompress(RowBlock* block, Keep keep) {
   uint32_t* sel = block->sel.data();
@@ -103,7 +101,7 @@ void ApplyFilters(const storage::Table& table,
 
 // --- Scratch-block pool --------------------------------------------------
 //
-// ForEachMatchBlock needs a scratch block per probe, but probes nest (the
+// RunBlockLoop needs a scratch block per probe, but probes nest (the
 // nested-loop executors recurse from inside the sink), so one thread-local
 // block is not enough: a per-thread stack of blocks, indexed by recursion
 // depth, keeps every live probe's block intact and amortizes the allocation
@@ -137,23 +135,20 @@ class PooledBlock {
   RowBlock* block_;
 };
 
-size_t EffectiveBlockSize(const ExecOptions& opts) {
-  return opts.block_size != 0 ? opts.block_size : RowBlock::kDefaultCapacity;
-}
-
 // Block-size ramp: the first block of a probe is small so an early-stopping
 // sink (top-k) never pays for 1k rows of filtering it will discard; streaming
 // consumers reach the full block size within two blocks.
 constexpr size_t kBlockRampStart = 64;
 
-/// Streams the cursor's remaining candidates through the filter kernels in
-/// ramped blocks and hands each surviving block to `fn`.
+}  // namespace
+
 void RunBlockLoop(const storage::Table& table,
                   const std::vector<ColumnBinding>& bindings,
                   const std::vector<ColumnInSet>& in_filters,
                   const ExecOptions& opts, CandidateCursor* cursor,
                   BlockSinkRef fn, ProbeStats* stats) {
-  const size_t cap = EffectiveBlockSize(opts);
+  const size_t cap =
+      opts.block_size != 0 ? opts.block_size : RowBlock::kDefaultCapacity;
   PooledBlock pooled(table.arity(), cap);
   RowBlock& block = *pooled;
   size_t step = std::min(cap, kBlockRampStart);
@@ -171,187 +166,6 @@ void RunBlockLoop(const storage::Table& table,
     }
     if (block.num_selected != 0 && !fn(block)) return;
   }
-}
-
-}  // namespace
-
-// --- Batch probe ---------------------------------------------------------
-
-AccessPathKind ForEachMatchBlock(const storage::Table& table,
-                                 const std::vector<ColumnBinding>& bindings,
-                                 const std::vector<ColumnInSet>& in_filters,
-                                 const std::vector<ColumnBloom>& prune_blooms,
-                                 const ExecOptions& opts, BlockSinkRef fn,
-                                 ProbeStats* stats) {
-  if (stats != nullptr) ++stats->probes;
-  const PathChoice choice = ChoosePath(table, bindings, opts);
-  if (BloomPruned(bindings, prune_blooms, stats)) return choice.kind;
-  CandidateCursor cursor;
-  const AccessPathKind kind = cursor.Init(choice, table, bindings, in_filters, opts);
-  RunBlockLoop(table, bindings, in_filters, opts, &cursor, fn, stats);
-  return kind;
-}
-
-AccessPathKind ForEachMatchRows(const storage::Table& table,
-                                const std::vector<ColumnBinding>& bindings,
-                                const std::vector<ColumnInSet>& in_filters,
-                                const std::vector<ColumnBloom>& prune_blooms,
-                                const ExecOptions& opts,
-                                const std::function<bool(storage::RowId)>& fn,
-                                ProbeStats* stats) {
-  if (stats != nullptr) ++stats->probes;
-  const PathChoice choice = ChoosePath(table, bindings, opts);
-  if (BloomPruned(bindings, prune_blooms, stats)) return choice.kind;
-  CandidateCursor cursor;
-  const AccessPathKind kind = cursor.Init(choice, table, bindings, in_filters, opts);
-
-  if (cursor.Remaining() <= kScalarProbeThreshold) {
-    // Index probes average a handful of candidates; block setup would cost
-    // more than the kernels save, so run the fused scalar loop instead.
-    // Cancellation is polled once, matching block granularity.
-    if (opts.cancel != nullptr && opts.cancel->StopRequested()) return kind;
-    storage::RowId candidates[kScalarProbeThreshold];
-    const size_t n = cursor.Fill(candidates, kScalarProbeThreshold);
-    for (size_t i = 0; i < n; ++i) {
-      const storage::RowId r = candidates[i];
-      if (stats != nullptr) ++stats->rows_scanned;
-      if (!RowPasses(table, r, bindings, in_filters)) continue;
-      if (stats != nullptr) ++stats->rows_matched;
-      if (!fn(r)) return kind;
-    }
-    return kind;
-  }
-
-  RunBlockLoop(table, bindings, in_filters, opts, &cursor,
-               [&fn](const RowBlock& b) {
-                 for (size_t i = 0; i < b.num_selected; ++i) {
-                   if (!fn(b.row_ids[b.sel[i]])) return false;
-                 }
-                 return true;
-               },
-               stats);
-  return kind;
-}
-
-// --- ScanBlockIterator ---------------------------------------------------
-
-ScanBlockIterator::ScanBlockIterator(const storage::Table& table,
-                                     std::vector<ColumnBinding> bindings,
-                                     std::vector<ColumnInSet> in_filters,
-                                     ExecOptions opts)
-    : table_(table),
-      bindings_(std::move(bindings)),
-      in_filters_(std::move(in_filters)),
-      opts_(opts) {
-  path_ = cursor_.Init(ChoosePath(table_, bindings_, opts_), table_, bindings_,
-                       in_filters_, opts_);
-}
-
-bool ScanBlockIterator::Next(RowBlock* out) {
-  const size_t cap = EffectiveBlockSize(opts_);
-  out->Reset(table_.arity(), cap);
-  while (true) {
-    if (opts_.cancel != nullptr && opts_.cancel->StopRequested()) return false;
-    const size_t n = cursor_.Fill(out->row_ids.data(), cap);
-    if (n == 0) return false;
-    out->SelectAll(n);
-    ApplyFilters(table_, bindings_, in_filters_, out);
-    if (out->num_selected == 0) continue;  // all-filtered block: keep pulling
-    out->Materialize(table_);
-    return true;
-  }
-}
-
-// --- IndexNestedLoopBlockIterator ---------------------------------------
-
-IndexNestedLoopBlockIterator::IndexNestedLoopBlockIterator(
-    BlockIterator* outer, const storage::Table& inner, std::vector<JoinKey> keys,
-    std::vector<ColumnInSet> inner_in_filters, ExecOptions opts)
-    : outer_(outer),
-      inner_(inner),
-      keys_(std::move(keys)),
-      in_filters_(std::move(inner_in_filters)),
-      opts_(opts) {
-  bindings_.reserve(keys_.size());
-}
-
-void IndexNestedLoopBlockIterator::PruneOuterBlock() {
-  if (blooms_.empty()) return;
-  const size_t before = outer_block_.num_selected;
-  for (const ColumnBloom& pb : blooms_) {
-    if (outer_block_.num_selected == 0) break;
-    for (const JoinKey& k : keys_) {
-      if (k.inner_column != pb.column) continue;
-      const storage::ObjectId* values = outer_block_.column(k.outer_column);
-      SelCompress(&outer_block_,
-                  [&](uint32_t s) { return pb.bloom->MayContain(values[s]); });
-    }
-  }
-  // Each pruned outer row is a probe the Bloom rejected, exactly as the
-  // per-row path would have counted it.
-  const size_t pruned = before - outer_block_.num_selected;
-  stats_.probes += pruned;
-  stats_.bloom_skips += pruned;
-}
-
-void IndexNestedLoopBlockIterator::EmitMatches(RowBlock* out) {
-  const int outer_arity = outer_->arity();
-  const int inner_arity = inner_.arity();
-  while (match_pos_ < matches_.size() && out->size < out->capacity) {
-    const storage::RowId r = matches_[match_pos_++];
-    const size_t i = out->size++;
-    out->row_ids[i] = r;
-    for (int c = 0; c < outer_arity; ++c) {
-      out->column(c)[i] = outer_block_.column(c)[match_outer_];
-    }
-    for (int c = 0; c < inner_arity; ++c) {
-      out->column(outer_arity + c)[i] = inner_.At(r, c);
-    }
-  }
-}
-
-bool IndexNestedLoopBlockIterator::Next(RowBlock* out) {
-  const size_t cap = EffectiveBlockSize(opts_);
-  out->Reset(arity(), cap);
-  out->EnsureColumnBuffer();
-  out->size = 0;
-
-  while (out->size < cap) {
-    if (match_pos_ < matches_.size()) {
-      EmitMatches(out);
-      continue;
-    }
-    if (!outer_valid_ || outer_pos_ >= outer_block_.num_selected) {
-      if (outer_drained_ || !outer_->Next(&outer_block_)) {
-        outer_drained_ = true;
-        break;
-      }
-      outer_valid_ = true;
-      outer_pos_ = 0;
-      PruneOuterBlock();
-      continue;
-    }
-    // Indirect through sel: identity unless the Bloom prune compacted it.
-    const size_t orow = outer_block_.sel[outer_pos_++];
-    bindings_.clear();
-    for (const JoinKey& k : keys_) {
-      bindings_.push_back(
-          ColumnBinding{k.inner_column, outer_block_.column(k.outer_column)[orow]});
-    }
-    matches_.clear();
-    ForEachMatch(inner_, bindings_, in_filters_, {}, opts_,
-                 [&](storage::RowId r) {
-                   matches_.push_back(r);
-                   return true;
-                 },
-                 &stats_);
-    match_pos_ = 0;
-    match_outer_ = orow;
-  }
-
-  if (out->size == 0) return false;
-  out->SelectAll(out->size);
-  return true;
 }
 
 }  // namespace xk::exec

@@ -41,40 +41,41 @@ AccessPathKind ForEachMatch(const storage::Table& table,
                             const ExecOptions& opts,
                             const std::function<bool(storage::RowId)>& fn,
                             ProbeStats* stats) {
-  if (opts.vectorized) {
-    // Adaptive batch path: small index probes run a fused scalar loop with
-    // allocation-free cursor setup, large scans are filtered block-at-a-time
-    // by selection-vector kernels; matches arrive in candidate order either
-    // way, so callers see the exact row sequence the loop below produces.
-    return ForEachMatchRows(table, bindings, in_filters, prune_blooms, opts,
-                            fn, stats);
-  }
   if (stats != nullptr) ++stats->probes;
+  // Decide the path without touching the table, then check the semi-join
+  // Blooms before positioning the cursor: most probes of a pruned plan are
+  // rejected here and never pay the range search or index lookup.
   const PathChoice choice = ChoosePath(table, bindings, opts);
-
-  // Semi-join pruning: a bound value absent from a column's Bloom summary
-  // cannot match any row that survives the step's local filters.
   if (BloomPruned(bindings, prune_blooms, stats)) return choice.kind;
-  if (opts.cancel != nullptr && opts.cancel->StopRequested()) return choice.kind;
-
   CandidateCursor cursor;
   const AccessPathKind kind = cursor.Init(choice, table, bindings, in_filters, opts);
-  // Candidates arrive in chunks; cancellation is polled once per chunk —
-  // cheap enough to keep scan overhead negligible, tight enough that a
-  // tripped deadline stops mid-scan within microseconds.
-  constexpr size_t kChunk = 256;
-  storage::RowId chunk[kChunk];
-  while (true) {
-    const size_t n = cursor.Fill(chunk, kChunk);
-    if (n == 0) return kind;
-    for (size_t i = 0; i < n; ++i) {
-      if (stats != nullptr) ++stats->rows_scanned;
-      if (!RowPasses(table, chunk[i], bindings, in_filters)) continue;
-      if (stats != nullptr) ++stats->rows_matched;
-      if (!fn(chunk[i])) return kind;
-    }
+
+  if (cursor.Remaining() <= kScalarProbeThreshold) {
+    // Index probes average a handful of candidates; block setup would cost
+    // more than the kernels save, so run the fused scalar loop instead.
+    // Cancellation is polled once, matching block granularity.
     if (opts.cancel != nullptr && opts.cancel->StopRequested()) return kind;
+    storage::RowId candidates[kScalarProbeThreshold];
+    const size_t n = cursor.Fill(candidates, kScalarProbeThreshold);
+    for (size_t i = 0; i < n; ++i) {
+      const storage::RowId r = candidates[i];
+      if (stats != nullptr) ++stats->rows_scanned;
+      if (!RowPasses(table, r, bindings, in_filters)) continue;
+      if (stats != nullptr) ++stats->rows_matched;
+      if (!fn(r)) return kind;
+    }
+    return kind;
   }
+
+  RunBlockLoop(table, bindings, in_filters, opts, &cursor,
+               [&fn](const RowBlock& b) {
+                 for (size_t i = 0; i < b.num_selected; ++i) {
+                   if (!fn(b.row_ids[b.sel[i]])) return false;
+                 }
+                 return true;
+               },
+               stats);
+  return kind;
 }
 
 AccessPathKind ForEachMatch(const storage::Table& table,
@@ -84,26 +85,6 @@ AccessPathKind ForEachMatch(const storage::Table& table,
                             const std::function<bool(storage::RowId)>& fn,
                             ProbeStats* stats) {
   return ForEachMatch(table, bindings, in_filters, {}, opts, fn, stats);
-}
-
-TableScanIterator::TableScanIterator(const storage::Table& table,
-                                     std::vector<ColumnBinding> bindings,
-                                     std::vector<ColumnInSet> in_filters)
-    : table_(table),
-      bindings_(std::move(bindings)),
-      in_filters_(std::move(in_filters)) {}
-
-bool TableScanIterator::Next(storage::Tuple* out) {
-  const storage::RowId n = static_cast<storage::RowId>(table_.NumRows());
-  while (next_row_ < n) {
-    storage::RowId r = next_row_++;
-    if (RowPasses(table_, r, bindings_, in_filters_)) {
-      storage::TupleView row = table_.RowInto(r, &row_scratch_);
-      out->assign(row.begin(), row.end());
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace xk::exec

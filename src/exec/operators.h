@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/row_iterator.h"
 #include "storage/table.h"
 
 namespace xk {
@@ -65,19 +64,18 @@ const char* AccessPathKindToString(AccessPathKind kind);
 struct ExecOptions {
   /// When false, every probe is a full scan (the MinNClustNIndx policy).
   bool use_indexes = true;
-  /// Batch-at-a-time probe evaluation: candidates stream through RowBlocks
-  /// and predicates run as selection-vector kernels (block_ops.h), polling
-  /// cancellation once per block. Off = the row-at-a-time legacy path.
-  /// Results are byte-identical either way.
+  /// Ignored by the library; kept only because perfbench/xkbench.cc names it.
   bool vectorized = true;
-  /// Rows per batch on the vectorized path (0 = RowBlock::kDefaultCapacity).
+  /// Largest block of candidates a probe filters at once
+  /// (0 = RowBlock::kDefaultCapacity). Never changes results; tests use it
+  /// to move block boundaries.
   size_t block_size = 0;
   /// Ignored by the library; kept only because perfbench/xkbench.cc names it.
   bool force_scalar_kernels = false;
   /// Cooperative cancellation/deadline token (not owned, may be null).
-  /// ForEachMatch polls it every few hundred scanned rows (row path) or once
-  /// per block (vectorized path) and abandons the probe; callers classify
-  /// the early stop via CancelToken::ToStatus().
+  /// ForEachMatch polls it once per block of candidates (once per probe for
+  /// small index probes) and abandons the probe; callers classify the early
+  /// stop via CancelToken::ToStatus().
   const CancelToken* cancel = nullptr;
 };
 
@@ -91,7 +89,7 @@ std::vector<storage::ObjectId> KeyPrefixFromBindings(
 struct ProbeStats {
   uint64_t probes = 0;        // number of ForEachMatch calls
   uint64_t rows_scanned = 0;  // rows touched (incl. filtered-out)
-  uint64_t rows_matched = 0;  // rows passed to the callback
+  uint64_t rows_matched = 0;  // rows that passed every filter
   uint64_t bloom_skips = 0;   // probes rejected by a semi-join Bloom filter
 
   void Add(const ProbeStats& other) {
@@ -104,8 +102,16 @@ struct ProbeStats {
 
 /// Enumerates rows of `table` satisfying all bindings and in-set filters in
 /// ascending row order where a full scan would visit them, invoking
-/// `fn(row_id)`; `fn` returns false to stop early. Returns the path taken. `stats` may be null. A probe whose binding fails one of
-/// `prune_blooms` is skipped entirely (counted in `stats->bloom_skips`).
+/// `fn(row_id)`; `fn` returns false to stop early. Returns the path taken.
+/// `stats` may be null. A probe whose binding fails one of `prune_blooms` is
+/// skipped entirely (counted in `stats->bloom_skips`).
+///
+/// Adaptive (block_ops.cc): a probe with at most kScalarProbeThreshold
+/// candidates runs a fused scalar loop; a larger one streams ramped blocks
+/// through the selection kernels. Cursor setup builds key prefixes in a stack
+/// buffer, so a probe allocates nothing once the thread-local block pool is
+/// warm. On the block regime the counters are block-granular: a sink that
+/// stops early still pays rows_scanned/rows_matched for the block it saw.
 AccessPathKind ForEachMatch(const storage::Table& table,
                             const std::vector<ColumnBinding>& bindings,
                             const std::vector<ColumnInSet>& in_filters,
@@ -121,24 +127,6 @@ AccessPathKind ForEachMatch(const storage::Table& table,
                             const ExecOptions& opts,
                             const std::function<bool(storage::RowId)>& fn,
                             ProbeStats* stats);
-
-/// Full-scan iterator with optional constant / in-set filters.
-class TableScanIterator : public RowIterator {
- public:
-  TableScanIterator(const storage::Table& table,
-                    std::vector<ColumnBinding> bindings,
-                    std::vector<ColumnInSet> in_filters);
-
-  bool Next(storage::Tuple* out) override;
-  int arity() const override { return table_.arity(); }
-
- private:
-  const storage::Table& table_;
-  std::vector<ColumnBinding> bindings_;
-  std::vector<ColumnInSet> in_filters_;
-  storage::RowId next_row_ = 0;
-  storage::Tuple row_scratch_;  // disk backend copies the row here
-};
 
 }  // namespace xk::exec
 

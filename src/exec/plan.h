@@ -5,13 +5,13 @@
 // with columns of earlier steps (the join edges of the fragment tiling) and
 // restricting others to keyword containing lists.
 //
-// Two interpreters are provided:
-//  * NestedLoopExecutor — pipelined index-nested-loops, the paper's choice for
-//    top-k queries (Section 6: "XKeyword uses nested loops join, where the
-//    nesting of the loops is determined by a depth first traversal").
-//  * HashJoinExecutor — bottom-up hash joins with full scans, the plan the
-//    DBMS picks for full-result queries on unindexed minimal decompositions
-//    (Section 7: "the full table scan and the hash join is the fastest way").
+// NestedLoopExecutor interprets such a query as pipelined index-nested loops,
+// the paper's choice for top-k queries (Section 6: "XKeyword uses nested
+// loops join, where the nesting of the loops is determined by a depth first
+// traversal"). The other join driver, full scans plus hash joins for complete
+// results (Section 7: "the full table scan and the hash join is the fastest
+// way"), is the full executor's (engine/full_executor.cc), over
+// exec::JoinHashTable.
 
 #ifndef XK_EXEC_PLAN_H_
 #define XK_EXEC_PLAN_H_
@@ -52,8 +52,8 @@ struct JoinQuery {
   Status Validate() const;
 };
 
-/// Receives one output row as per-step views into base tables (nested loops)
-/// or materialized intermediates (hash join). Return false to stop execution.
+/// Receives one output row as per-step views into base tables. Return false to
+/// stop execution.
 using RowSink =
     std::function<bool(const std::vector<storage::TupleView>& step_rows)>;
 
@@ -90,34 +90,6 @@ class NestedLoopExecutor {
   /// Per-depth row copies for the disk backend (RowInto): a depth's view must
   /// stay valid while deeper steps recurse, so each depth owns its scratch.
   std::vector<storage::Tuple> row_scratch_;
-};
-
-/// Bottom-up hash-join interpreter: materializes step 0 (after filters), then
-/// hash-joins each further step in order.
-///
-/// With `opts.vectorized` (the default) the build side is a flat
-/// open-addressing JoinHashTable (precomputed hashes, arena duplicate
-/// chains), intermediates are flat arrays of scan ordinals, and
-/// cancellation is polled once per block of probe rows; `vectorized = false`
-/// keeps the legacy unordered_map build for A/B comparison. Output is
-/// byte-identical.
-class HashJoinExecutor {
- public:
-  explicit HashJoinExecutor(const JoinQuery* query, ExecOptions opts = {})
-      : query_(query), opts_(opts) {}
-
-  Status Run(const RowSink& sink);
-
-  /// Rows materialized across all intermediates (work measure for benches).
-  uint64_t rows_materialized() const { return rows_materialized_; }
-
- private:
-  Status RunVectorized(const RowSink& sink);
-  Status RunLegacy(const RowSink& sink);
-
-  const JoinQuery* query_;
-  ExecOptions opts_;
-  uint64_t rows_materialized_ = 0;
 };
 
 }  // namespace xk::exec

@@ -1,9 +1,10 @@
 // Copyright (c) the XKeyword authors.
 //
-// Batch-at-a-time execution substrate (MonetDB/X100 style): operators exchange
-// fixed-capacity columnar batches instead of single rows, so predicate checks,
-// statistics, and cancellation polls amortize over ~1k rows and the inner
-// loops run over flat arrays with no per-row allocation.
+// Fixed-capacity columnar batch (MonetDB/X100 style). The probe filters its
+// candidates a block at a time (block_ops.h), so predicate checks,
+// statistics and cancellation polls amortize over up to ~1k rows and the
+// inner loops run over flat arrays with no per-row allocation; a
+// MaterializedSubplan (subplan_source.h) stores its rows in blocks too.
 
 #ifndef XK_EXEC_ROW_BLOCK_H_
 #define XK_EXEC_ROW_BLOCK_H_
@@ -11,9 +12,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/row_iterator.h"
-#include "storage/table.h"
-#include "storage/tuple.h"
+#include "storage/index.h"
+#include "storage/value.h"
 
 namespace xk::exec {
 
@@ -22,17 +22,17 @@ namespace xk::exec {
 /// Candidate rows: `row_ids[0..size)` name base-table rows (for scans and
 /// probes); `sel[0..num_selected)` indexes the candidates that survived the
 /// predicates applied so far, always in ascending order, so emission order is
-/// candidate order and results stay byte-identical to the row-at-a-time path.
+/// candidate order.
 ///
 /// Values: `columns` is one flat ObjectId buffer, column-major
-/// (`column(c)[i]`), filled on demand by Materialize (scans feeding the
-/// block→row adapter) or directly by join operators building output batches.
+/// (`column(c)[i]`), allocated only by EnsureColumnBuffer (a probe's blocks
+/// never need it; a MaterializedSubplan writes its rows there).
 struct RowBlock {
   static constexpr size_t kDefaultCapacity = 1024;
 
   /// Sizes the block for `arity` columns of up to `capacity` rows. Buffers
   /// only grow — a pooled block reused across probes never reallocates once
-  /// warm. The column buffer stays unallocated until first materialization.
+  /// warm. The column buffer stays unallocated until EnsureColumnBuffer.
   void Reset(int arity_in, size_t capacity_in = kDefaultCapacity) {
     arity = arity_in;
     capacity = capacity_in;
@@ -63,23 +63,6 @@ struct RowBlock {
     }
   }
 
-  /// Gathers the selected rows' attributes from `table` into the flat column
-  /// buffer, compacting: afterwards `size == num_selected`, the selection is
-  /// the identity, and `column(c)[i]`/`row_ids[i]` describe the i-th survivor.
-  void Materialize(const storage::Table& table) {
-    EnsureColumnBuffer();
-    const size_t n = num_selected;
-    for (size_t i = 0; i < n; ++i) row_ids[i] = row_ids[sel[i]];
-    // Run-cached cursor: a direct array load on the memory backend, one page
-    // pin per touched page on the disk backend.
-    storage::TableReadCursor rows(table);
-    for (int c = 0; c < arity; ++c) {
-      storage::ObjectId* out = column(c);
-      for (size_t i = 0; i < n; ++i) out[i] = rows.At(row_ids[i], c);
-    }
-    SelectAll(n);
-  }
-
   int arity = 0;
   size_t capacity = 0;
   size_t size = 0;          // candidate rows loaded
@@ -87,51 +70,6 @@ struct RowBlock {
   std::vector<storage::RowId> row_ids;
   std::vector<uint32_t> sel;
   std::vector<storage::ObjectId> columns;  // column-major, arity * capacity
-};
-
-/// Pull-based batch iterator: the vectorized sibling of RowIterator.
-/// Produced blocks are materialized with an identity selection.
-class BlockIterator {
- public:
-  virtual ~BlockIterator() = default;
-
-  /// Fills `*out` with the next non-empty batch; false when drained.
-  virtual bool Next(RowBlock* out) = 0;
-
-  /// Number of columns in produced blocks.
-  virtual int arity() const = 0;
-};
-
-/// Block→row adapter: lets every existing RowIterator consumer run unchanged
-/// on top of a batch producer.
-class BlockRowAdapter : public RowIterator {
- public:
-  /// `blocks` is not owned and must outlive the adapter.
-  explicit BlockRowAdapter(BlockIterator* blocks) : blocks_(blocks) {}
-
-  bool Next(storage::Tuple* out) override {
-    while (pos_ >= block_.num_selected) {
-      if (drained_ || !blocks_->Next(&block_)) {
-        drained_ = true;
-        return false;
-      }
-      pos_ = 0;
-    }
-    const size_t i = pos_++;
-    out->resize(static_cast<size_t>(block_.arity));
-    for (int c = 0; c < block_.arity; ++c) {
-      (*out)[static_cast<size_t>(c)] = block_.column(c)[i];
-    }
-    return true;
-  }
-
-  int arity() const override { return blocks_->arity(); }
-
- private:
-  BlockIterator* blocks_;
-  RowBlock block_;
-  size_t pos_ = 0;
-  bool drained_ = false;
 };
 
 }  // namespace xk::exec

@@ -22,21 +22,7 @@ void MaterializedSubplan::Append(const storage::RowId* step_rows) {
   for (int c = 0; c < arity_; ++c) {
     b.column(c)[in_block] = static_cast<storage::ObjectId>(step_rows[c]);
   }
-  b.row_ids[in_block] = step_rows[0];
-  b.sel[in_block] = static_cast<uint32_t>(in_block);
-  b.size = in_block + 1;
-  b.num_selected = in_block + 1;
   ++num_rows_;
-}
-
-bool SubplanReplayIterator::Next(RowBlock* out) {
-  while (next_block_ < subplan_->blocks().size()) {
-    const RowBlock& b = subplan_->blocks()[next_block_++];
-    if (b.num_selected == 0) continue;
-    *out = b;  // copy: the source stays immutable and shareable
-    return true;
-  }
-  return false;
 }
 
 }  // namespace xk::exec

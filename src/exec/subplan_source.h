@@ -4,9 +4,9 @@
 // candidate networks of one query, Section 4's common-subexpression reuse
 // lifted from leaf scans to whole subplans). The producer executes the prefix
 // once and appends one row of per-step base-table row ids per prefix match;
-// every consuming plan then replays the rows — in the producer's enumeration
-// order, so results stay byte-identical to re-executing the prefix — through
-// its own SubplanReplayIterator or by random access.
+// every consuming plan then replays the rows by random access (At), in the
+// producer's enumeration order, so results stay byte-identical to
+// re-executing the prefix.
 
 #ifndef XK_EXEC_SUBPLAN_SOURCE_H_
 #define XK_EXEC_SUBPLAN_SOURCE_H_
@@ -20,9 +20,9 @@ namespace xk::exec {
 
 /// Append-once, replay-many columnar buffer of prefix rows. Column c of row r
 /// holds the base-table row id the prefix's step c bound for that match,
-/// stored as RowBlock batches so consumers can stream it through the
-/// vectorized substrate. Not thread-safe while appending; immutable (and
-/// safely shared across threads) once the producer is done.
+/// stored in RowBlock-sized batches so appends never move earlier rows. Not
+/// thread-safe while appending; immutable (and safely shared across threads)
+/// once the producer is done.
 class MaterializedSubplan {
  public:
   /// `arity` = number of prefix steps; `block_capacity` rows per batch.
@@ -43,31 +43,12 @@ class MaterializedSubplan {
     return static_cast<storage::RowId>(b.column(col)[row % block_capacity_]);
   }
 
-  const std::vector<RowBlock>& blocks() const { return blocks_; }
-
  private:
   int arity_;
   size_t block_capacity_;
   size_t num_rows_ = 0;
   size_t bytes_ = 0;
   std::vector<RowBlock> blocks_;
-};
-
-/// Replayable block source over a MaterializedSubplan. Each consumer creates
-/// its own iterator (the subplan itself is shared and immutable); blocks come
-/// out materialized with an identity selection, in append order.
-class SubplanReplayIterator : public BlockIterator {
- public:
-  /// `subplan` is not owned and must outlive the iterator.
-  explicit SubplanReplayIterator(const MaterializedSubplan* subplan)
-      : subplan_(subplan) {}
-
-  bool Next(RowBlock* out) override;
-  int arity() const override { return subplan_->arity(); }
-
- private:
-  const MaterializedSubplan* subplan_;
-  size_t next_block_ = 0;
 };
 
 }  // namespace xk::exec

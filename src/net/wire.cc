@@ -68,7 +68,6 @@ void PutOptions(std::string* out, const engine::QueryOptions& o) {
   PutU8(out, o.enable_subplan_reuse ? 1 : 0);
   PutU64(out, o.subplan_cache_budget_bytes);
   PutU8(out, o.cost_ordered_scheduling ? 1 : 0);
-  PutU8(out, o.vectorized ? 1 : 0);
   PutU8(out, static_cast<uint8_t>(o.full_mode));
   PutU8(out, o.enable_scan_reuse ? 1 : 0);
   PutU8(out, o.enable_anytime ? 1 : 0);
@@ -312,7 +311,6 @@ Result<engine::QueryRequest> DecodeQueryBody(std::span<const uint8_t> payload) {
   o.enable_subplan_reuse = r.GetU8() != 0;
   o.subplan_cache_budget_bytes = r.GetU64();
   o.cost_ordered_scheduling = r.GetU8() != 0;
-  o.vectorized = r.GetU8() != 0;
   const uint8_t full_mode = r.GetU8();
   if (full_mode > static_cast<uint8_t>(engine::FullMode::kHashJoin)) {
     return MalformedError("bad full mode");

@@ -8,9 +8,10 @@
 //
 // Client -> server:
 //   kQuery   — one engine::QueryRequest (keywords, decomposition, mode,
-//              deadline, cache mode, every QueryOptions scalar knob). The
-//              server rejects a second kQuery while one is in flight on the
-//              same connection with a kError frame.
+//              deadline, cache mode, every QueryOptions scalar knob the
+//              library reads; `vectorized` and `kernel_dispatch` are not
+//              sent). The server rejects a second kQuery while one is in
+//              flight on the same connection with a kError frame.
 //   kCancel  — cooperative cancel of the in-flight query named by request_id.
 //
 // Server -> client:

@@ -12,8 +12,8 @@
 // cheapest consumer of a shared group therefore runs first and becomes the
 // group's producer (the hoisted shared producer), and the top-k executor
 // reaches its global stopping bound earlier. The schedule depends only on
-// plan metadata — never on reuse/vectorization/threading knobs — so results
-// stay byte-identical across those axes.
+// plan metadata — never on reuse/threading knobs — so results stay
+// byte-identical across those axes.
 
 #ifndef XK_OPT_PLAN_DAG_H_
 #define XK_OPT_PLAN_DAG_H_

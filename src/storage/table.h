@@ -92,7 +92,7 @@ class Table {
   }
 
   /// Raw row-major storage (`arity()` ids per row). Memory backend only;
-  /// the vectorized kernels fall back to TableReadCursor when paged.
+  /// the selection kernels fall back to TableReadCursor when paged.
   const ObjectId* RowData() const {
     XK_CHECK(paged_ == nullptr);
     return rows_.data();

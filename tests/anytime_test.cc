@@ -1,9 +1,8 @@
 // Differential harness for deadline-aware anytime execution:
 //
 //  * Inertness — with no deadline and no cost budget, enable_anytime on vs.
-//    off must be BYTE-IDENTICAL across every mode x reuse x vectorized x
-//    thread-count combination (the anytime machinery may exist
-//    only as a ledger there).
+//    off must be BYTE-IDENTICAL across every mode x reuse x thread-count
+//    combination (the anytime machinery may exist only as a ledger there).
 //  * Soundness — under a deterministic cost budget, the result prefix drawn
 //    from CN size classes <= Coverage::exhausted_class must byte-match the
 //    unbounded run: the budget skips whole networks, never truncates the
@@ -19,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -26,6 +26,7 @@
 
 #include "datagen/dblp_gen.h"
 #include "engine/progress_budget.h"
+#include "engine/topk_executor.h"
 #include "engine/xkeyword.h"
 #include "service/query_service.h"
 #include "test_util.h"
@@ -110,41 +111,38 @@ datagen::DblpDatabase* AnytimeTest::db_ = nullptr;
 XKeyword* AnytimeTest::xk_ = nullptr;
 
 // With no deadline and no cost budget the anytime knob must be inert:
-// byte-identical responses for every mode/reuse/vectorized/thread
-// combination, all reported complete.
+// byte-identical responses for every mode/reuse/thread combination, all
+// reported complete.
 TEST_F(AnytimeTest, UnboundedAnytimeIsByteIdenticalAcrossKnobMatrix) {
   for (QueryMode mode : {QueryMode::kTopK, QueryMode::kNaive, QueryMode::kAll}) {
     for (bool reuse : {false, true}) {
-      for (bool vectorized : {false, true}) {
-        for (int threads : {1, 4}) {
-          QueryOptions options;
-          options.max_size_z = 6;
-          options.per_network_k = 50;
-          options.enable_subplan_reuse = reuse;
-          options.enable_scan_reuse = reuse;
-          options.vectorized = vectorized;
-          options.num_threads = threads;
+      for (int threads : {1, 4}) {
+        QueryOptions options;
+        options.max_size_z = 6;
+        options.per_network_k = 50;
+        options.enable_subplan_reuse = reuse;
+        options.enable_scan_reuse = reuse;
+        options.num_threads = threads;
 
-          QueryRequest off = Request(mode, options);
-          off.options.enable_anytime = false;
-          QueryRequest on = Request(mode, options);
-          on.options.enable_anytime = true;
+        QueryRequest off = Request(mode, options);
+        off.options.enable_anytime = false;
+        QueryRequest on = Request(mode, options);
+        on.options.enable_anytime = true;
 
-          const std::string what =
-              (::testing::Message()
-               << "mode=" << static_cast<int>(mode) << " reuse=" << reuse
-               << " vectorized=" << vectorized << " threads=" << threads)
-                  .GetString();
-          XK_ASSERT_OK_AND_ASSIGN(QueryResponse a, xk_->Run(off));
-          XK_ASSERT_OK_AND_ASSIGN(QueryResponse b, xk_->Run(on));
-          ASSERT_TRUE(a.status.ok()) << what;
-          ASSERT_TRUE(b.status.ok()) << what;
-          EXPECT_EQ(a.mttons, b.mttons) << what;
-          EXPECT_EQ(a.completeness, Completeness::kComplete) << what;
-          EXPECT_EQ(b.completeness, Completeness::kComplete) << what;
-          EXPECT_TRUE(b.coverage.complete()) << what;
-          EXPECT_EQ(b.coverage.cns_skipped, 0u) << what;
-        }
+        const std::string what =
+            (::testing::Message()
+             << "mode=" << static_cast<int>(mode) << " reuse=" << reuse
+             << " threads=" << threads)
+                .GetString();
+        XK_ASSERT_OK_AND_ASSIGN(QueryResponse a, xk_->Run(off));
+        XK_ASSERT_OK_AND_ASSIGN(QueryResponse b, xk_->Run(on));
+        ASSERT_TRUE(a.status.ok()) << what;
+        ASSERT_TRUE(b.status.ok()) << what;
+        EXPECT_EQ(a.mttons, b.mttons) << what;
+        EXPECT_EQ(a.completeness, Completeness::kComplete) << what;
+        EXPECT_EQ(b.completeness, Completeness::kComplete) << what;
+        EXPECT_TRUE(b.coverage.complete()) << what;
+        EXPECT_EQ(b.coverage.cns_skipped, 0u) << what;
       }
     }
   }
@@ -259,6 +257,88 @@ TEST_F(AnytimeTest, DeadlineSkipsAreDeadlineLimitedCostSkipsAreNot) {
   const Coverage cost_cov = cost.Finish();
   EXPECT_EQ(cost_cov.cns_skipped, q.plans.size() - 1);
   EXPECT_FALSE(cost_cov.deadline_limited);
+}
+
+// The wall-clock row allowance: unlimited (0) until a completed plan has
+// calibrated the ns-per-row estimate; then, with the deadline already gone,
+// exactly the anytime_min_plan_rows floor for every further plan.
+TEST_F(AnytimeTest, ExpiredDeadlineAllowanceIsTheMinPlanRowsFloor) {
+  QueryOptions options;
+  options.max_size_z = 6;
+  options.anytime_min_plan_rows = 123;
+  XK_ASSERT_OK_AND_ASSIGN(engine::PreparedQuery q,
+                          xk_->Prepare({"gray", "codd"}, "XKeyword", options));
+  ASSERT_GE(q.plans.size(), 2u);
+  const std::vector<bool> active(q.plans.size(), true);
+
+  CancelToken token;
+  token.SetDeadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  QueryOptions timed = options;
+  timed.cancel = &token;
+  engine::ProgressBudget budget(q, active, timed);
+  ASSERT_TRUE(budget.AdmitPlan(0));
+  EXPECT_EQ(budget.RowAllowance(), 0u);
+  budget.OnPlanComplete(0, /*rows_scanned=*/1000, /*elapsed_ns=*/50'000);
+  EXPECT_EQ(budget.RowAllowance(), 123u);
+  EXPECT_EQ(budget.RowAllowance(), 123u);
+
+  // Without a deadline there is never an allowance.
+  engine::ProgressBudget unbounded(q, active, options);
+  unbounded.OnPlanComplete(0, 1000, 50'000);
+  EXPECT_EQ(unbounded.RowAllowance(), 0u);
+}
+
+// A PlanEvaluator with a row allowance emits a prefix of its unbounded run's
+// emission sequence and stops once its rows scanned reach the allowance; an
+// allowance the plan never reaches changes nothing.
+TEST_F(AnytimeTest, RowAllowanceStopsOnAPrefixOfTheUnboundedRun) {
+  QueryOptions options;
+  options.max_size_z = 6;
+  XK_ASSERT_OK_AND_ASSIGN(engine::PreparedQuery q,
+                          xk_->Prepare({"gray", "codd"}, "XKeyword", options));
+
+  struct Run {
+    std::vector<std::vector<storage::ObjectId>> emitted;
+    uint64_t rows_scanned = 0;
+    bool spent = false;
+  };
+  size_t plans_checked = 0;
+  for (const opt::CtssnPlan& plan : q.plans) {
+    if (plan.query.steps.size() < 2) continue;
+    engine::PlanLayout layout(&plan, /*enable_semijoin_pruning=*/false,
+                              /*bloom_cache=*/nullptr, /*build_stats=*/nullptr);
+    auto run = [&](uint64_t allowance) {
+      engine::PlanEvaluator evaluator(&layout, q.exec_options, options.enable_cache,
+                                      options.cache_capacity);
+      evaluator.set_row_allowance(allowance);
+      Run out;
+      evaluator.Run([&](const std::vector<storage::ObjectId>& objs) {
+        out.emitted.push_back(objs);
+        return true;
+      });
+      out.rows_scanned = evaluator.stats().probes.rows_scanned;
+      out.spent = evaluator.row_allowance_spent();
+      return out;
+    };
+    const Run full = run(0);
+    EXPECT_FALSE(full.spent);
+    if (full.emitted.size() < 2 || full.rows_scanned < 4) continue;
+    ++plans_checked;
+
+    const Run cut = run(full.rows_scanned / 2);
+    EXPECT_TRUE(cut.spent);
+    EXPECT_GE(cut.rows_scanned, full.rows_scanned / 2);
+    EXPECT_LT(cut.rows_scanned, full.rows_scanned);
+    ASSERT_LE(cut.emitted.size(), full.emitted.size());
+    EXPECT_TRUE(std::equal(cut.emitted.begin(), cut.emitted.end(),
+                           full.emitted.begin()));
+
+    const Run roomy = run(full.rows_scanned + 1);
+    EXPECT_FALSE(roomy.spent);
+    EXPECT_EQ(roomy.emitted, full.emitted);
+    EXPECT_EQ(roomy.rows_scanned, full.rows_scanned);
+  }
+  EXPECT_GT(plans_checked, 0u);
 }
 
 // Serving layer under concurrent degradation (tsan-labeled): many clients

@@ -1,8 +1,10 @@
-// Tests for access paths and join executors, including a property sweep
-// asserting that every physical design returns identical probe results.
+// Tests for access paths and the nested-loop join executor, including property
+// sweeps asserting that every physical design and block size returns the rows
+// a brute-force scan of the table finds.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -230,20 +232,6 @@ TEST(ForEachMatchTest, StatsCountProbesAndRows) {
   EXPECT_LE(stats.rows_matched, stats.rows_scanned);
 }
 
-TEST(TableScanIteratorTest, FiltersAndDrains) {
-  auto t = MakeEdgeTable(Physical::kNone, 5, /*rows=*/50, /*domain=*/4);
-  TableScanIterator it(*t, {ColumnBinding{0, 2}}, {});
-  Tuple row;
-  size_t n = 0;
-  while (it.Next(&row)) {
-    ASSERT_EQ(row.size(), 2u);
-    EXPECT_EQ(row[0], 2);
-    ++n;
-  }
-  EXPECT_GT(n, 0u);
-  EXPECT_FALSE(it.Next(&row));  // stays drained
-}
-
 // --- Join executors ------------------------------------------------------
 
 /// Two-step join: edges(src,dst) |><| edges2(src,dst) on dst == src.
@@ -286,30 +274,40 @@ TEST(JoinQueryTest, ValidateCatchesBadPlans) {
   EXPECT_TRUE(bad_col.Validate().IsOutOfRange());
 }
 
-TEST(JoinExecutorsTest, NestedLoopAndHashJoinAgree) {
+/// Brute-force join reference: every (left, right) row pair in row order,
+/// kept when right.src == left.dst and the left filter (if any) holds.
+std::multiset<std::vector<ObjectId>> OracleJoin(const JoinFixture& f,
+                                                const storage::IdSet* left_filter) {
+  std::multiset<std::vector<ObjectId>> out;
+  for (RowId l = 0; l < f.left->NumRows(); ++l) {
+    if (left_filter != nullptr && !left_filter->contains(f.left->At(l, 0))) continue;
+    for (RowId r = 0; r < f.right->NumRows(); ++r) {
+      if (f.right->At(r, 0) != f.left->At(l, 1)) continue;
+      out.insert({f.left->At(l, 0), f.left->At(l, 1), f.right->At(r, 0),
+                  f.right->At(r, 1)});
+    }
+  }
+  return out;
+}
+
+TEST(JoinExecutorsTest, NestedLoopMatchesBruteForceJoin) {
   JoinFixture f;
-  JoinQuery q = f.MakeQuery();
-
-  std::multiset<std::vector<ObjectId>> nl_rows;
-  NestedLoopExecutor nl(&q, ExecOptions{});
-  XK_ASSERT_OK(nl.Run([&](const std::vector<storage::TupleView>& rows) {
-    std::vector<ObjectId> flat;
-    for (auto view : rows) flat.insert(flat.end(), view.begin(), view.end());
-    nl_rows.insert(std::move(flat));
-    return true;
-  }));
-
-  std::multiset<std::vector<ObjectId>> hj_rows;
-  HashJoinExecutor hj(&q);
-  XK_ASSERT_OK(hj.Run([&](const std::vector<storage::TupleView>& rows) {
-    std::vector<ObjectId> flat;
-    for (auto view : rows) flat.insert(flat.end(), view.begin(), view.end());
-    hj_rows.insert(std::move(flat));
-    return true;
-  }));
-
-  EXPECT_FALSE(nl_rows.empty());
-  EXPECT_EQ(nl_rows, hj_rows);
+  const storage::IdSet filter = {0, 1, 2};
+  for (const storage::IdSet* left_filter :
+       std::vector<const storage::IdSet*>{nullptr, &filter}) {
+    JoinQuery q = f.MakeQuery(left_filter);
+    std::multiset<std::vector<ObjectId>> got;
+    NestedLoopExecutor nl(&q, ExecOptions{});
+    XK_ASSERT_OK(nl.Run([&](const std::vector<storage::TupleView>& rows) {
+      std::vector<ObjectId> flat;
+      for (auto view : rows) flat.insert(flat.end(), view.begin(), view.end());
+      got.insert(std::move(flat));
+      return true;
+    }));
+    const auto expected = OracleJoin(f, left_filter);
+    EXPECT_FALSE(expected.empty());
+    EXPECT_EQ(got, expected) << "filtered=" << (left_filter != nullptr);
+  }
 }
 
 TEST(JoinExecutorsTest, LimitStopsNestedLoop) {
@@ -326,53 +324,58 @@ TEST(JoinExecutorsTest, LimitStopsNestedLoop) {
   EXPECT_EQ(count, 7u);
 }
 
-TEST(JoinExecutorsTest, InFilterRestrictsBothExecutors) {
-  JoinFixture f;
-  storage::IdSet filter = {0, 1, 2};
-  JoinQuery q = f.MakeQuery(&filter);
-
-  size_t nl_count = 0;
-  NestedLoopExecutor nl(&q, ExecOptions{});
-  XK_ASSERT_OK(nl.Run([&](const std::vector<storage::TupleView>& rows) {
-    EXPECT_TRUE(filter.contains(rows[0][0]));
-    ++nl_count;
-    return true;
-  }));
-
-  size_t hj_count = 0;
-  HashJoinExecutor hj(&q);
-  XK_ASSERT_OK(hj.Run([&](const std::vector<storage::TupleView>& rows) {
-    EXPECT_TRUE(filter.contains(rows[0][0]));
-    ++hj_count;
-    return true;
-  }));
-  EXPECT_EQ(nl_count, hj_count);
-}
-
-// --- Vectorized execution ------------------------------------------------
+// --- The probe against a brute-force oracle --------------------------------
 
 /// Ordered row-id trace of one probe, with the path chosen by `opts`.
 std::vector<RowId> ProbeTrace(const Table& t,
                               const std::vector<ColumnBinding>& bindings,
                               const std::vector<ColumnInSet>& in_filters,
-                              ExecOptions opts, ProbeStats* stats = nullptr) {
+                              ExecOptions opts, ProbeStats* stats = nullptr,
+                              AccessPathKind* kind = nullptr) {
   std::vector<RowId> out;
-  ForEachMatch(t, bindings, in_filters, opts,
-               [&](RowId r) {
-                 out.push_back(r);
-                 return true;
-               },
-               stats);
+  const AccessPathKind k = ForEachMatch(t, bindings, in_filters, opts,
+                                        [&](RowId r) {
+                                          out.push_back(r);
+                                          return true;
+                                        },
+                                        stats);
+  if (kind != nullptr) *kind = k;
   return out;
 }
 
-/// Row path vs block path must emit the exact same row-id sequence — across
-/// every physical design, binding shape, and block size, including blocks of
-/// one row, a block size that never divides the table, empty results, and
-/// filters that kill entire blocks.
-class VectorizedDifferential : public ::testing::TestWithParam<int> {};
+/// Brute-force reference for one probe: every row in row order, kept when
+/// each binding and in-set filter holds, read through Table::At. It shares
+/// nothing with the probe under test (no ChoosePath, CandidateCursor or
+/// RowPasses).
+std::vector<RowId> OracleMatches(const Table& t,
+                                 const std::vector<ColumnBinding>& bindings,
+                                 const std::vector<ColumnInSet>& in_filters) {
+  std::vector<RowId> out;
+  for (RowId r = 0; r < t.NumRows(); ++r) {
+    bool keep = true;
+    for (const ColumnBinding& b : bindings) keep = keep && t.At(r, b.column) == b.value;
+    for (const ColumnInSet& f : in_filters) {
+      keep = keep && f.set->contains(t.At(r, f.column));
+    }
+    if (keep) out.push_back(r);
+  }
+  return out;
+}
 
-TEST_P(VectorizedDifferential, RowAndBlockPathsAreByteIdentical) {
+/// Paths whose candidates arrive in row order; the others (composite and
+/// hash index runs) only promise the same rows.
+bool RowOrdered(AccessPathKind kind) {
+  return kind == AccessPathKind::kFullScan || kind == AccessPathKind::kKeywordSeek ||
+         kind == AccessPathKind::kClusteredRange;
+}
+
+/// The probe must return the oracle's rows on every physical design, binding
+/// shape and block size — including blocks of one row, block sizes that never
+/// divide the table, empty results and filters that kill entire blocks — and
+/// the block size must not move its row sequence or its counters.
+class ProbeOracleDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(ProbeOracleDifferential, MatchesBruteForceAtEveryBlockSize) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   storage::IdSet odd;
   for (ObjectId v = 1; v < 20; v += 2) odd.insert(v);
@@ -403,44 +406,53 @@ TEST_P(VectorizedDifferential, RowAndBlockPathsAreByteIdentical) {
     auto t = MakeEdgeTable(physical, seed, /*rows=*/301, /*domain=*/20);
     for (size_t ci = 0; ci < cases.size(); ++ci) {
       const Case& c = cases[ci];
-      ExecOptions row_opts;
-      row_opts.vectorized = false;
-      ProbeStats row_stats;
-      const std::vector<RowId> expected =
-          ProbeTrace(*t, c.bindings, c.filters, row_opts, &row_stats);
+      const std::vector<RowId> oracle = OracleMatches(*t, c.bindings, c.filters);
+      std::vector<RowId> sorted_oracle = oracle;
+      std::sort(sorted_oracle.begin(), sorted_oracle.end());
+      std::vector<RowId> first_trace;
+      ProbeStats first_stats;
       for (size_t bs : {size_t{1}, size_t{7}, size_t{15}, size_t{16},
                         size_t{17}, size_t{1024}}) {
-        ExecOptions blk_opts;
-        blk_opts.block_size = bs;
-        ProbeStats blk_stats;
-        EXPECT_EQ(ProbeTrace(*t, c.bindings, c.filters, blk_opts, &blk_stats),
-                  expected)
-            << "physical=" << static_cast<int>(physical) << " case=" << ci
-            << " block_size=" << bs;
-        // Without an early stop, the block path scans and matches the exact
-        // same rows the row path does.
-        EXPECT_EQ(blk_stats.rows_scanned, row_stats.rows_scanned);
-        EXPECT_EQ(blk_stats.rows_matched, row_stats.rows_matched);
-        EXPECT_EQ(blk_stats.probes, row_stats.probes);
+        const std::string where = "physical=" + std::to_string(static_cast<int>(physical)) +
+                                  " case=" + std::to_string(ci) +
+                                  " block_size=" + std::to_string(bs);
+        ProbeStats stats;
+        AccessPathKind kind;
+        const std::vector<RowId> trace = ProbeTrace(
+            *t, c.bindings, c.filters, ExecOptions{.block_size = bs}, &stats, &kind);
+        if (RowOrdered(kind)) {
+          EXPECT_EQ(trace, oracle) << where;
+        } else {
+          std::vector<RowId> sorted = trace;
+          std::sort(sorted.begin(), sorted.end());
+          EXPECT_EQ(sorted, sorted_oracle) << where;
+        }
+        EXPECT_EQ(stats.rows_matched, oracle.size()) << where;
+        EXPECT_EQ(stats.probes, 1u) << where;
+        if (bs == 1) {
+          first_trace = trace;
+          first_stats = stats;
+          continue;
+        }
+        // Without an early stop the block size moves nothing.
+        EXPECT_EQ(trace, first_trace) << where;
+        EXPECT_EQ(stats.rows_scanned, first_stats.rows_scanned) << where;
+        EXPECT_EQ(stats.rows_matched, first_stats.rows_matched) << where;
+        EXPECT_EQ(stats.probes, first_stats.probes) << where;
       }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, VectorizedDifferential, ::testing::Range(1, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, ProbeOracleDifferential, ::testing::Range(1, 6));
 
-TEST(ForEachMatchBlockTest, EarlyStopAndBloomPruneMatchRowPath) {
+TEST(BlockProbeTest, EarlyStopAndBloomPrune) {
   auto t = MakeEdgeTable(Physical::kHash, 6, /*rows=*/200, /*domain=*/30);
-  // Early stop: the first 5 matches are the same rows the row path yields.
-  ExecOptions row_opts;
-  row_opts.vectorized = false;
-  std::vector<RowId> expected;
-  ForEachMatch(*t, {}, {}, row_opts,
-               [&](RowId r) {
-                 expected.push_back(r);
-                 return expected.size() < 5;
-               },
-               nullptr);
+  // Early stop: a full scan in blocks of 7 hands out the oracle's first 5
+  // rows, then stops.
+  std::vector<RowId> expected = OracleMatches(*t, {}, {});
+  ASSERT_GE(expected.size(), 5u);
+  expected.resize(5);
   std::vector<RowId> got;
   ForEachMatch(*t, {}, {}, ExecOptions{.block_size = 7},
                [&](RowId r) {
@@ -478,92 +490,6 @@ TEST(SelectionKernelTest, CompactAscendingWithoutAllocation) {
   storage::IdSet none = {999};
   EXPECT_EQ(SelInSet(*t, &block, 1, none), 0u);
   EXPECT_EQ(block.num_selected, 0u);
-}
-
-TEST(ScanBlockIteratorTest, MatchesTableScanIteratorThroughAdapter) {
-  auto t = MakeEdgeTable(Physical::kNone, 21, /*rows=*/133, /*domain=*/6);
-  for (size_t bs : {size_t{1}, size_t{7}, size_t{1024}}) {
-    ExecOptions opts;
-    opts.block_size = bs;
-    ScanBlockIterator blocks(*t, {ColumnBinding{0, 2}}, {}, opts);
-    EXPECT_EQ(blocks.path(), AccessPathKind::kFullScan);
-    BlockRowAdapter rows(&blocks);
-    TableScanIterator expected(*t, {ColumnBinding{0, 2}}, {});
-    Tuple a, b;
-    size_t n = 0;
-    while (true) {
-      const bool more_expected = expected.Next(&a);
-      ASSERT_EQ(rows.Next(&b), more_expected) << "block_size=" << bs;
-      if (!more_expected) break;
-      EXPECT_EQ(b, a) << "row " << n << " block_size=" << bs;
-      ++n;
-    }
-    EXPECT_GT(n, 0u);
-    EXPECT_FALSE(rows.Next(&b));  // stays drained
-  }
-
-  // A scan with no survivors produces no blocks.
-  ScanBlockIterator empty(*t, {ColumnBinding{0, 10'000}}, {}, ExecOptions{});
-  RowBlock block;
-  EXPECT_FALSE(empty.Next(&block));
-}
-
-TEST(IndexNestedLoopBlockIteratorTest, MatchesRowNestedLoopJoin) {
-  JoinFixture f;
-  JoinQuery q = f.MakeQuery();
-
-  std::vector<std::vector<ObjectId>> expected;
-  NestedLoopExecutor nl(&q, ExecOptions{});
-  XK_ASSERT_OK(nl.Run([&](const std::vector<storage::TupleView>& rows) {
-    std::vector<ObjectId> flat;
-    for (auto view : rows) flat.insert(flat.end(), view.begin(), view.end());
-    expected.push_back(std::move(flat));
-    return true;
-  }));
-  ASSERT_FALSE(expected.empty());
-
-  for (size_t bs : {size_t{1}, size_t{7}, size_t{1024}}) {
-    ExecOptions opts;
-    opts.block_size = bs;
-    ScanBlockIterator outer(*f.left, {}, {}, opts);
-    // right.src (col 0) == left.dst (col 1), as in MakeQuery.
-    IndexNestedLoopBlockIterator join(
-        &outer, *f.right, {IndexNestedLoopBlockIterator::JoinKey{0, 1}}, {},
-        opts);
-    BlockRowAdapter rows(&join);
-    Tuple row;
-    std::vector<std::vector<ObjectId>> got;
-    while (rows.Next(&row)) got.push_back(row);
-    EXPECT_EQ(got, expected) << "block_size=" << bs;
-  }
-}
-
-TEST(JoinExecutorsTest, HashJoinVectorizedMatchesLegacyExactly) {
-  JoinFixture f;
-  storage::IdSet filter = {0, 1, 2, 3};
-  JoinQuery q = f.MakeQuery(&filter);
-
-  auto collect = [&](ExecOptions opts) {
-    std::vector<std::vector<ObjectId>> out;
-    HashJoinExecutor hj(&q, opts);
-    XK_EXPECT_OK(hj.Run([&](const std::vector<storage::TupleView>& rows) {
-      std::vector<ObjectId> flat;
-      for (auto view : rows) flat.insert(flat.end(), view.begin(), view.end());
-      out.push_back(std::move(flat));
-      return true;
-    }));
-    return out;
-  };
-
-  ExecOptions legacy;
-  legacy.vectorized = false;
-  const auto expected = collect(legacy);
-  EXPECT_FALSE(expected.empty());
-  for (size_t bs : {size_t{1}, size_t{7}, size_t{1024}}) {
-    ExecOptions vec;
-    vec.block_size = bs;
-    EXPECT_EQ(collect(vec), expected) << "block_size=" << bs;
-  }
 }
 
 // --- JoinHashTable -------------------------------------------------------
@@ -759,96 +685,6 @@ TEST(SelectionKernelTest, InSetLadderCoversSetSizesOneThroughFive) {
   }
 }
 
-TEST(IndexNestedLoopBlockIteratorTest, InnerBloomsPruneWithoutChangingRows) {
-  auto outer_t = MakeEdgeTable(Physical::kNone, 31, /*rows=*/150, /*domain=*/30);
-  auto inner_t = MakeEdgeTable(Physical::kHash, 32, /*rows=*/150, /*domain=*/30);
-
-  // Bloom over the inner join column's actual values: outer rows joining on
-  // a value the inner side never has are pruned without probing.
-  storage::BloomFilter bloom(inner_t->NumRows());
-  for (RowId r = 0; r < inner_t->NumRows(); ++r) bloom.Add(inner_t->At(r, 0));
-
-  auto run = [&](bool with_blooms, ProbeStats* stats) {
-    ScanBlockIterator outer(*outer_t, {}, {});
-    IndexNestedLoopBlockIterator join(
-        &outer, *inner_t, {{.inner_column = 0, .outer_column = 1}});
-    if (with_blooms) join.set_inner_blooms({ColumnBloom{0, &bloom}});
-    std::vector<std::vector<ObjectId>> rows;
-    RowBlock block;
-    while (join.Next(&block)) {
-      for (size_t i = 0; i < block.num_selected; ++i) {
-        std::vector<ObjectId> row;
-        for (int c = 0; c < join.arity(); ++c) {
-          row.push_back(block.column(c)[block.sel[i]]);
-        }
-        rows.push_back(std::move(row));
-      }
-    }
-    *stats = join.stats();
-    return rows;
-  };
-
-  ProbeStats plain_stats, bloom_stats;
-  const auto expected = run(/*with_blooms=*/false, &plain_stats);
-  EXPECT_EQ(run(/*with_blooms=*/true, &bloom_stats), expected);
-  // Every pruned outer row still counts as a (bloom-skipped) probe, so probe
-  // totals match the per-row accounting; scanned rows can only shrink.
-  EXPECT_EQ(bloom_stats.probes, plain_stats.probes);
-  EXPECT_LE(bloom_stats.rows_scanned, plain_stats.rows_scanned);
-  EXPECT_EQ(bloom_stats.rows_matched, plain_stats.rows_matched);
-}
-
-TEST(IndexNestedLoopBlockIteratorTest, SecondBloomPrunesThePartialSelection) {
-  // Two join keys, one Bloom each: the second Bloom sees only the rows the
-  // first kept, so every skip must match a per-row MayContain count over
-  // the incoming selection.
-  auto outer_t = MakeEdgeTable(Physical::kNone, 41, /*rows=*/300, /*domain=*/30);
-  Table inner_t("inner", std::vector<std::string>{"src", "dst"});
-  for (ObjectId a = 0; a < 30; a += 2) {
-    for (ObjectId b = 0; b < 15; ++b) XK_EXPECT_OK(inner_t.Append(Tuple{a, b}));
-  }
-  XK_EXPECT_OK(inner_t.BuildHashIndex(0));
-  storage::BloomFilter even(inner_t.NumRows()), low(inner_t.NumRows());
-  for (RowId r = 0; r < inner_t.NumRows(); ++r) {
-    even.Add(inner_t.At(r, 0));
-    low.Add(inner_t.At(r, 1));
-  }
-
-  auto run = [&](bool with_blooms, ProbeStats* stats) {
-    ScanBlockIterator outer(*outer_t, {}, {});
-    IndexNestedLoopBlockIterator join(
-        &outer, inner_t,
-        {{.inner_column = 0, .outer_column = 1},
-         {.inner_column = 1, .outer_column = 0}});
-    if (with_blooms) {
-      join.set_inner_blooms({ColumnBloom{0, &even}, ColumnBloom{1, &low}});
-    }
-    size_t rows = 0;
-    RowBlock block;
-    while (join.Next(&block)) rows += block.num_selected;
-    *stats = join.stats();
-    return rows;
-  };
-
-  uint64_t first_skips = 0, second_skips = 0;
-  for (RowId r = 0; r < outer_t->NumRows(); ++r) {
-    if (!even.MayContain(outer_t->At(r, 1))) {
-      ++first_skips;
-    } else if (!low.MayContain(outer_t->At(r, 0))) {
-      ++second_skips;
-    }
-  }
-  ASSERT_GT(first_skips, 0u);
-  ASSERT_GT(second_skips, 0u);
-
-  ProbeStats plain_stats, bloom_stats;
-  const size_t expected = run(/*with_blooms=*/false, &plain_stats);
-  EXPECT_EQ(run(/*with_blooms=*/true, &bloom_stats), expected);
-  EXPECT_EQ(bloom_stats.bloom_skips, first_skips + second_skips);
-  EXPECT_EQ(bloom_stats.probes, plain_stats.probes);
-  EXPECT_EQ(plain_stats.bloom_skips, 0u);
-}
-
 // --- Keyword seek ----------------------------------------------------------
 
 /// Physical designs of the keyword-seek differential. kClustered mirrors a
@@ -943,41 +779,36 @@ TEST_P(KeywordSeekDifferential, SeekEqualsScanUnderEarlyStops) {
                             SeekDesign::kHash, SeekDesign::kNone}) {
     auto t = MakeRelation(design, seed);
     for (const Case& c : cases) {
-      for (bool vectorized : {false, true}) {
-        for (size_t block_size : {size_t{0}, size_t{7}}) {
-          if (!vectorized && block_size != 0) continue;
-          ExecOptions seek_opts;
-          seek_opts.vectorized = vectorized;
-          seek_opts.block_size = block_size;
-          ExecOptions scan_opts = seek_opts;
-          scan_opts.use_indexes = false;
-          for (size_t limit : {size_t{1}, size_t{5}, SIZE_MAX}) {
-            const std::string where =
-                std::string(c.name) + " design=" +
-                std::to_string(static_cast<int>(design)) +
-                " vectorized=" + std::to_string(vectorized) +
-                " block_size=" + std::to_string(block_size) +
-                " limit=" + std::to_string(limit);
-            ProbeStats seek_stats, scan_stats;
-            AccessPathKind seek_kind, scan_kind;
-            const std::vector<RowId> seek =
-                StoppedTrace(*t, c.filters, seek_opts, limit, &seek_stats, &seek_kind);
-            const std::vector<RowId> scan =
-                StoppedTrace(*t, c.filters, scan_opts, limit, &scan_stats, &scan_kind);
-            EXPECT_EQ(seek, scan) << where;
-            EXPECT_EQ(scan_kind, AccessPathKind::kFullScan) << where;
-            // The row path counts matches row by row; the block path counts
-            // whole blocks, whose make-up differs between seek and scan, so
-            // its counts agree once the probe runs to the end.
-            if (!vectorized || limit == SIZE_MAX) {
-              EXPECT_EQ(seek_stats.rows_matched, scan_stats.rows_matched) << where;
-            }
-            // Hash indexes never seek: only key-ordered runs are merged.
-            const bool must_seek = c.seekable && design == SeekDesign::kClustered;
-            EXPECT_EQ(seek_kind == AccessPathKind::kKeywordSeek, must_seek) << where;
-            if (must_seek && limit == SIZE_MAX) {
-              EXPECT_LT(seek_stats.rows_scanned, t->NumRows() / 4) << where;
-            }
+      for (size_t block_size : {size_t{0}, size_t{7}}) {
+        ExecOptions seek_opts;
+        seek_opts.block_size = block_size;
+        ExecOptions scan_opts = seek_opts;
+        scan_opts.use_indexes = false;
+        for (size_t limit : {size_t{1}, size_t{5}, SIZE_MAX}) {
+          const std::string where =
+              std::string(c.name) + " design=" +
+              std::to_string(static_cast<int>(design)) +
+              " block_size=" + std::to_string(block_size) +
+              " limit=" + std::to_string(limit);
+          ProbeStats seek_stats, scan_stats;
+          AccessPathKind seek_kind, scan_kind;
+          const std::vector<RowId> seek =
+              StoppedTrace(*t, c.filters, seek_opts, limit, &seek_stats, &seek_kind);
+          const std::vector<RowId> scan =
+              StoppedTrace(*t, c.filters, scan_opts, limit, &scan_stats, &scan_kind);
+          EXPECT_EQ(seek, scan) << where;
+          EXPECT_EQ(scan_kind, AccessPathKind::kFullScan) << where;
+          // The block regime counts whole blocks, whose make-up differs
+          // between seek and scan, so the counts agree once the probe runs
+          // to the end.
+          if (limit == SIZE_MAX) {
+            EXPECT_EQ(seek_stats.rows_matched, scan_stats.rows_matched) << where;
+          }
+          // Hash indexes never seek: only key-ordered runs are merged.
+          const bool must_seek = c.seekable && design == SeekDesign::kClustered;
+          EXPECT_EQ(seek_kind == AccessPathKind::kKeywordSeek, must_seek) << where;
+          if (must_seek && limit == SIZE_MAX) {
+            EXPECT_LT(seek_stats.rows_scanned, t->NumRows() / 4) << where;
           }
         }
       }
@@ -1021,31 +852,25 @@ TEST(KeywordSeekTest, IndexesAreUntouchedWhenDisabled) {
   // seek scans every row.
   auto t = MakeRelation(SeekDesign::kClustered, 11);
   const storage::IdSet one = {t->At(0, 1)};
-  for (bool vectorized : {false, true}) {
-    ExecOptions opts{.use_indexes = false, .vectorized = vectorized};
-    ProbeStats stats;
-    EXPECT_EQ(ForEachMatch(*t, {}, {{1, &one}}, opts, [](RowId) { return true; },
-                           &stats),
-              AccessPathKind::kFullScan);
-    EXPECT_EQ(stats.rows_scanned, t->NumRows());
-  }
+  ProbeStats stats;
+  EXPECT_EQ(ForEachMatch(*t, {}, {{1, &one}}, ExecOptions{.use_indexes = false},
+                         [](RowId) { return true; }, &stats),
+            AccessPathKind::kFullScan);
+  EXPECT_EQ(stats.rows_scanned, t->NumRows());
 }
 
-TEST(KeywordSeekTest, ScanBlockIteratorSeeksLikeForEachMatch) {
+TEST(KeywordSeekTest, SeeksInRowOrderAtEveryBlockSize) {
   auto t = MakeRelation(SeekDesign::kClustered, 12);
   const storage::IdSet set = {t->At(0, 2), t->At(1, 2), t->At(2, 2)};
-  const std::vector<RowId> expected =
-      ProbeTrace(*t, {}, {{2, &set}}, ExecOptions{.use_indexes = false});
+  const std::vector<RowId> expected = OracleMatches(*t, {}, {{2, &set}});
+  ASSERT_FALSE(expected.empty());
   for (size_t bs : {size_t{1}, size_t{7}, size_t{1024}}) {
-    ScanBlockIterator blocks(*t, {}, {{2, &set}}, ExecOptions{.block_size = bs});
-    EXPECT_EQ(blocks.path(), AccessPathKind::kKeywordSeek);
-    std::vector<RowId> got;
-    RowBlock block;
-    while (blocks.Next(&block)) {
-      got.insert(got.end(), block.row_ids.begin(),
-                 block.row_ids.begin() + static_cast<long>(block.size));
-    }
-    EXPECT_EQ(got, expected) << "block_size=" << bs;
+    AccessPathKind kind;
+    EXPECT_EQ(ProbeTrace(*t, {}, {{2, &set}}, ExecOptions{.block_size = bs},
+                         nullptr, &kind),
+              expected)
+        << "block_size=" << bs;
+    EXPECT_EQ(kind, AccessPathKind::kKeywordSeek) << "block_size=" << bs;
   }
 }
 

@@ -75,7 +75,6 @@ QueryRequest NonDefaultRequest() {
   o.enable_subplan_reuse = false;
   o.subplan_cache_budget_bytes = 12345;
   o.cost_ordered_scheduling = false;
-  o.vectorized = false;
   o.full_mode = engine::FullMode::kHashJoin;
   o.enable_scan_reuse = false;
   o.enable_anytime = false;
@@ -151,7 +150,6 @@ TEST(WireTest, QueryFrameRoundTrip) {
   EXPECT_EQ(got.enable_subplan_reuse, want.enable_subplan_reuse);
   EXPECT_EQ(got.subplan_cache_budget_bytes, want.subplan_cache_budget_bytes);
   EXPECT_EQ(got.cost_ordered_scheduling, want.cost_ordered_scheduling);
-  EXPECT_EQ(got.vectorized, want.vectorized);
   EXPECT_EQ(got.full_mode, want.full_mode);
   EXPECT_EQ(got.enable_scan_reuse, want.enable_scan_reuse);
   EXPECT_EQ(got.enable_anytime, want.enable_anytime);
@@ -370,20 +368,17 @@ TEST_F(NetTest, StreamedResponsesMatchInProcessSubmit) {
 
   std::vector<QueryRequest> matrix;
   for (QueryMode mode : {QueryMode::kTopK, QueryMode::kNaive, QueryMode::kAll}) {
-    for (bool vectorized : {true, false}) {
-      for (size_t global_k : {size_t{0}, size_t{7}}) {
-        QueryRequest request;
-        request.keywords = {"gray", "codd"};
-        request.decomposition = "XKeyword";
-        request.mode = mode;
-        // Both sides execute for real: no cache, no coalescing.
-        request.cache_mode = engine::CacheMode::kBypass;
-        request.options.max_size_z = 5;
-        request.options.per_network_k = 5;
-        request.options.vectorized = vectorized;
-        request.options.global_k = global_k;
-        matrix.push_back(request);
-      }
+    for (size_t global_k : {size_t{0}, size_t{7}}) {
+      QueryRequest request;
+      request.keywords = {"gray", "codd"};
+      request.decomposition = "XKeyword";
+      request.mode = mode;
+      // Both sides execute for real: no cache, no coalescing.
+      request.cache_mode = engine::CacheMode::kBypass;
+      request.options.max_size_z = 5;
+      request.options.per_network_k = 5;
+      request.options.global_k = global_k;
+      matrix.push_back(request);
     }
   }
   // The cost-unordered legacy schedule and direct execution without subplan

@@ -38,18 +38,6 @@ TEST(MaterializedSubplanTest, AppendAtReplayRoundtrip) {
     EXPECT_EQ(sub.At(r, 1), 100 + r);
     EXPECT_EQ(sub.At(r, 2), 200 + r);
   }
-  // Block replay yields the same rows in append order.
-  exec::SubplanReplayIterator it(&sub);
-  exec::RowBlock block;
-  size_t seen = 0;
-  while (it.Next(&block)) {
-    for (size_t i = 0; i < block.num_selected; ++i) {
-      EXPECT_EQ(block.column(0)[i], static_cast<storage::ObjectId>(seen));
-      EXPECT_EQ(block.column(1)[i], static_cast<storage::ObjectId>(100 + seen));
-      ++seen;
-    }
-  }
-  EXPECT_EQ(seen, kRows);
 }
 
 // --- SubplanCache --------------------------------------------------------

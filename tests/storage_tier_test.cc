@@ -3,7 +3,7 @@
 // tsan-targeted concurrency hammer), spill round-trips for tables, composite
 // orderings, BLOBs and the master index, and the memory-vs-disk differential
 // matrix — the disk backend must return results BYTE-IDENTICAL to the
-// in-memory default across modes x vectorized x threads while the pool
+// in-memory default across modes x threads while the pool
 // actually evicts (budget far below the page file).
 
 #include <fcntl.h>
@@ -877,23 +877,19 @@ TEST_F(DiskBackendDifferential, ByteIdenticalAcrossModesAndKnobs) {
   for (const auto& q : queries_) {
     for (QueryMode mode :
          {QueryMode::kTopK, QueryMode::kNaive, QueryMode::kAll}) {
-      for (bool vectorized : {true, false}) {
-        for (int threads : {1, 4}) {
-          QueryOptions options;
-          options.max_size_z = 4;
-          options.num_threads = threads;
-          options.vectorized = vectorized;
-          const std::string what =
-              q[0] + " " + q[1] + " mode=" + std::to_string(static_cast<int>(mode)) +
-              " vec=" + std::to_string(vectorized) +
-              " threads=" + std::to_string(threads);
-          const QueryRequest request = MakeRequest(q, mode, options);
-          auto expected = oracle_->Run(request);
-          auto actual = disk_->Run(request);
-          ASSERT_TRUE(expected.ok()) << what;
-          ASSERT_TRUE(actual.ok()) << what;
-          EXPECT_EQ(expected.value().mttons, actual.value().mttons) << what;
-        }
+      for (int threads : {1, 4}) {
+        QueryOptions options;
+        options.max_size_z = 4;
+        options.num_threads = threads;
+        const std::string what =
+            q[0] + " " + q[1] + " mode=" + std::to_string(static_cast<int>(mode)) +
+            " threads=" + std::to_string(threads);
+        const QueryRequest request = MakeRequest(q, mode, options);
+        auto expected = oracle_->Run(request);
+        auto actual = disk_->Run(request);
+        ASSERT_TRUE(expected.ok()) << what;
+        ASSERT_TRUE(actual.ok()) << what;
+        EXPECT_EQ(expected.value().mttons, actual.value().mttons) << what;
       }
     }
   }

@@ -145,7 +145,7 @@ TEST_F(TopKExecutorTest, PruningComposesWithThePool) {
 }
 
 // Differential harness over the plan-DAG axes: subplan reuse {on, off} ×
-// vectorized {on, off} × pool threads {1, 4} must all produce the
+// pool threads {1, 4} must all produce the
 // byte-identical result list (replay order equals the serial nested-loop
 // order; the schedule never depends on these knobs), and on queries whose
 // candidate networks share a join prefix the reuse runs must actually dedup
@@ -165,25 +165,22 @@ TEST_F(TopKExecutorTest, SubplanReuseDifferential) {
       XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> expected,
                               RunTopK(*xk_, q, decomposition, baseline));
       for (bool reuse : {false, true}) {
-        for (bool vectorized : {false, true}) {
-          for (int threads : {1, 4}) {
-            QueryOptions options = baseline;
-            options.enable_subplan_reuse = reuse;
-            options.vectorized = vectorized;
-            options.num_threads = threads;
-            ExecutionStats stats;
-            XK_ASSERT_OK_AND_ASSIGN(
-                std::vector<Mtton> actual,
-                RunTopK(*xk_, q, decomposition, options, &stats));
-            EXPECT_EQ(actual, expected)
-                << decomposition << " reuse=" << reuse << " vec=" << vectorized
-                << " threads=" << threads << " " << q[0] << "," << q[1];
-            if (reuse) {
-              total_saved += stats.dedup_saved_rows;
-            } else {
-              EXPECT_EQ(stats.subplan_hits, 0u);
-              EXPECT_EQ(stats.dedup_saved_rows, 0u);
-            }
+        for (int threads : {1, 4}) {
+          QueryOptions options = baseline;
+          options.enable_subplan_reuse = reuse;
+          options.num_threads = threads;
+          ExecutionStats stats;
+          XK_ASSERT_OK_AND_ASSIGN(
+              std::vector<Mtton> actual,
+              RunTopK(*xk_, q, decomposition, options, &stats));
+          EXPECT_EQ(actual, expected)
+              << decomposition << " reuse=" << reuse << " threads=" << threads
+              << " " << q[0] << "," << q[1];
+          if (reuse) {
+            total_saved += stats.dedup_saved_rows;
+          } else {
+            EXPECT_EQ(stats.subplan_hits, 0u);
+            EXPECT_EQ(stats.dedup_saved_rows, 0u);
           }
         }
       }
@@ -195,7 +192,7 @@ TEST_F(TopKExecutorTest, SubplanReuseDifferential) {
 }
 
 // The full-result executor's hash-join prefix memo composes with scan reuse
-// and vectorization without changing output.
+// without changing output.
 TEST_F(TopKExecutorTest, FullExecutorSubplanMemoDifferential) {
   QueryOptions baseline;
   baseline.max_size_z = 6;
