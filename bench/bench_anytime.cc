@@ -49,7 +49,6 @@ QueryRequest MakeRequest(const std::vector<std::string>& keywords) {
   request.mode = QueryMode::kTopK;
   request.options.max_size_z = 6;
   request.options.per_network_k = 10;
-  request.options.enable_anytime = true;
   return request;
 }
 

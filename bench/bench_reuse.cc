@@ -1,6 +1,7 @@
 // Ablation A5 — common-subexpression reuse across candidate networks
-// (Section 4's optimizer decision (b)): full-result execution with and
-// without the shared materialization of keyword-filtered relation scans.
+// (Section 4's optimizer decision (b)): full-result hash-join execution,
+// which materializes each keyword-filtered relation scan once per query and
+// memoizes join prefixes that several networks share.
 
 #include <benchmark/benchmark.h>
 
@@ -9,13 +10,12 @@
 
 namespace {
 
-void BM_FullResults(benchmark::State& state, bool reuse) {
+void BM_FullResults(benchmark::State& state) {
   auto& fixture = xk::bench::DblpBench::Get();
   const auto& prepared = fixture.Prepared("MinNClustNIndx", /*z=*/8);
 
   xk::engine::QueryOptions options;
   options.full_mode = xk::engine::FullMode::kHashJoin;
-  options.enable_scan_reuse = reuse;
   options.max_network_size = static_cast<int>(state.range(0));
 
   uint64_t reuse_hits = 0;
@@ -37,22 +37,16 @@ void BM_FullResults(benchmark::State& state, bool reuse) {
       static_cast<double>(reuse_hits) / static_cast<double>(state.iterations()));
   state.counters["scans"] = benchmark::Counter(
       static_cast<double>(probes) / static_cast<double>(state.iterations()));
-  // Cross-CN join-prefix memoization (the plan-DAG layer above scan reuse).
+  // Cross-CN join-prefix memoization (on top of scan sharing).
   state.counters["subplan_hits"] = benchmark::Counter(
       static_cast<double>(subplan_hits) / static_cast<double>(state.iterations()));
   state.counters["dedup_saved_rows"] = benchmark::Counter(
       static_cast<double>(saved_rows) / static_cast<double>(state.iterations()));
-  state.SetLabel(reuse ? "with reuse" : "no reuse");
 }
 
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_FullResults, with_reuse, true)
-    ->ArgName("maxCTSSN")
-    ->Arg(3)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_FullResults, no_reuse, false)
+BENCHMARK(BM_FullResults)
     ->ArgName("maxCTSSN")
     ->Arg(3)
     ->Arg(4)

@@ -48,9 +48,6 @@ struct LoopSetup {
   /// Per-query deadline (0 = unbounded). Armed at admission, so queue wait
   /// counts against it — the overload-degradation series relies on that.
   std::chrono::milliseconds deadline{0};
-  /// Anytime CN budgeting under the deadline (QueryOptions::enable_anytime);
-  /// off = the legacy truncate-mid-CN behaviour, for the A/B.
-  bool anytime = true;
 };
 
 QueryRequest MakeRequest(const std::vector<std::string>& keywords,
@@ -60,7 +57,6 @@ QueryRequest MakeRequest(const std::vector<std::string>& keywords,
   request.decomposition = "XKeyword";
   request.options.max_size_z = 6;
   request.options.per_network_k = 10;
-  request.options.enable_anytime = setup.anytime;
   request.cache_mode = setup.cache_mode;
   if (setup.deadline.count() > 0) request.deadline = setup.deadline;
   return request;
@@ -165,18 +161,15 @@ void RegisterAll() {
 
   // Deadline overload: the same saturated one-worker setup, but every query
   // carries a deadline armed at admission. Queue wait eats most of the
-  // budget, so late queries degrade; anytime:on spends the remaining budget
-  // on whole CNs (structured degraded answers with a coverage bound), while
-  // anytime:off is the legacy truncate-mid-CN behaviour. The rejected
-  // counter stays comparable to ServiceOverload — degradation converts
-  // would-be bare timeouts, not admission rejections.
-  for (bool anytime : {true, false}) {
+  // budget, so late queries degrade: the anytime budget spends what is left
+  // on whole CNs (structured degraded answers with a coverage bound). The
+  // rejected counter stays comparable to ServiceOverload — degradation
+  // converts would-be bare timeouts, not admission rejections.
+  {
     LoopSetup deadline = overload;
     deadline.deadline = std::chrono::milliseconds(7);
-    deadline.anytime = anytime;
     auto* d = benchmark::RegisterBenchmark(
-        anytime ? "ServiceDeadlineOverload/anytime:on"
-                : "ServiceDeadlineOverload/anytime:off",
+        "ServiceDeadlineOverload",
         [deadline](benchmark::State& state) {
           BM_ServiceClosedLoop(state, deadline);
         });

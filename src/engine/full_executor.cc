@@ -44,18 +44,30 @@ bool DistinctAcross(const std::vector<std::vector<int>>& groups,
   return true;
 }
 
+/// Query-scoped filtered scans, keyed by the optimizer's step signatures
+/// (Section 4's common-subexpression reuse: the same keyword-filtered
+/// relation appears in many networks). unordered_map nodes never move, so a
+/// returned scan stays valid while later steps insert.
+struct ScanCache {
+  std::unordered_map<std::string, std::vector<storage::Tuple>> scans;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+
 /// Filtered scan of one step's relation (local filters only), materialized
-/// through the reuse cache. With `use_indexes` the scan may run as a keyword
-/// seek; the rows and their order are the same either way.
-const std::vector<storage::Tuple>* FilteredScan(
-    const exec::JoinStep& step, const std::string& signature,
-    opt::MaterializedViewCache* cache, bool enable_reuse, bool use_indexes,
-    ExecutionStats* stats) {
-  if (enable_reuse) {
-    const std::vector<storage::Tuple>* hit = cache->Get(signature);
-    if (hit != nullptr) return hit;
+/// once per query. With `use_indexes` the scan may run as a keyword seek; the
+/// rows and their order are the same either way.
+const std::vector<storage::Tuple>* FilteredScan(const exec::JoinStep& step,
+                                                const std::string& signature,
+                                                ScanCache* cache, bool use_indexes,
+                                                ExecutionStats* stats) {
+  auto [it, inserted] = cache->scans.try_emplace(signature);
+  if (!inserted) {
+    ++cache->hits;
+    return &it->second;
   }
-  std::vector<storage::Tuple> rows;
+  ++cache->misses;
+  std::vector<storage::Tuple>& rows = it->second;
   const exec::ExecOptions scan_options{.use_indexes = use_indexes};
   storage::Tuple scratch;
   exec::ForEachMatch(*step.table, step.const_filters, step.in_filters, scan_options,
@@ -65,15 +77,18 @@ const std::vector<storage::Tuple>* FilteredScan(
                        return true;
                      },
                      stats != nullptr ? &stats->probes : nullptr);
-  return cache->Put(signature, std::move(rows));
+  return &rows;
 }
+
+/// Byte budget of the join-prefix memo below.
+constexpr size_t kPrefixMemoBudgetBytes = 64ull << 20;
 
 /// Query-scoped memo of hash-join prefix intermediates, keyed by the
 /// optimizer's prefix signatures. An entry stores the flat per-step scan
 /// indexes after joining the prefix's last step; since the filtered scans
-/// themselves are shared by signature (MaterializedViewCache::Put dedups),
-/// the indexes are valid for every plan carrying the signature. Only
-/// prefixes at least two plans share are stored, up to a byte budget.
+/// themselves are shared by signature (ScanCache), the indexes are valid for
+/// every plan carrying the signature. Only prefixes at least two plans share
+/// are stored, up to kPrefixMemoBudgetBytes.
 struct SubplanMemo {
   struct Entry {
     size_t width;
@@ -82,7 +97,6 @@ struct SubplanMemo {
   std::unordered_map<std::string, int> shared_count;
   std::unordered_map<std::string, Entry> entries;
   size_t bytes = 0;
-  size_t budget = 0;
 };
 
 /// Hash-join evaluation of one plan over caller-provided filtered scans.
@@ -111,20 +125,18 @@ void HashJoinOnScans(const opt::CtssnPlan& plan,
   size_t start = 1;
   std::vector<uint32_t> current;
   bool resumed = false;
-  if (memo != nullptr) {
-    for (size_t i = num_steps; i-- > 1;) {
-      auto it = memo->entries.find(plan.prefix_signatures[i]);
-      if (it == memo->entries.end()) continue;
-      width = it->second.width;
-      start = width;
-      current = it->second.rows;
-      resumed = true;
-      if (stats != nullptr) {
-        ++stats->subplan_hits;
-        stats->dedup_saved_rows += current.size() / width;
-      }
-      break;
+  for (size_t i = num_steps; i-- > 1;) {
+    auto it = memo->entries.find(plan.prefix_signatures[i]);
+    if (it == memo->entries.end()) continue;
+    width = it->second.width;
+    start = width;
+    current = it->second.rows;
+    resumed = true;
+    if (stats != nullptr) {
+      ++stats->subplan_hits;
+      stats->dedup_saved_rows += current.size() / width;
     }
+    break;
   }
   if (!resumed) {
     current.resize(scans[0]->size());
@@ -177,20 +189,18 @@ void HashJoinOnScans(const opt::CtssnPlan& plan,
     // Memoize the completed prefix when other plans share it and the budget
     // allows (only complete levels reach this point: cancellation returns
     // above, so the memo never holds truncated intermediates).
-    if (memo != nullptr) {
-      const std::string& sig = plan.prefix_signatures[i];
-      auto shared = memo->shared_count.find(sig);
-      if (shared != memo->shared_count.end() && shared->second >= 2 &&
-          memo->entries.find(sig) == memo->entries.end()) {
-        const size_t add = current.size() * sizeof(uint32_t);
-        if (memo->bytes + add <= memo->budget) {
-          memo->entries.emplace(sig, SubplanMemo::Entry{width, current});
-          memo->bytes += add;
-          if (stats != nullptr) {
-            ++stats->subplan_misses;
-            stats->subplan_bytes =
-                std::max(stats->subplan_bytes, static_cast<uint64_t>(memo->bytes));
-          }
+    const std::string& sig = plan.prefix_signatures[i];
+    auto shared = memo->shared_count.find(sig);
+    if (shared != memo->shared_count.end() && shared->second >= 2 &&
+        memo->entries.find(sig) == memo->entries.end()) {
+      const size_t add = current.size() * sizeof(uint32_t);
+      if (memo->bytes + add <= kPrefixMemoBudgetBytes) {
+        memo->entries.emplace(sig, SubplanMemo::Entry{width, current});
+        memo->bytes += add;
+        if (stats != nullptr) {
+          ++stats->subplan_misses;
+          stats->subplan_bytes =
+              std::max(stats->subplan_bytes, static_cast<uint64_t>(memo->bytes));
         }
       }
     }
@@ -213,17 +223,16 @@ void HashJoinOnScans(const opt::CtssnPlan& plan,
 }
 
 /// Full hash-join evaluation of one plan with reuse of filtered scans.
-void RunHashJoin(const opt::CtssnPlan& plan, opt::MaterializedViewCache* cache,
-                 bool enable_reuse, SubplanMemo* memo,
+void RunHashJoin(const opt::CtssnPlan& plan, ScanCache* cache, SubplanMemo* memo,
                  const exec::ExecOptions& exec_options, ExecutionStats* stats,
                  const std::function<bool(const std::vector<storage::ObjectId>&)>& emit) {
   // Filtered scans stay cancel-free: they are bounded by table size and feed
-  // the per-query reuse cache, which must never hold truncated views.
+  // the per-query scan cache, which must never hold truncated scans.
   const size_t num_steps = plan.query.steps.size();
   std::vector<const std::vector<storage::Tuple>*> scans(num_steps);
   for (size_t i = 0; i < num_steps; ++i) {
     scans[i] = FilteredScan(plan.query.steps[i], plan.step_signatures[i], cache,
-                            enable_reuse, exec_options.use_indexes, stats);
+                            exec_options.use_indexes, stats);
   }
   HashJoinOnScans(plan, scans, memo, exec_options, stats, emit);
 }
@@ -256,7 +265,7 @@ Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query
                                                       ExecutionStats* stats,
                                                       Coverage* coverage) {
   std::vector<present::Mtton> results;
-  opt::MaterializedViewCache cache;
+  ScanCache scan_cache;
   BloomCache bloom_cache(query.exec_options.use_indexes);
   BloomCache* bloom_cache_ptr =
       options_.enable_semijoin_pruning ? &bloom_cache : nullptr;
@@ -272,24 +281,17 @@ Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query
   }
   // Outcome ledger only: kAll is never budgeted (its contract is the complete
   // list), but a deadline/cancel trip still yields an honest coverage report.
-  QueryOptions ledger_options = options_;
-  ledger_options.enable_anytime = false;
-  ProgressBudget ledger(query, active, ledger_options);
+  ProgressBudget ledger(query, active);
 
   // Prefix-intermediate memo for the hash-join path: count how many runnable
   // plans carry each prefix signature, so only genuinely shared prefixes are
-  // stored. Requires scan reuse (the memo indexes the shared scans).
+  // stored.
   SubplanMemo memo;
-  SubplanMemo* memo_ptr = nullptr;
-  if (options_.enable_scan_reuse && options_.enable_subplan_reuse) {
-    memo.budget = options_.subplan_cache_budget_bytes;
-    for (size_t p = 0; p < query.plans.size(); ++p) {
-      if (!active[p]) continue;
-      for (const std::string& sig : query.plans[p].prefix_signatures) {
-        ++memo.shared_count[sig];
-      }
+  for (size_t p = 0; p < query.plans.size(); ++p) {
+    if (!active[p]) continue;
+    for (const std::string& sig : query.plans[p].prefix_signatures) {
+      ++memo.shared_count[sig];
     }
-    memo_ptr = &memo;
   }
 
   auto stop_requested = [&] {
@@ -327,8 +329,7 @@ Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query
       RunIndexNestedLoop(plan, exec_options, options_.enable_semijoin_pruning,
                          bloom_cache_ptr, stats, emit);
     } else {
-      RunHashJoin(plan, &cache, options_.enable_scan_reuse, memo_ptr,
-                  exec_options, stats, emit);
+      RunHashJoin(plan, &scan_cache, &memo, exec_options, stats, emit);
     }
     // A stop observed right after a plan may have landed mid-plan: report it
     // as interrupted, never as complete.
@@ -350,8 +351,8 @@ Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query
                    });
   if (stats != nullptr) {
     stats->results = results.size();
-    stats->reuse_hits += cache.hits();
-    stats->reuse_misses += cache.misses();
+    stats->reuse_hits += scan_cache.hits;
+    stats->reuse_misses += scan_cache.misses;
   }
   return results;
 }

@@ -13,18 +13,16 @@
 #include <vector>
 
 #include "engine/query_context.h"
-#include "opt/reuse.h"
 #include "present/mtton.h"
 #include "storage/table.h"
 
 namespace xk::engine {
 
 /// Full-result executor over the merged QueryOptions knobs: `full_mode`
-/// picks the join strategy, `enable_scan_reuse` shares keyword-filtered
-/// scans across networks, `enable_subplan_reuse` + `subplan_cache_budget_bytes`
-/// memoize shared join-prefix intermediates (requires scan reuse — the memo
-/// stores indexes into the shared scans), and `cancel` is polled between
-/// plans, between join steps, and inside probe scans.
+/// picks the join strategy, and `cancel` is polled between plans, between
+/// join steps, and inside probe scans. The hash-join path always shares
+/// keyword-filtered scans across networks and memoizes join-prefix
+/// intermediates that several networks share.
 class FullExecutor {
  public:
   explicit FullExecutor(QueryOptions options = {}) : options_(options) {}

@@ -25,16 +25,19 @@ int64_t RemainingNs(const CancelToken* cancel) {
 }  // namespace
 
 ProgressBudget::ProgressBudget(const PreparedQuery& query,
-                               const std::vector<bool>& active,
-                               const QueryOptions& options)
-    : query_(&query),
-      active_(active),
-      headroom_(std::max(1.0, options.anytime_headroom)),
-      min_plan_rows_(std::max<uint64_t>(1, options.anytime_min_plan_rows)),
-      cancel_(options.cancel) {
+                               const std::vector<bool>& active)
+    : query_(&query), active_(active) {
   outcomes_.assign(query.plans.size(), Outcome::kNotReached);
   active_.resize(query.plans.size(), false);
-  if (!options.enable_anytime) return;
+}
+
+ProgressBudget::ProgressBudget(const PreparedQuery& query,
+                               const std::vector<bool>& active,
+                               const QueryOptions& options)
+    : ProgressBudget(query, active) {
+  headroom_ = std::max(1.0, options.anytime_headroom);
+  min_plan_rows_ = std::max<uint64_t>(1, options.anytime_min_plan_rows);
+  cancel_ = options.cancel;
   if (options.anytime_cost_budget > 0) {
     cost_mode_ = true;
     cost_budget_ = options.anytime_cost_budget;

@@ -1,12 +1,11 @@
 // Copyright (c) the XKeyword authors.
 //
-// ProgressBudget: the anytime-execution ledger of one query. The cost-ordered
-// plan-DAG schedule (opt::BuildPlanDag) runs candidate networks in
-// nondecreasing size class, cheapest first inside a class; this ledger decides
-// per plan whether the remaining budget affords running it at all — so a
-// deadline skips whole CNs instead of truncating mid-CN — and records every
-// plan's outcome so the response can report a sound quality bound
-// (engine::Coverage).
+// ProgressBudget: the anytime-execution ledger of one query. The plan
+// schedule (opt::PlanSchedule) runs candidate networks in nondecreasing size
+// class, cheapest first inside a class; this ledger decides per plan whether
+// the remaining budget affords running it at all — so a deadline skips whole
+// CNs instead of truncating mid-CN — and records every plan's outcome so the
+// response can report a sound quality bound (engine::Coverage).
 //
 // Two budget modes, combinable with plain deadline truncation:
 //
@@ -43,11 +42,13 @@ namespace xk::engine {
 
 class ProgressBudget {
  public:
-  /// `active[p]` = plan p participates in this query (not size-capped).
-  /// Budgeting engages only when `options.enable_anytime` and either a cost
-  /// budget is set or a deadline is armed on `options.cancel`; otherwise the
-  /// ledger only tracks outcomes (AdmitPlan always true, no row allowance), so
-  /// coverage is reported even for non-anytime runs.
+  /// Ledger only: tracks outcomes and never budgets (AdmitPlan always true,
+  /// no row allowance). `active[p]` = plan p participates in this query (not
+  /// size-capped).
+  ProgressBudget(const PreparedQuery& query, const std::vector<bool>& active);
+  /// Budgeting engages when a cost budget is set or a deadline is armed on
+  /// `options.cancel`; with neither the ledger only tracks outcomes, so
+  /// coverage is reported for every run.
   ProgressBudget(const PreparedQuery& query, const std::vector<bool>& active,
                  const QueryOptions& options);
 

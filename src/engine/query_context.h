@@ -64,24 +64,6 @@ struct QueryOptions {
   /// (counted in ProbeStats::bloom_skips). Never changes results.
   bool enable_semijoin_pruning = true;
 
-  /// Plan-DAG shared-subplan memoization: join prefixes common to several
-  /// candidate networks (equal optimizer prefix signatures) execute once per
-  /// query; the materialized prefix rows are replayed by every consuming
-  /// plan. Thread-safe (leader/follower) under the per-CN thread pool. Never
-  /// changes results: replay order equals the serial nested-loop order.
-  bool enable_subplan_reuse = true;
-  /// Byte budget of the per-query subplan materialization cache; productions
-  /// that would exceed it abort and their consumers fall back to direct
-  /// execution. Fully-released entries are evicted first under pressure.
-  size_t subplan_cache_budget_bytes = 64ull << 20;
-
-  /// Cost-ordered candidate-network scheduling: inside each network-size
-  /// class, run plans cheapest first by the cost model's output-cardinality
-  /// estimate (shared-subplan producers are thereby hoisted before their
-  /// consumers), so a global_k bound is reached earlier. Off = legacy order
-  /// (size class, then plan index).
-  bool cost_ordered_scheduling = true;
-
   /// Ignored by the library; kept only because perfbench/xkbench.cc names it.
   bool vectorized = true;
 
@@ -90,20 +72,14 @@ struct QueryOptions {
 
   /// Full-result mode (QueryMode::kAll) only: join strategy.
   FullMode full_mode = FullMode::kAuto;
-  /// Full-result mode only: reuse keyword-filtered scans across networks
-  /// (Section 4's common-subexpression reuse). The kAll prefix-intermediate
-  /// memo additionally requires this (it stores indexes into the shared
-  /// scans) on top of enable_subplan_reuse. Never changes results.
-  bool enable_scan_reuse = true;
 
-  /// Anytime execution: budget whole candidate networks against the
-  /// remaining deadline (or against `anytime_cost_budget`) instead of letting
-  /// a tripped deadline truncate mid-CN. The executor runs the cost-ordered
-  /// schedule, skips CNs the budget cannot afford, and the response reports a
-  /// structured quality bound (QueryResponse::coverage). With no deadline and
-  /// no cost budget this knob is inert: results are byte-identical to the
-  /// pre-anytime engine.
-  bool enable_anytime = true;
+  /// Anytime execution engages whenever a deadline is armed on `cancel` or
+  /// `anytime_cost_budget` is set: the top-k executor budgets whole candidate
+  /// networks in schedule order instead of letting a tripped deadline
+  /// truncate mid-CN, skips CNs the budget cannot afford, and reports a
+  /// structured quality bound (QueryResponse::coverage). With neither set no
+  /// plan is skipped.
+  ///
   /// Deterministic anytime budget in cost-model units (the optimizer's
   /// estimated_cost): every admitted plan charges its estimate; a plan whose
   /// charge would exceed the budget is skipped whole (the first plan is
@@ -127,7 +103,7 @@ struct QueryOptions {
   const CancelToken* cancel = nullptr;
 
   /// Rejects option combinations that would silently misbehave (negative
-  /// thread counts, a zero per-network bound, a zero subplan budget). Called by
+  /// thread counts, a zero per-network bound, a negative budget). Called by
   /// XKeyword::Prepare before any work happens.
   Status Validate() const {
     if (per_network_k == 0) {
@@ -135,10 +111,6 @@ struct QueryOptions {
     }
     if (num_threads < 0) {
       return Status::InvalidArgument("num_threads must be >= 0");
-    }
-    if (enable_subplan_reuse && subplan_cache_budget_bytes == 0) {
-      return Status::InvalidArgument(
-          "enable_subplan_reuse requires subplan_cache_budget_bytes > 0");
     }
     if (anytime_cost_budget < 0) {
       return Status::InvalidArgument("anytime_cost_budget must be >= 0");
@@ -154,11 +126,11 @@ struct QueryOptions {
 };
 
 /// Structured quality bound of one executed query: how much of the candidate-
-/// network space the answer covers. Sound by construction — the executors run
-/// the plan-DAG schedule, which is nondecreasing in CN size class, so up to
-/// the first deviation (a budget skip or a mid-plan interruption) execution is
-/// byte-identical to an unbounded run; every class at or below
-/// `exhausted_class` lies entirely inside that identical prefix.
+/// network space the answer covers. Sound by construction — the top-k executor
+/// runs the plan schedule (opt::PlanSchedule), which is nondecreasing in CN
+/// size class, so up to the first deviation (a budget skip or a mid-plan
+/// interruption) execution is byte-identical to an unbounded run; every class
+/// at or below `exhausted_class` lies entirely inside that identical prefix.
 struct Coverage {
   /// Candidate networks the executor ran (a per-network-k or global-k emit
   /// stop counts as complete: the answer needs nothing more from them; a plan
@@ -195,9 +167,9 @@ struct ExecutionStats {
   /// Rows streamed while building semi-join Bloom filters (one filtered scan
   /// per distinct step signature; kept apart from probe-time rows_scanned).
   uint64_t bloom_build_rows = 0;
-  /// Plan-DAG shared-subplan cache (opt::SubplanCache): consumers served from
-  /// a materialized prefix / leader productions / high-water cached bytes /
-  /// prefix rows consumers replayed instead of recomputing.
+  /// Full-result hash-join prefix memo (engine/full_executor.cc): plans that
+  /// resumed from a memoized join prefix / prefixes stored / high-water memo
+  /// bytes / prefix rows resumed instead of re-joined. Zero on top-k runs.
   uint64_t subplan_hits = 0;
   uint64_t subplan_misses = 0;
   uint64_t subplan_bytes = 0;

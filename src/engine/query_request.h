@@ -76,9 +76,9 @@ struct QueryRequest {
   /// or negative = unbounded. When it runs out the query stops cooperatively
   /// and the response carries kDeadlineExceeded plus whatever results and
   /// statistics were complete. Under QueryService the budget starts at
-  /// admission, so queue wait counts against it. With
-  /// options.enable_anytime the deadline additionally drives whole-CN budget
-  /// decisions (see QueryOptions) instead of only truncating.
+  /// admission, so queue wait counts against it. Outside kAll the deadline
+  /// additionally drives whole-CN budget decisions (see QueryOptions)
+  /// instead of only truncating.
   std::chrono::nanoseconds deadline{0};
 
   /// Every knob of the request — execution, full-result mode, and the

@@ -7,8 +7,8 @@
 //
 // Contract: the concatenation of every batch passed to OnBatch, in call
 // order, is exactly a prefix of the final QueryResponse::mttons — same hits,
-// same order. The executor guarantees this by streaming along the plan-DAG
-// schedule's size-class watermark: once every scheduled plan of CN size
+// same order. The executor guarantees this by streaming along the plan
+// schedule's size-class watermark (opt::PlanSchedule): once every scheduled plan of CN size
 // class <= C has finished (completed, hit its result cap, been skipped by
 // the anytime budget, or been interrupted), the result set with score <= C
 // can no longer change, and its sorted form is by construction the prefix of

@@ -330,96 +330,6 @@ void PlanEvaluator::Run(
   Eval(0, &rows, &objs, emit);
 }
 
-void PlanEvaluator::RunReplay(
-    const exec::MaterializedSubplan& prefix,
-    const std::function<bool(const std::vector<storage::ObjectId>&)>& emit) {
-  if (plan_->query.steps.empty()) return;
-  const size_t arity = static_cast<size_t>(prefix.arity());
-  XK_CHECK_LE(arity, plan_->query.steps.size());
-  std::vector<storage::TupleView> rows(plan_->query.steps.size());
-  std::vector<storage::ObjectId> objs(plan_->node_source.size(),
-                                      storage::kInvalidId);
-  for (size_t r = 0; r < prefix.num_rows(); ++r) {
-    for (size_t c = 0; c < arity; ++c) {
-      const exec::JoinStep& step = plan_->query.steps[c];
-      rows[c] =
-          step.table->RowInto(prefix.At(r, static_cast<int>(c)), &row_scratch_[c]);
-      for (const auto& [node, col] : layout_->nodes_at_[c]) {
-        objs[static_cast<size_t>(node)] = rows[c][static_cast<size_t>(col)];
-      }
-    }
-    if (!Eval(arity, &rows, &objs, emit)) return;
-  }
-}
-
-bool MaterializePrefixRows(const PlanLayout& layout, int depth,
-                           const exec::ExecOptions& options,
-                           const exec::MaterializedSubplan* base, size_t max_bytes,
-                           ExecutionStats* stats, exec::MaterializedSubplan* out) {
-  const std::vector<exec::JoinStep>& steps = layout.plan().query.steps;
-  XK_CHECK(depth >= 0 && static_cast<size_t>(depth) < steps.size());
-  XK_CHECK(out != nullptr && out->arity() == depth + 1);
-  const CancelToken* cancel = options.cancel;
-  std::vector<storage::TupleView> rows(static_cast<size_t>(depth) + 1);
-  std::vector<storage::RowId> row_ids(static_cast<size_t>(depth) + 1);
-  std::vector<std::vector<exec::ColumnBinding>> binding_scratch(
-      static_cast<size_t>(depth) + 1);
-  std::vector<storage::Tuple> row_scratch(static_cast<size_t>(depth) + 1);
-
-  bool ok = true;  // false = truncated (cancel / byte budget)
-  std::function<bool(size_t)> descend = [&](size_t i) -> bool {
-    if (cancel != nullptr && cancel->StopRequested()) {
-      ok = false;
-      return false;
-    }
-    if (i > static_cast<size_t>(depth)) {
-      out->Append(row_ids.data());
-      if (out->bytes() > max_bytes) {
-        ok = false;
-        return false;
-      }
-      return true;
-    }
-    const exec::JoinStep& step = steps[i];
-    std::vector<exec::ColumnBinding>& bindings = binding_scratch[i];
-    bindings.assign(step.const_filters.begin(), step.const_filters.end());
-    for (const auto& [col, ref] : step.eq) {
-      bindings.push_back(exec::ColumnBinding{
-          col,
-          rows[static_cast<size_t>(ref.step)][static_cast<size_t>(ref.column)]});
-    }
-    bool keep = true;
-    exec::ForEachMatch(*step.table, bindings, layout.step_filters(i),
-                       layout.step_blooms()[i], options,
-                       [&](storage::RowId r) {
-                         rows[i] = step.table->RowInto(r, &row_scratch[i]);
-                         row_ids[i] = r;
-                         keep = descend(i + 1);
-                         return keep;
-                       },
-                       stats != nullptr ? &stats->probes : nullptr);
-    return keep;
-  };
-
-  if (base == nullptr) {
-    descend(0);
-    return ok;
-  }
-  // Stack on the shallower materialization: its rows are exactly the serial
-  // enumeration of steps [0, base->arity()), so extending each in order
-  // reproduces the full serial enumeration.
-  const size_t start = static_cast<size_t>(base->arity());
-  XK_CHECK_LE(start, static_cast<size_t>(depth));
-  for (size_t r = 0; r < base->num_rows(); ++r) {
-    for (size_t c = 0; c < start; ++c) {
-      row_ids[c] = base->At(r, static_cast<int>(c));
-      rows[c] = steps[c].table->RowInto(row_ids[c], &row_scratch[c]);
-    }
-    if (!descend(start)) break;
-  }
-  return ok;
-}
-
 // --- Single-object plans -------------------------------------------------
 
 void EvaluateSingleObjectPlan(
@@ -496,21 +406,15 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
     return cancel != nullptr && cancel->StopRequested();
   };
 
-  // Plan DAG: execution order (nondecreasing network size — smaller networks
-  // answer first and rank higher — cost-ordered inside a size class) plus the
-  // shared join prefixes among the plans that will actually run.
+  // Execution order: nondecreasing network size — smaller networks answer
+  // first and rank higher — cheapest estimate first inside a size class.
   std::vector<bool> active(query.plans.size());
   for (size_t p = 0; p < query.plans.size(); ++p) active[p] = !skip_plan(p);
-  opt::PlanDagOptions dag_options;
-  dag_options.cost_ordered = options.cost_ordered_scheduling;
-  dag_options.share_subplans = options.enable_subplan_reuse;
-  const opt::PlanDag dag = opt::BuildPlanDag(query.plans, active, dag_options);
-  const std::vector<size_t>& order = dag.schedule;
+  const std::vector<size_t> order = opt::PlanSchedule(query.plans);
 
   // Anytime budget + per-plan outcome ledger. With no cost budget and no
-  // armed deadline (or enable_anytime off) every plan is admitted and the
-  // run is byte-identical to the pre-anytime engine; the ledger then only
-  // backs the coverage report.
+  // armed deadline every plan is admitted; the ledger then only backs the
+  // coverage report.
   ProgressBudget budget(query, active, options);
   budget.PreAdmit(order);
 
@@ -587,45 +491,6 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
     }
   };
 
-  std::unique_ptr<opt::SubplanCache> subplan_cache;
-  if (options.enable_subplan_reuse && !dag.subplans.empty()) {
-    subplan_cache =
-        std::make_unique<opt::SubplanCache>(options.subplan_cache_budget_bytes);
-  }
-
-  // The materialized prefix assigned to plan `p`, producing it (leader) or
-  // waiting on a concurrent producer as needed; nullptr when the plan has no
-  // shared prefix or the production failed (fall back to direct execution).
-  auto acquire_prefix = [&](size_t p, const PlanLayout& layout)
-      -> opt::SubplanCache::SubplanPtr {
-    if (subplan_cache == nullptr || dag.shared_subplan[p] < 0) return nullptr;
-    const opt::SharedSubplan& node =
-        dag.subplans[static_cast<size_t>(dag.shared_subplan[p])];
-    return subplan_cache->GetOrCompute(
-        node.signature, node.consumers,
-        [&]() -> opt::SubplanCache::SubplanPtr {
-          auto sub = std::make_shared<exec::MaterializedSubplan>(node.depth + 1);
-          // Stack on the deepest already-materialized shallower prefix.
-          opt::SubplanCache::SubplanPtr base;
-          const std::vector<std::string>& sigs = query.plans[p].prefix_signatures;
-          for (int d = node.depth - 1; d >= 0; --d) {
-            base = subplan_cache->Peek(sigs[static_cast<size_t>(d)]);
-            if (base != nullptr) break;
-          }
-          if (!MaterializePrefixRows(layout, node.depth, exec_options,
-                                     base.get(), subplan_cache->budget_bytes(),
-                                     &per_plan_stats[p], sub.get())) {
-            return nullptr;
-          }
-          return sub;
-        });
-  };
-  auto release_prefix = [&](size_t p) {
-    if (subplan_cache == nullptr || dag.shared_subplan[p] < 0) return;
-    subplan_cache->Release(
-        dag.subplans[static_cast<size_t>(dag.shared_subplan[p])].signature);
-  };
-
   auto run_plan = [&](size_t p) {
     // Order matters for the coverage ledger: a global-k stop leaves the plan
     // to MarkUnreachedComplete below (the answer needs nothing from it); a
@@ -664,17 +529,11 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
     } else {
       PlanLayout layout(&query.plans[p], options.enable_semijoin_pruning,
                         bloom_cache_ptr, &per_plan_stats[p]);
-      opt::SubplanCache::SubplanPtr prefix = acquire_prefix(p, layout);
       PlanEvaluator evaluator(&layout, exec_options, options.enable_cache,
                               options.cache_capacity);
       evaluator.set_row_allowance(budget.RowAllowance());
-      if (prefix != nullptr) {
-        evaluator.RunReplay(*prefix, emit);
-      } else {
-        evaluator.Run(emit);
-      }
+      evaluator.Run(emit);
       per_plan_stats[p].Add(evaluator.stats());
-      release_prefix(p);
       // A sink decline (per-network-k / global-k) is a complete outcome; only
       // a deadline/cancel trip or a spent row allowance marks the plan
       // interrupted.
@@ -717,14 +576,6 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
   if (coverage != nullptr) *coverage = budget.Finish();
   if (stats != nullptr) {
     for (const ExecutionStats& s : per_plan_stats) stats->Add(s);
-    if (subplan_cache != nullptr) {
-      const opt::SubplanCacheStats cs = subplan_cache->stats();
-      stats->subplan_hits += cs.hits;
-      stats->subplan_misses += cs.misses;
-      stats->subplan_bytes =
-          std::max(stats->subplan_bytes, static_cast<uint64_t>(cs.bytes_peak));
-      stats->dedup_saved_rows += cs.dedup_saved_rows;
-    }
     stats->results = results.size();
   }
   return results;

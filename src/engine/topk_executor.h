@@ -30,9 +30,6 @@
 #include "common/lru_cache.h"
 #include "engine/query_context.h"
 #include "engine/result_sink.h"
-#include "exec/subplan_source.h"
-#include "opt/plan_dag.h"
-#include "opt/subplan_cache.h"
 #include "present/mtton.h"
 
 namespace xk::engine {
@@ -88,10 +85,6 @@ class PlanLayout {
   const std::vector<std::vector<exec::ColumnBloom>>& step_blooms() const {
     return step_blooms_;
   }
-  /// Per-step keyword filters with same-column sets intersected.
-  const std::vector<exec::ColumnInSet>& step_filters(size_t step) const {
-    return step_filters_[step];
-  }
 
  private:
   friend class PlanEvaluator;
@@ -119,14 +112,6 @@ class PlanEvaluator {
   /// Runs to completion or until `emit` declines.
   /// `emit` receives the objects per CTSSN occurrence.
   void Run(const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
-
-  /// Replays the rows of a materialized shared subplan: binds the prefix
-  /// steps from the stored row ids (no probes), then runs the nested loops
-  /// from the first unshared step. Replay order equals the producer's
-  /// enumeration order, so output is byte-identical to evaluating the prefix
-  /// directly. `prefix.arity()` must not exceed the plan's steps.
-  void RunReplay(const exec::MaterializedSubplan& prefix,
-                 const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
 
   const ExecutionStats& stats() const { return stats_; }
 
@@ -179,26 +164,12 @@ class PlanEvaluator {
   std::vector<storage::Tuple> row_scratch_;
 };
 
-/// Materializes the join prefix steps [0, depth] of `layout`'s plan into
-/// `out` (one row of per-step base-table row ids per prefix match, serial
-/// nested-loop order). `base` (nullable) is an already-materialized shallower
-/// prefix of the same plan to stack on instead of re-enumerating its steps.
-/// Returns false — with `out` truncated — when cancellation tripped or the
-/// materialization exceeded `max_bytes`; callers must then discard `out` and
-/// fall back to direct execution. Probe counters go to `stats` (nullable).
-bool MaterializePrefixRows(const PlanLayout& layout, int depth,
-                           const exec::ExecOptions& options,
-                           const exec::MaterializedSubplan* base, size_t max_bytes,
-                           ExecutionStats* stats, exec::MaterializedSubplan* out);
-
 /// Runs all plans of a prepared query with the thread pool, collecting up to
 /// per_network_k results per network (and optionally global_k in total). The
 /// result list is byte-identical to a single-threaded run.
-/// With options.enable_anytime and a cost budget or armed deadline, whole
-/// plans the budget cannot afford are skipped (cheapest-first schedule order)
-/// and `coverage` (nullable) reports the structured quality bound; with no
-/// budget the knob is inert and results are byte-identical to the pre-anytime
-/// engine.
+/// With a cost budget or an armed deadline, whole plans the budget cannot
+/// afford are skipped (opt::PlanSchedule order) and `coverage` (nullable)
+/// reports the structured quality bound; with neither every plan runs.
 /// With a non-null `sink`, finalized result prefixes stream out as size
 /// classes exhaust (see engine/result_sink.h); the returned list is the same
 /// either way.

@@ -70,9 +70,9 @@ class XKeyword {
   /// counts). A tripped deadline/cancel yields an OK Result whose response
   /// has status kDeadlineExceeded/kCancelled, completeness kDegraded (or
   /// kFailed when nothing was covered), a Coverage quality bound, and
-  /// whatever mttons/stats were complete; with options.enable_anytime the
-  /// executor additionally budgets whole candidate networks against the
-  /// remaining deadline instead of truncating mid-CN. Hard failures yield an
+  /// whatever mttons/stats were complete; outside kAll the executor
+  /// additionally budgets whole candidate networks against the remaining
+  /// deadline instead of truncating mid-CN. Hard failures yield an
   /// error Result. `sink` (borrowed, may be null) streams finalized result
   /// prefixes for kTopK queries (engine/result_sink.h); kNaive/kAll deliver
   /// everything in the response. Safe to call from many threads at once

@@ -116,13 +116,13 @@ thread_local BlockPool t_block_pool;
 
 class PooledBlock {
  public:
-  PooledBlock(int arity, size_t capacity) {
+  explicit PooledBlock(size_t capacity) {
     BlockPool& pool = t_block_pool;
     if (pool.depth == pool.blocks.size()) {
       pool.blocks.push_back(std::make_unique<RowBlock>());
     }
     block_ = pool.blocks[pool.depth++].get();
-    block_->Reset(arity, capacity);
+    block_->Reset(capacity);
   }
   ~PooledBlock() { --t_block_pool.depth; }
 
@@ -149,7 +149,7 @@ void RunBlockLoop(const storage::Table& table,
                   BlockSinkRef fn, ProbeStats* stats) {
   const size_t cap =
       opts.block_size != 0 ? opts.block_size : RowBlock::kDefaultCapacity;
-  PooledBlock pooled(table.arity(), cap);
+  PooledBlock pooled(cap);
   RowBlock& block = *pooled;
   size_t step = std::min(cap, kBlockRampStart);
   while (true) {

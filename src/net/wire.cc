@@ -65,12 +65,7 @@ void PutOptions(std::string* out, const engine::QueryOptions& o) {
   PutU64(out, o.cache_capacity);
   PutI32(out, o.num_threads);
   PutU8(out, o.enable_semijoin_pruning ? 1 : 0);
-  PutU8(out, o.enable_subplan_reuse ? 1 : 0);
-  PutU64(out, o.subplan_cache_budget_bytes);
-  PutU8(out, o.cost_ordered_scheduling ? 1 : 0);
   PutU8(out, static_cast<uint8_t>(o.full_mode));
-  PutU8(out, o.enable_scan_reuse ? 1 : 0);
-  PutU8(out, o.enable_anytime ? 1 : 0);
   PutF64(out, o.anytime_cost_budget);
   PutF64(out, o.anytime_headroom);
   PutU64(out, o.anytime_min_plan_rows);
@@ -308,16 +303,11 @@ Result<engine::QueryRequest> DecodeQueryBody(std::span<const uint8_t> payload) {
   o.cache_capacity = r.GetU64();
   o.num_threads = r.GetI32();
   o.enable_semijoin_pruning = r.GetU8() != 0;
-  o.enable_subplan_reuse = r.GetU8() != 0;
-  o.subplan_cache_budget_bytes = r.GetU64();
-  o.cost_ordered_scheduling = r.GetU8() != 0;
   const uint8_t full_mode = r.GetU8();
   if (full_mode > static_cast<uint8_t>(engine::FullMode::kHashJoin)) {
     return MalformedError("bad full mode");
   }
   o.full_mode = static_cast<engine::FullMode>(full_mode);
-  o.enable_scan_reuse = r.GetU8() != 0;
-  o.enable_anytime = r.GetU8() != 0;
   o.anytime_cost_budget = r.GetF64();
   o.anytime_headroom = r.GetF64();
   o.anytime_min_plan_rows = r.GetU64();

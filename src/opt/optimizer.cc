@@ -1,6 +1,7 @@
 #include "opt/optimizer.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -205,6 +206,22 @@ Result<CtssnPlan> Optimizer::Plan(const cn::Ctssn& ctssn,
   plan.joins = static_cast<int>(plan.query.steps.size()) - 1;
   XK_RETURN_NOT_OK(plan.query.Validate());
   return plan;
+}
+
+std::vector<size_t> PlanSchedule(const std::vector<CtssnPlan>& plans) {
+  std::vector<size_t> order(plans.size());
+  std::iota(order.begin(), order.end(), 0);
+  auto size_of = [&](size_t p) {
+    return plans[p].ctssn != nullptr ? plans[p].ctssn->cn_size : 0;
+  };
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (size_of(a) != size_of(b)) return size_of(a) < size_of(b);
+    if (plans[a].estimated_rows != plans[b].estimated_rows) {
+      return plans[a].estimated_rows < plans[b].estimated_rows;
+    }
+    return a < b;
+  });
+  return order;
 }
 
 }  // namespace xk::opt

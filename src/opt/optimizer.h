@@ -36,13 +36,20 @@ struct CtssnPlan {
   std::vector<std::string> step_signatures;
   /// Per step: a canonical signature of the whole join prefix ending at that
   /// step — relation + local filters + equi-join edges of every step so far.
-  /// Equal strings across plans mean interchangeable subplans (plan-DAG
-  /// sharing, opt/plan_dag.h).
+  /// Equal strings across plans mean interchangeable join intermediates (the
+  /// full-result executor's prefix memo, engine/full_executor.cc).
   std::vector<std::string> prefix_signatures;
   /// Cost-model estimate of the plan's output cardinality (candidate-network
   /// scheduling key; ties inside a network-size class break cheapest-first).
   double estimated_rows = 0.0;
 };
+
+/// The top-k execution order of `plans`: nondecreasing network size (smaller
+/// networks answer first and rank higher), then `estimated_rows` cheapest
+/// first, then plan index. Depends only on plan metadata, so every run of a
+/// prepared query uses the same order; global_k cuts, anytime admission and
+/// result streaming all follow it.
+std::vector<size_t> PlanSchedule(const std::vector<CtssnPlan>& plans);
 
 /// Per CTSSN occurrence, the id-set restrictions derived from its keyword
 /// annotations (owned by the caller; pointers must outlive execution).

@@ -91,7 +91,7 @@ struct MetricsSnapshot {
   /// decomposition it ran against.
   std::map<std::string, engine::ExecutionStats> per_decomposition;
 
-  /// Plan-DAG shared-subplan cache totals across all decompositions
+  /// Full-result join-prefix memo totals across all decompositions
   /// (hits/misses/saved rows summed, bytes the per-query high-water maximum) —
   /// the serving-level view of engine::ExecutionStats::subplan_*.
   uint64_t subplan_hits = 0;

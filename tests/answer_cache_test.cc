@@ -99,9 +99,6 @@ TEST(AnswerCacheKeyTest, NetworkBoundChangesKeyAnytimeKnobsDoNot) {
   // fragment across budget settings.
   QueryRequest topk = Request({"gray"});
   const std::string topk_key = AnswerCache::CanonicalKey(topk);
-  topk.options.enable_anytime = false;
-  EXPECT_EQ(AnswerCache::CanonicalKey(topk), topk_key);
-  topk.options.enable_anytime = true;
   topk.options.anytime_cost_budget = 42;
   topk.options.anytime_headroom = 2.0;
   topk.options.anytime_min_plan_rows = 1;

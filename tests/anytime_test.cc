@@ -1,8 +1,8 @@
 // Differential harness for deadline-aware anytime execution:
 //
-//  * Inertness — with no deadline and no cost budget, enable_anytime on vs.
-//    off must be BYTE-IDENTICAL across every mode x reuse x thread-count
-//    combination (the anytime machinery may exist only as a ledger there).
+//  * Inertness — a cost budget that affords the whole schedule must be
+//    BYTE-IDENTICAL to an unbounded run across every mode x thread-count
+//    combination (budgeting skips whole networks or nothing).
 //  * Soundness — under a deterministic cost budget, the result prefix drawn
 //    from CN size classes <= Coverage::exhausted_class must byte-match the
 //    unbounded run: the budget skips whole networks, never truncates the
@@ -110,40 +110,34 @@ class AnytimeTest : public ::testing::Test {
 datagen::DblpDatabase* AnytimeTest::db_ = nullptr;
 XKeyword* AnytimeTest::xk_ = nullptr;
 
-// With no deadline and no cost budget the anytime knob must be inert:
-// byte-identical responses for every mode/reuse/thread combination, all
-// reported complete.
+// A cost budget that affords the whole schedule must leave the answer
+// byte-identical to an unbounded run for every mode/thread combination, all
+// reported complete: budgeting skips whole networks or nothing.
 TEST_F(AnytimeTest, UnboundedAnytimeIsByteIdenticalAcrossKnobMatrix) {
   for (QueryMode mode : {QueryMode::kTopK, QueryMode::kNaive, QueryMode::kAll}) {
-    for (bool reuse : {false, true}) {
-      for (int threads : {1, 4}) {
-        QueryOptions options;
-        options.max_size_z = 6;
-        options.per_network_k = 50;
-        options.enable_subplan_reuse = reuse;
-        options.enable_scan_reuse = reuse;
-        options.num_threads = threads;
+    for (int threads : {1, 4}) {
+      QueryOptions options;
+      options.max_size_z = 6;
+      options.per_network_k = 50;
+      options.num_threads = threads;
 
-        QueryRequest off = Request(mode, options);
-        off.options.enable_anytime = false;
-        QueryRequest on = Request(mode, options);
-        on.options.enable_anytime = true;
+      QueryRequest unbounded = Request(mode, options);
+      QueryRequest roomy = Request(mode, options);
+      roomy.options.anytime_cost_budget = 1e18;
 
-        const std::string what =
-            (::testing::Message()
-             << "mode=" << static_cast<int>(mode) << " reuse=" << reuse
-             << " threads=" << threads)
-                .GetString();
-        XK_ASSERT_OK_AND_ASSIGN(QueryResponse a, xk_->Run(off));
-        XK_ASSERT_OK_AND_ASSIGN(QueryResponse b, xk_->Run(on));
-        ASSERT_TRUE(a.status.ok()) << what;
-        ASSERT_TRUE(b.status.ok()) << what;
-        EXPECT_EQ(a.mttons, b.mttons) << what;
-        EXPECT_EQ(a.completeness, Completeness::kComplete) << what;
-        EXPECT_EQ(b.completeness, Completeness::kComplete) << what;
-        EXPECT_TRUE(b.coverage.complete()) << what;
-        EXPECT_EQ(b.coverage.cns_skipped, 0u) << what;
-      }
+      const std::string what =
+          (::testing::Message()
+           << "mode=" << static_cast<int>(mode) << " threads=" << threads)
+              .GetString();
+      XK_ASSERT_OK_AND_ASSIGN(QueryResponse a, xk_->Run(unbounded));
+      XK_ASSERT_OK_AND_ASSIGN(QueryResponse b, xk_->Run(roomy));
+      ASSERT_TRUE(a.status.ok()) << what;
+      ASSERT_TRUE(b.status.ok()) << what;
+      EXPECT_EQ(a.mttons, b.mttons) << what;
+      EXPECT_EQ(a.completeness, Completeness::kComplete) << what;
+      EXPECT_EQ(b.completeness, Completeness::kComplete) << what;
+      EXPECT_TRUE(b.coverage.complete()) << what;
+      EXPECT_EQ(b.coverage.cns_skipped, 0u) << what;
     }
   }
 }
@@ -163,7 +157,6 @@ TEST_F(AnytimeTest, CostBudgetExhaustedClassPrefixMatchesUnboundedRun) {
 
   for (double budget : {1.0, 10.0, 100.0, 1e3, 1e4, 1e6, 1e9}) {
     QueryOptions bounded = options;
-    bounded.enable_anytime = true;
     bounded.anytime_cost_budget = budget;
     XK_ASSERT_OK_AND_ASSIGN(QueryResponse response,
                             xk_->Run(Request(QueryMode::kTopK, bounded)));
@@ -200,7 +193,6 @@ TEST_F(AnytimeTest, ExhaustedClassMonotoneInCostBudget) {
   bool first = true;
   for (double budget : {1.0, 5.0, 50.0, 500.0, 5e3, 5e4, 5e6, 1e12}) {
     QueryOptions bounded = options;
-    bounded.enable_anytime = true;
     bounded.anytime_cost_budget = budget;
     XK_ASSERT_OK_AND_ASSIGN(QueryResponse response,
                             xk_->Run(Request(QueryMode::kTopK, bounded)));
@@ -286,6 +278,15 @@ TEST_F(AnytimeTest, ExpiredDeadlineAllowanceIsTheMinPlanRowsFloor) {
   engine::ProgressBudget unbounded(q, active, options);
   unbounded.OnPlanComplete(0, 1000, 50'000);
   EXPECT_EQ(unbounded.RowAllowance(), 0u);
+
+  // A ledger-only budget (the full-result executor's) never budgets, even
+  // past a deadline.
+  engine::ProgressBudget ledger(q, active);
+  ASSERT_TRUE(ledger.AdmitPlan(0));
+  ledger.OnPlanComplete(0, 1000, 50'000);
+  for (size_t p = 1; p < q.plans.size(); ++p) EXPECT_TRUE(ledger.AdmitPlan(p));
+  EXPECT_EQ(ledger.RowAllowance(), 0u);
+  EXPECT_FALSE(ledger.Finish().deadline_limited);
 }
 
 // A PlanEvaluator with a row allowance emits a prefix of its unbounded run's
@@ -354,7 +355,6 @@ TEST_F(AnytimeTest, ConcurrentDegradedQueriesCountedAndNeverCached) {
   QueryOptions degraded_options;
   degraded_options.max_size_z = 6;
   degraded_options.per_network_k = 20;
-  degraded_options.enable_anytime = true;
   degraded_options.anytime_cost_budget = 50.0;  // too small for the schedule
 
   std::vector<service::QueryHandle> handles;

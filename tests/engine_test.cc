@@ -182,23 +182,22 @@ TEST_F(EngineTest, FullExecutorModesAgree) {
   EXPECT_EQ(Shapes(h), Shapes(n));
 }
 
+// The hash-join path runs each keyword-filtered scan once per query and
+// shares it across the networks that need it, without changing the answer.
 TEST_F(EngineTest, ReuseReducesWork) {
-  QueryOptions with;
-  with.max_size_z = 6;
-  with.full_mode = FullMode::kHashJoin;
-  with.enable_scan_reuse = true;
-  QueryOptions without = with;
-  without.enable_scan_reuse = false;
-  ExecutionStats with_stats, without_stats;
-  XK_ASSERT_OK_AND_ASSIGN(
-      std::vector<Mtton> a,
-      RunAll(*xk_, {"john", "tv"}, "MinClust", with, &with_stats));
-  XK_ASSERT_OK_AND_ASSIGN(
-      std::vector<Mtton> b,
-      RunAll(*xk_, {"john", "tv"}, "MinClust", without, &without_stats));
+  QueryOptions hash;
+  hash.max_size_z = 6;
+  hash.full_mode = FullMode::kHashJoin;
+  QueryOptions inlj = hash;
+  inlj.full_mode = FullMode::kIndexNestedLoop;
+  ExecutionStats stats;
+  XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> a,
+                          RunAll(*xk_, {"john", "tv"}, "MinClust", hash, &stats));
+  XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> b,
+                          RunAll(*xk_, {"john", "tv"}, "MinClust", inlj));
   EXPECT_EQ(Shapes(a), Shapes(b));
-  EXPECT_GT(with_stats.reuse_hits, 0u);
-  EXPECT_LT(with_stats.probes.probes, without_stats.probes.probes);
+  EXPECT_GT(stats.reuse_hits, 0u);
+  EXPECT_GT(stats.reuse_misses, 0u);
 }
 
 TEST_F(EngineTest, PerNetworkKLimitsEachNetwork) {

@@ -475,7 +475,7 @@ TEST(BlockProbeTest, EarlyStopAndBloomPrune) {
 TEST(SelectionKernelTest, CompactAscendingWithoutAllocation) {
   auto t = MakeEdgeTable(Physical::kNone, 8, /*rows=*/64, /*domain=*/4);
   RowBlock block;
-  block.Reset(t->arity(), 64);
+  block.Reset(64);
   for (size_t i = 0; i < 64; ++i) block.row_ids[i] = static_cast<RowId>(i);
   block.SelectAll(64);
 
@@ -672,7 +672,7 @@ TEST(SelectionKernelTest, InSetLadderCoversSetSizesOneThroughFive) {
       set.insert(v * 2);  // {0}, {0,2}, ... {0,2,4,6,8}
     }
     RowBlock block;
-    block.Reset(t->arity(), 128);
+    block.Reset(128);
     for (size_t i = 0; i < 100; ++i) block.row_ids[i] = static_cast<RowId>(i);
     block.SelectAll(100);
     const size_t n = SelInSet(*t, &block, 1, set);

@@ -72,12 +72,7 @@ QueryRequest NonDefaultRequest() {
   o.cache_capacity = 99;
   o.num_threads = 3;
   o.enable_semijoin_pruning = false;
-  o.enable_subplan_reuse = false;
-  o.subplan_cache_budget_bytes = 12345;
-  o.cost_ordered_scheduling = false;
   o.full_mode = engine::FullMode::kHashJoin;
-  o.enable_scan_reuse = false;
-  o.enable_anytime = false;
   o.anytime_cost_budget = 123.5;
   o.anytime_headroom = 2.5;
   o.anytime_min_plan_rows = 77;
@@ -147,12 +142,7 @@ TEST(WireTest, QueryFrameRoundTrip) {
   EXPECT_EQ(got.cache_capacity, want.cache_capacity);
   EXPECT_EQ(got.num_threads, want.num_threads);
   EXPECT_EQ(got.enable_semijoin_pruning, want.enable_semijoin_pruning);
-  EXPECT_EQ(got.enable_subplan_reuse, want.enable_subplan_reuse);
-  EXPECT_EQ(got.subplan_cache_budget_bytes, want.subplan_cache_budget_bytes);
-  EXPECT_EQ(got.cost_ordered_scheduling, want.cost_ordered_scheduling);
   EXPECT_EQ(got.full_mode, want.full_mode);
-  EXPECT_EQ(got.enable_scan_reuse, want.enable_scan_reuse);
-  EXPECT_EQ(got.enable_anytime, want.enable_anytime);
   EXPECT_EQ(got.anytime_cost_budget, want.anytime_cost_budget);
   EXPECT_EQ(got.anytime_headroom, want.anytime_headroom);
   EXPECT_EQ(got.anytime_min_plan_rows, want.anytime_min_plan_rows);
@@ -381,14 +371,6 @@ TEST_F(NetTest, StreamedResponsesMatchInProcessSubmit) {
       matrix.push_back(request);
     }
   }
-  // The cost-unordered legacy schedule and direct execution without subplan
-  // reuse exercise the streamer's other hook sites.
-  QueryRequest legacy_order = matrix[0];
-  legacy_order.options.cost_ordered_scheduling = false;
-  matrix.push_back(legacy_order);
-  QueryRequest no_reuse = matrix[0];
-  no_reuse.options.enable_subplan_reuse = false;
-  matrix.push_back(no_reuse);
 
   for (size_t i = 0; i < matrix.size(); ++i) {
     SCOPED_TRACE("combo " + std::to_string(i));

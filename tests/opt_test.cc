@@ -1,5 +1,6 @@
 // Tests for the optimizer: tiling resolution, plan construction, loop
-// ordering, cost estimates, and the reuse cache.
+// ordering and cost estimates. The top-k execution schedule
+// (opt::PlanSchedule) is tested in plan_dag_test.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,6 @@
 #include "engine/load_stage.h"
 #include "opt/cost_model.h"
 #include "opt/optimizer.h"
-#include "opt/reuse.h"
 #include "opt/tiler.h"
 #include "test_util.h"
 
@@ -183,18 +183,6 @@ TEST(CostModelTest, FilterSelectivityClamped) {
   EXPECT_DOUBLE_EQ(FilterSelectivity(5, 10), 0.5);
   EXPECT_DOUBLE_EQ(FilterSelectivity(50, 10), 1.0);
   EXPECT_DOUBLE_EQ(FilterSelectivity(5, 0), 1.0);
-}
-
-TEST(ReuseTest, MaterializedViewCache) {
-  MaterializedViewCache cache;
-  EXPECT_EQ(cache.Get("sig"), nullptr);
-  const std::vector<storage::Tuple>* stored =
-      cache.Put("sig", {storage::Tuple{1, 2}});
-  ASSERT_NE(stored, nullptr);
-  EXPECT_EQ(cache.Get("sig"), stored);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace

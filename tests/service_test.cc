@@ -133,6 +133,11 @@ class ServiceTest : public ::testing::Test {
                        decomp::MakeXKeyword(db_->tss(), /*B=*/2, /*M=*/6)
                            .MoveValueUnsafe())
                     .ok());
+    // The full-result join-prefix memo's counters are read off this one.
+    ASSERT_TRUE(xk_->AddDecomposition(
+                       decomp::MakeMinimal(
+                           db_->tss(), decomp::PhysicalDesign::kClusterPerDirection))
+                    .ok());
   }
 
   static void TearDownTestSuite() {
@@ -236,11 +241,8 @@ TEST_F(ServiceTest, InvalidOptionsRejectedBeforeExecution) {
   request = Cheap({"gray"});
   request.options.num_threads = -1;
   EXPECT_TRUE(xk_->Run(request).status().IsInvalidArgument());
-  // Shared-subplan execution with a zero byte budget could never materialize
-  // anything; Validate rejects the contradiction up front.
   request = Cheap({"gray"});
-  request.options.enable_subplan_reuse = true;
-  request.options.subplan_cache_budget_bytes = 0;
+  request.options.anytime_cost_budget = -1;
   EXPECT_TRUE(xk_->Run(request).status().IsInvalidArgument());
 }
 
@@ -310,14 +312,15 @@ TEST_F(ServiceTest, SubplanCacheStatsFlowIntoMetrics) {
   XK_ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryService> service,
                           QueryService::Create(xk_, options));
 
-  // Wide enough network space that several candidate networks share a join
-  // prefix; kBypass so each submit actually executes instead of riding the
-  // answer cache.
+  // Complete results by hash joins, whose join-prefix memo is the producer of
+  // these counters, over a network space wide enough that several candidate
+  // networks share a join prefix; kBypass so each submit actually executes
+  // instead of riding the answer cache.
   QueryRequest request;
-  request.keywords = {"gray", "codd"};
-  request.decomposition = "XKeyword";
+  request.decomposition = "MinClust";
+  request.mode = engine::QueryMode::kAll;
   request.options.max_size_z = 6;
-  request.options.per_network_k = 100;
+  request.options.full_mode = engine::FullMode::kHashJoin;
   request.cache_mode = engine::CacheMode::kBypass;
 
   std::vector<QueryHandle> handles;
@@ -332,11 +335,11 @@ TEST_F(ServiceTest, SubplanCacheStatsFlowIntoMetrics) {
     EXPECT_TRUE(response.status.ok()) << response.status.ToString();
   }
 
-  // The plan-DAG counters surface both in the per-decomposition engine stats
-  // and as serving-level totals.
+  // The memo counters surface both in the per-decomposition engine stats and
+  // as serving-level totals.
   const MetricsSnapshot snap = service->metrics().Snapshot();
-  ASSERT_TRUE(snap.per_decomposition.contains("XKeyword"));
-  const engine::ExecutionStats& stats = snap.per_decomposition.at("XKeyword");
+  ASSERT_TRUE(snap.per_decomposition.contains("MinClust"));
+  const engine::ExecutionStats& stats = snap.per_decomposition.at("MinClust");
   EXPECT_GT(stats.subplan_misses, 0u);
   EXPECT_GT(stats.subplan_hits, 0u);
   EXPECT_GT(stats.subplan_bytes, 0u);

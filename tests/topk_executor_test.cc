@@ -1,12 +1,17 @@
 // Tests for the per-CN thread pool and semi-join pruning of the top-k
 // executor: byte-identical results vs the serial path across early-stop
-// settings, pruning that never changes results while skipping probe work, and
-// stats coverage of single-object plans.
+// settings, pruning that never changes results while skipping probe work,
+// stats coverage of single-object plans and of the full-result join-prefix
+// memo, and answers that no option outside the answer-cache key can change.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+
 #include "datagen/dblp_gen.h"
 #include "engine/xkeyword.h"
+#include "service/answer_cache.h"
 #include "test_util.h"
 
 namespace xk::engine {
@@ -50,7 +55,9 @@ XKeyword* TopKExecutorTest::xk_ = nullptr;
 
 // The per-CN pool must reproduce the serial result list byte for byte — same
 // Mttons, same order — including under per-network and global early stops,
-// where the completed schedule prefix decides when plans may quit.
+// where the completed schedule prefix decides when plans may quit. The
+// top-k executor's only reuse is the Section-6 suffix cache, so it reports
+// no join-prefix memo counters.
 TEST_F(TopKExecutorTest, PerCnPoolIsByteIdentical) {
   const std::vector<std::vector<std::string>> queries = {
       {"ullman", "widom"}, {"gray", "codd"}, {"stonebraker", "author47"}};
@@ -67,11 +74,13 @@ TEST_F(TopKExecutorTest, PerCnPoolIsByteIdentical) {
       for (const auto& q : queries) {
         XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> expected,
                                 RunTopK(*xk_, q, decomposition, serial));
+        ExecutionStats stats;
         XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> actual,
-                                RunTopK(*xk_, q, decomposition, parallel));
+                                RunTopK(*xk_, q, decomposition, parallel, &stats));
         EXPECT_EQ(actual, expected)
             << decomposition << " global_k=" << global_k << " " << q[0] << ","
             << q[1];
+        EXPECT_EQ(stats.subplan_hits + stats.subplan_misses, 0u);
       }
     }
   }
@@ -144,96 +153,42 @@ TEST_F(TopKExecutorTest, PruningComposesWithThePool) {
   EXPECT_EQ(actual, expected);
 }
 
-// Differential harness over the plan-DAG axes: subplan reuse {on, off} ×
-// pool threads {1, 4} must all produce the
-// byte-identical result list (replay order equals the serial nested-loop
-// order; the schedule never depends on these knobs), and on queries whose
-// candidate networks share a join prefix the reuse runs must actually dedup
-// work (subplan hits + saved rows).
-TEST_F(TopKExecutorTest, SubplanReuseDifferential) {
-  const std::vector<std::vector<std::string>> queries = {
-      {"ullman", "widom"}, {"gray", "codd"}, {"stonebraker", "author47"}};
-  uint64_t total_saved = 0;
-  for (const std::string& decomposition :
-       {std::string("MinClust"), std::string("XKeyword")}) {
-    for (const auto& q : queries) {
-      QueryOptions baseline;
-      baseline.max_size_z = 6;
-      baseline.per_network_k = 50;
-      baseline.num_threads = 1;
-      baseline.enable_subplan_reuse = false;
-      XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> expected,
-                              RunTopK(*xk_, q, decomposition, baseline));
-      for (bool reuse : {false, true}) {
-        for (int threads : {1, 4}) {
-          QueryOptions options = baseline;
-          options.enable_subplan_reuse = reuse;
-          options.num_threads = threads;
-          ExecutionStats stats;
-          XK_ASSERT_OK_AND_ASSIGN(
-              std::vector<Mtton> actual,
-              RunTopK(*xk_, q, decomposition, options, &stats));
-          EXPECT_EQ(actual, expected)
-              << decomposition << " reuse=" << reuse << " threads=" << threads
-              << " " << q[0] << "," << q[1];
-          if (reuse) {
-            total_saved += stats.dedup_saved_rows;
-          } else {
-            EXPECT_EQ(stats.subplan_hits, 0u);
-            EXPECT_EQ(stats.dedup_saved_rows, 0u);
-          }
-        }
-      }
-    }
-  }
-  // At least one workload query has candidate networks sharing a join prefix;
-  // reuse must have saved recomputation there.
-  EXPECT_GT(total_saved, 0u);
-}
-
-// The full-result executor's hash-join prefix memo composes with scan reuse
-// without changing output.
+// The full-result executor's hash-join path (shared filtered scans plus the
+// join-prefix memo) returns exactly what index-nested loops return, and the
+// memo resumes shared prefixes on these queries.
 TEST_F(TopKExecutorTest, FullExecutorSubplanMemoDifferential) {
-  QueryOptions baseline;
-  baseline.max_size_z = 6;
-  baseline.full_mode = FullMode::kHashJoin;
-  baseline.enable_subplan_reuse = false;
+  QueryOptions inl;
+  inl.max_size_z = 6;
+  inl.full_mode = FullMode::kIndexNestedLoop;
+  QueryOptions hash = inl;
+  hash.full_mode = FullMode::kHashJoin;
+  uint64_t saved = 0;
   for (const auto& q : std::vector<std::vector<std::string>>{
            {"ullman", "widom"}, {"gray", "codd"}}) {
     XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> expected,
-                            RunAll(*xk_, q, "MinClust", baseline));
-    for (bool reuse : {false, true}) {
-      for (bool scans : {false, true}) {
-        QueryOptions full = baseline;
-        full.enable_scan_reuse = scans;
-        full.enable_subplan_reuse = reuse;
-        ExecutionStats stats;
-        XK_ASSERT_OK_AND_ASSIGN(
-            std::vector<Mtton> actual,
-            RunAll(*xk_, q, "MinClust", full, &stats));
-        EXPECT_EQ(actual, expected)
-            << "reuse=" << reuse << " scans=" << scans << " " << q[0];
-        if (!(reuse && scans)) {
-          EXPECT_EQ(stats.subplan_hits, 0u);
-        }
-      }
-    }
+                            RunAll(*xk_, q, "MinClust", inl));
+    ExecutionStats stats;
+    XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> actual,
+                            RunAll(*xk_, q, "MinClust", hash, &stats));
+    EXPECT_EQ(actual, expected) << q[0];
+    saved += stats.dedup_saved_rows;
   }
+  EXPECT_GT(saved, 0u);
 }
 
-// Subplan stats surface through the engine: a reuse run on a shared-prefix
-// query reports misses (leader materializations) and a byte high-water mark.
+// Join-prefix memo stats surface through the engine: a kAll hash-join run on
+// shared-prefix queries reports stored prefixes (misses), resumed ones
+// (hits) and a byte high-water mark.
 TEST_F(TopKExecutorTest, SubplanStatsAreReported) {
   QueryOptions options;
   options.max_size_z = 6;
-  options.per_network_k = 50;
-  options.num_threads = 1;
+  options.full_mode = FullMode::kHashJoin;
   uint64_t hits = 0, misses = 0;
   for (const auto& q : std::vector<std::vector<std::string>>{
            {"ullman", "widom"}, {"gray", "codd"}, {"stonebraker", "author47"}}) {
     ExecutionStats stats;
     XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> results,
-                            RunTopK(*xk_, q, "MinClust", options, &stats));
+                            RunAll(*xk_, q, "MinClust", options, &stats));
     (void)results;
     hits += stats.subplan_hits;
     misses += stats.subplan_misses;
@@ -332,6 +287,53 @@ TEST_F(GlobalKPoolTest, FourThreadsMatchSerial) {
         ASSERT_EQ(pooled.completeness, serial.completeness)
             << "global_k=" << global_k << " " << keywords[0] << ","
             << keywords[1] << " rep=" << rep;
+      }
+    }
+  }
+}
+
+// The answer cache keys a request on its result-shaping options only, so
+// every option AnswerCache::CanonicalKey leaves out must leave the answer
+// byte-identical, global_k cuts included: a cached answer is served to any
+// request with an equal key. global_k cuts the schedule's concatenation, so
+// the schedule must not depend on any of these options either.
+TEST_F(GlobalKPoolTest, OptionsOutsideTheCacheKeyNeverChangeTheAnswer) {
+  const std::vector<std::pair<const char*, std::function<void(QueryOptions*)>>>
+      flips = {
+          {"num_threads=1", [](QueryOptions* o) { o->num_threads = 1; }},
+          {"enable_cache=false", [](QueryOptions* o) { o->enable_cache = false; }},
+          {"cache_capacity=16", [](QueryOptions* o) { o->cache_capacity = 16; }},
+          {"enable_semijoin_pruning=false",
+           [](QueryOptions* o) { o->enable_semijoin_pruning = false; }},
+          {"anytime_headroom=4", [](QueryOptions* o) { o->anytime_headroom = 4.0; }},
+          {"anytime_min_plan_rows=1",
+           [](QueryOptions* o) { o->anytime_min_plan_rows = 1; }},
+          {"full_mode=kIndexNestedLoop",
+           [](QueryOptions* o) { o->full_mode = FullMode::kIndexNestedLoop; }},
+          {"full_mode=kHashJoin",
+           [](QueryOptions* o) { o->full_mode = FullMode::kHashJoin; }},
+      };
+  for (size_t global_k : {size_t{1}, size_t{3}, size_t{7}, size_t{10}, size_t{20}}) {
+    for (const std::vector<std::string>& keywords :
+         std::vector<std::vector<std::string>>{
+             {"gray", "codd"}, {"ullman", "widom"}, {"stonebraker", "author47"}}) {
+      QueryRequest request;
+      request.keywords = keywords;
+      request.decomposition = "XKeyword";
+      request.options.max_size_z = 5;
+      request.options.per_network_k = 5;
+      request.options.global_k = global_k;
+      XK_ASSERT_OK_AND_ASSIGN(const QueryResponse expected, xk_->Run(request));
+      for (const auto& [name, flip] : flips) {
+        QueryRequest flipped = request;
+        flip(&flipped.options);
+        ASSERT_EQ(service::AnswerCache::CanonicalKey(flipped),
+                  service::AnswerCache::CanonicalKey(request))
+            << name;
+        XK_ASSERT_OK_AND_ASSIGN(const QueryResponse actual, xk_->Run(flipped));
+        EXPECT_EQ(actual.mttons, expected.mttons)
+            << name << " global_k=" << global_k << " " << keywords[0] << ","
+            << keywords[1];
       }
     }
   }
