@@ -5,10 +5,6 @@
 // of magnitude worse still and omitted there, included here for reference).
 //
 // Workload: DBLP, 2-keyword author queries, Z = 8 (paper Section 7).
-//
-// One engine-side series beyond the paper's figure:
-//   Fig15aPrune/*  — semi-join Bloom pruning on/off (rows_scanned drops,
-//                    bloom_skips counts rejected probes).
 
 #include <benchmark/benchmark.h>
 
@@ -17,15 +13,10 @@
 
 namespace {
 
-struct TopKSetup {
-  std::string decomposition;
-  bool semijoin_pruning = true;
-};
-
-void BM_TopK(benchmark::State& state, const TopKSetup& setup, size_t k,
-             const std::string& label) {
+void BM_TopK(benchmark::State& state, const std::string& decomposition,
+             size_t k) {
   auto& fixture = xk::bench::DblpBench::Get();
-  const auto& prepared = fixture.Prepared(setup.decomposition, /*z=*/8);
+  const auto& prepared = fixture.Prepared(decomposition, /*z=*/8);
 
   xk::engine::QueryOptions options;
   options.max_size_z = 8;
@@ -37,7 +28,6 @@ void BM_TopK(benchmark::State& state, const TopKSetup& setup, size_t k,
   // first-result latency on slow back ends; at in-memory microsecond scale,
   // pool spawn would dominate the measurement.
   options.num_threads = 1;
-  options.enable_semijoin_pruning = setup.semijoin_pruning;
 
   uint64_t results = 0;
   uint64_t probes = 0;
@@ -65,7 +55,7 @@ void BM_TopK(benchmark::State& state, const TopKSetup& setup, size_t k,
       benchmark::Counter(static_cast<double>(rows_scanned) / per_query);
   state.counters["bloom_skips"] =
       benchmark::Counter(static_cast<double>(bloom_skips) / per_query);
-  state.SetLabel(label);
+  state.SetLabel(decomposition);
 }
 
 void RegisterAll() {
@@ -77,24 +67,10 @@ void RegisterAll() {
     auto* b = benchmark::RegisterBenchmark(
         (std::string("Fig15a/") + decomposition).c_str(),
         [decomposition](benchmark::State& state) {
-          BM_TopK(state, TopKSetup{decomposition},
-                  static_cast<size_t>(state.range(0)), decomposition);
+          BM_TopK(state, decomposition, static_cast<size_t>(state.range(0)));
         });
     b->ArgName("K");
     for (int k : {1, 5, 10, 20, 50, 100}) b->Arg(k);
-    b->Unit(benchmark::kMillisecond);
-    b->Iterations(3);
-  }
-
-  // Semi-join Bloom pruning ablation at the paper's K = 100 point.
-  for (bool prune : {false, true}) {
-    auto* b = benchmark::RegisterBenchmark(
-        prune ? "Fig15aPrune/on" : "Fig15aPrune/off",
-        [prune](benchmark::State& state) {
-          TopKSetup setup{"MinClust"};
-          setup.semijoin_pruning = prune;
-          BM_TopK(state, setup, /*k=*/100, prune ? "pruned" : "unpruned");
-        });
     b->Unit(benchmark::kMillisecond);
     b->Iterations(3);
   }

@@ -239,12 +239,15 @@ void RunHashJoin(const opt::CtssnPlan& plan, ScanCache* cache, SubplanMemo* memo
 
 void RunIndexNestedLoop(
     const opt::CtssnPlan& plan, const exec::ExecOptions& exec_options,
-    bool enable_semijoin_pruning, BloomCache* bloom_cache, ExecutionStats* stats,
+    BloomCache* bloom_cache, ExecutionStats* stats,
     const std::function<bool(const std::vector<storage::ObjectId>&)>& emit) {
   auto groups = SameSegmentGroups(*plan.ctssn);
   exec::NestedLoopExecutor executor(&plan.query, exec_options);
-  PlanLayout layout(&plan, enable_semijoin_pruning, bloom_cache, stats);
-  executor.set_step_blooms(&layout.step_blooms());
+  // A kAll plan runs to completion, so every prune filter pays back its
+  // build: resolve them all up front.
+  const std::vector<std::vector<exec::ColumnBloom>> step_blooms =
+      PlanLayout(&plan, bloom_cache).BuildStepBlooms(stats);
+  executor.set_step_blooms(&step_blooms);
   std::vector<storage::ObjectId> objs(plan.node_source.size());
   Status st = executor.Run([&](const std::vector<storage::TupleView>& rows) {
     for (size_t node = 0; node < plan.node_source.size(); ++node) {
@@ -267,8 +270,6 @@ Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query
   std::vector<present::Mtton> results;
   ScanCache scan_cache;
   BloomCache bloom_cache(query.exec_options.use_indexes);
-  BloomCache* bloom_cache_ptr =
-      options_.enable_semijoin_pruning ? &bloom_cache : nullptr;
 
   exec::ExecOptions exec_options = query.exec_options;
   exec_options.cancel = options_.cancel;
@@ -326,8 +327,7 @@ Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query
       mode = indexed ? FullMode::kIndexNestedLoop : FullMode::kHashJoin;
     }
     if (mode == FullMode::kIndexNestedLoop) {
-      RunIndexNestedLoop(plan, exec_options, options_.enable_semijoin_pruning,
-                         bloom_cache_ptr, stats, emit);
+      RunIndexNestedLoop(plan, exec_options, &bloom_cache, stats, emit);
     } else {
       RunHashJoin(plan, &scan_cache, &memo, exec_options, stats, emit);
     }

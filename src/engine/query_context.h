@@ -58,12 +58,6 @@ struct QueryOptions {
   /// Threads of the per-CN thread pool.
   int num_threads = 4;
 
-  /// Semi-join keyword pruning: intersect each step's keyword filter sets and
-  /// summarize the join columns later steps probe into Bloom filters, so
-  /// probes bound to a value that cannot match skip the table entirely
-  /// (counted in ProbeStats::bloom_skips). Never changes results.
-  bool enable_semijoin_pruning = true;
-
   /// Ignored by the library; kept only because perfbench/xkbench.cc names it.
   bool vectorized = true;
 

@@ -8,25 +8,56 @@
 #include "common/stopwatch.h"
 #include "engine/progress_budget.h"
 #include "engine/thread_pool.h"
+#include "exec/access_path.h"
 #include "storage/table.h"
 
 namespace xk::engine {
 
 // --- BloomCache ----------------------------------------------------------
 
-const storage::BloomFilter* BloomCache::GetOrBuild(const exec::JoinStep& step,
-                                                   const std::string& signature,
-                                                   int column,
-                                                   ExecutionStats* build_stats) {
+namespace {
+
+/// Estimated cost of building a filter for `step`, in scanned-row units: the
+/// build's enumeration as the probe path would run it (every row, or a
+/// keyword seek's lookups and candidates on an in-memory table), plus
+/// kPageMissCost per page of it on a paged table.
+uint64_t BuildCost(const exec::JoinStep& step, bool use_indexes) {
+  const storage::Table& table = *step.table;
+  const exec::ExecOptions options{.use_indexes = use_indexes};
+  exec::CandidateCursor cursor;
+  cursor.Init(exec::ChoosePath(table, step.const_filters, options), table,
+              step.const_filters, step.in_filters, options);
+  uint64_t cost = cursor.Cost();
+  if (table.IsPaged()) {
+    const uint64_t rows_per_page = table.RowsPerPage();
+    cost += exec::kPageMissCost *
+            ((cursor.Remaining() + rows_per_page - 1) / rows_per_page);
+  }
+  return cost;
+}
+
+}  // namespace
+
+BloomCache::Slot* BloomCache::Find(const exec::JoinStep& step,
+                                   const std::string& signature, int column) {
   std::string key = signature;
   key.push_back('#');
   key += std::to_string(column);
-  Entry* entry;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entry = &filters_[key];  // map nodes never move
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto [it, inserted] = slots_.try_emplace(std::move(key));
+  Slot* slot = &it->second;
+  if (inserted) {
+    slot->step = &step;
+    slot->column = column;
+    slot->build_cost = BuildCost(step, use_indexes_);
   }
-  std::call_once(entry->built, [&] {
+  return slot;
+}
+
+const storage::BloomFilter* BloomCache::Build(Slot* slot,
+                                              ExecutionStats* build_stats) {
+  std::call_once(slot->built, [&] {
+    const exec::JoinStep& step = *slot->step;
     // The filter is sized for the rows that pass: every row when the step
     // has no local filter, else the values collected by the scan. The scan
     // is cancel-free: a filter built from a truncated scan would wrongly
@@ -35,7 +66,7 @@ const storage::BloomFilter* BloomCache::GetOrBuild(const exec::JoinStep& step,
     const bool every_row_passes =
         step.const_filters.empty() && step.in_filters.empty();
     if (every_row_passes) {
-      entry->filter = std::make_unique<storage::BloomFilter>(step.table->NumRows());
+      slot->filter = std::make_unique<storage::BloomFilter>(step.table->NumRows());
     }
     std::vector<storage::ObjectId> values;
     exec::ProbeStats scan_stats;
@@ -44,9 +75,9 @@ const storage::BloomFilter* BloomCache::GetOrBuild(const exec::JoinStep& step,
     exec::ForEachMatch(*step.table, step.const_filters, step.in_filters,
                        scan_options,
                        [&](storage::RowId r) {
-                         const storage::ObjectId v = cursor.At(r, column);
+                         const storage::ObjectId v = cursor.At(r, slot->column);
                          if (every_row_passes) {
-                           entry->filter->Add(v);
+                           slot->filter->Add(v);
                          } else {
                            values.push_back(v);
                          }
@@ -54,21 +85,21 @@ const storage::BloomFilter* BloomCache::GetOrBuild(const exec::JoinStep& step,
                        },
                        &scan_stats);
     if (!every_row_passes) {
-      entry->filter = std::make_unique<storage::BloomFilter>(values.size());
-      for (storage::ObjectId v : values) entry->filter->Add(v);
+      slot->filter = std::make_unique<storage::BloomFilter>(values.size());
+      for (storage::ObjectId v : values) slot->filter->Add(v);
     }
     if (build_stats != nullptr) {
       build_stats->bloom_build_rows += scan_stats.rows_scanned;
     }
+    slot->ready.store(true, std::memory_order_release);
   });
-  return entry->filter.get();
+  return slot->filter.get();
 }
 
 // --- PlanLayout ----------------------------------------------------------
 
-PlanLayout::PlanLayout(const opt::CtssnPlan* plan, bool enable_semijoin_pruning,
-                       BloomCache* bloom_cache, ExecutionStats* build_stats)
-    : plan_(plan) {
+PlanLayout::PlanLayout(const opt::CtssnPlan* plan, BloomCache* bloom_cache)
+    : plan_(plan), bloom_cache_(bloom_cache) {
   XK_CHECK(plan != nullptr);
   const size_t num_steps = plan->query.steps.size();
   const size_t num_nodes = plan->node_source.size();
@@ -77,7 +108,7 @@ PlanLayout::PlanLayout(const opt::CtssnPlan* plan, bool enable_semijoin_pruning,
   nodes_at_.resize(num_steps);
   suffix_nodes_.resize(num_steps);
   step_filters_.resize(num_steps);
-  step_blooms_.resize(num_steps);
+  prune_slots_.resize(num_steps);
 
   for (size_t i = 0; i < num_steps; ++i) {
     // Dependencies: earlier-step columns referenced by steps >= i.
@@ -148,20 +179,19 @@ PlanLayout::PlanLayout(const opt::CtssnPlan* plan, bool enable_semijoin_pruning,
 
     // Semi-join prune filters: one Bloom per join column this step is probed
     // on, summarizing values among rows passing the step's local filters.
-    if (enable_semijoin_pruning && bloom_cache != nullptr && i > 0) {
+    if (bloom_cache != nullptr && i > 0) {
       for (const auto& [col, ref] : step.eq) {
         (void)ref;
         bool duplicate = false;
-        for (const exec::ColumnBloom& existing : step_blooms_[i]) {
-          if (existing.column == col) {
+        for (const BloomCache::Slot* existing : prune_slots_[i]) {
+          if (existing->column == col) {
             duplicate = true;
             break;
           }
         }
         if (duplicate) continue;
-        step_blooms_[i].push_back(exec::ColumnBloom{
-            col, bloom_cache->GetOrBuild(step, plan->step_signatures[i], col,
-                                         build_stats)});
+        prune_slots_[i].push_back(
+            bloom_cache->Find(step, plan->step_signatures[i], col));
       }
     }
   }
@@ -179,6 +209,18 @@ PlanLayout::PlanLayout(const opt::CtssnPlan* plan, bool enable_semijoin_pruning,
   }
 }
 
+std::vector<std::vector<exec::ColumnBloom>> PlanLayout::BuildStepBlooms(
+    ExecutionStats* build_stats) const {
+  std::vector<std::vector<exec::ColumnBloom>> blooms(prune_slots_.size());
+  for (size_t i = 0; i < prune_slots_.size(); ++i) {
+    for (BloomCache::Slot* slot : prune_slots_[i]) {
+      blooms[i].push_back(
+          exec::ColumnBloom{slot->column, bloom_cache_->Build(slot, build_stats)});
+    }
+  }
+  return blooms;
+}
+
 // --- PlanEvaluator -------------------------------------------------------
 
 PlanEvaluator::PlanEvaluator(const PlanLayout* layout,
@@ -192,6 +234,17 @@ PlanEvaluator::PlanEvaluator(const PlanLayout* layout,
   caches_.resize(num_steps);
   binding_scratch_.resize(num_steps);
   row_scratch_.resize(num_steps);
+  step_blooms_.resize(num_steps);
+  unbuilt_.resize(num_steps);
+  for (size_t i = 0; i < num_steps; ++i) {
+    for (BloomCache::Slot* slot : layout->prune_slots_[i]) {
+      if (const storage::BloomFilter* filter = slot->Ready()) {
+        step_blooms_[i].push_back(exec::ColumnBloom{slot->column, filter});
+      } else {
+        unbuilt_[i].push_back(slot);
+      }
+    }
+  }
   if (enable_cache_ && num_steps > 1) {
     size_t per_level = std::max<size_t>(cache_capacity / (num_steps - 1), 16);
     for (size_t i = 1; i < num_steps; ++i) {
@@ -283,19 +336,34 @@ bool PlanEvaluator::Eval(
         col, (*rows)[static_cast<size_t>(ref.step)][static_cast<size_t>(ref.column)]});
   }
 
+  // Rent accounting, only while the step has unbuilt filters: the probe's
+  // own work is the Work() it adds outside the deeper steps it recurses into.
+  const bool renting = !unbuilt_[i].empty();
+  const uint64_t skips_before = stats_.probes.bloom_skips;
+  uint64_t own_work = 0;
+  uint64_t work_mark = renting ? Work() : 0;
+  bool matched = false;
   bool keep_going = true;
   exec::ForEachMatch(*step.table, bindings, layout_->step_filters_[i],
-                     layout_->step_blooms_[i], exec_options_,
+                     step_blooms_[i], exec_options_,
                      [&](storage::RowId r) {
                        (*rows)[i] = step.table->RowInto(r, &row_scratch_[i]);
                        for (const auto& [node, col] : layout_->nodes_at_[i]) {
                          (*objs)[static_cast<size_t>(node)] =
                              (*rows)[i][static_cast<size_t>(col)];
                        }
+                       matched = true;
+                       if (renting) own_work += Work() - work_mark;
                        keep_going = Eval(i + 1, rows, objs, emit);
+                       if (renting) work_mark = Work();
                        return keep_going;
                      },
                      &stats_.probes);
+  // A probe a built filter rejected matched nothing and counted a skip.
+  if (renting && (matched || stats_.probes.bloom_skips == skips_before)) {
+    own_work += Work() - work_mark;
+    PayRent(i, exec::kSeekLookupCost + own_work);
+  }
 
   if (cache != nullptr) {
     XK_CHECK(active_collectors_.back() == &collector);
@@ -321,9 +389,30 @@ bool PlanEvaluator::DistinctAcrossSegments(
   return true;
 }
 
+uint64_t PlanEvaluator::Work() const {
+  return stats_.probes.rows_scanned + exec::kPageMissCost * page_counters_->misses;
+}
+
+void PlanEvaluator::PayRent(size_t i, uint64_t cost) {
+  std::vector<BloomCache::Slot*>& unbuilt = unbuilt_[i];
+  for (size_t s = 0; s < unbuilt.size();) {
+    BloomCache::Slot* slot = unbuilt[s];
+    if (slot->rent.fetch_add(cost, std::memory_order_relaxed) + cost <
+        slot->build_cost) {
+      ++s;
+      continue;
+    }
+    step_blooms_[i].push_back(exec::ColumnBloom{
+        slot->column, layout_->bloom_cache_->Build(slot, &stats_)});
+    unbuilt[s] = unbuilt.back();
+    unbuilt.pop_back();
+  }
+}
+
 void PlanEvaluator::Run(
     const std::function<bool(const std::vector<storage::ObjectId>&)>& emit) {
   if (plan_->query.steps.empty()) return;  // single-object plans handled elsewhere
+  page_counters_ = &storage::BufferPool::ThreadCounters();
   std::vector<storage::TupleView> rows(plan_->query.steps.size());
   std::vector<storage::ObjectId> objs(plan_->node_source.size(),
                                       storage::kInvalidId);
@@ -390,8 +479,6 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
                                                       ResultSink* sink) {
   std::vector<ExecutionStats> per_plan_stats(query.plans.size());
   BloomCache bloom_cache(query.exec_options.use_indexes);
-  BloomCache* bloom_cache_ptr =
-      options.enable_semijoin_pruning ? &bloom_cache : nullptr;
 
   // Deadline/cancel token, threaded into every probe via the exec options.
   const CancelToken* cancel = options.cancel;
@@ -527,8 +614,7 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
       budget.OnPlanComplete(p, per_plan_stats[p].probes.rows_scanned,
                             elapsed_ns());
     } else {
-      PlanLayout layout(&query.plans[p], options.enable_semijoin_pruning,
-                        bloom_cache_ptr, &per_plan_stats[p]);
+      PlanLayout layout(&query.plans[p], &bloom_cache);
       PlanEvaluator evaluator(&layout, exec_options, options.enable_cache,
                               options.cache_capacity);
       evaluator.set_row_allowance(budget.RowAllowance());

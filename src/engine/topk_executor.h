@@ -14,11 +14,14 @@
 // Semi-join keyword pruning: per plan step, the keyword filter sets are
 // intersected and the join columns later steps probe are summarized into
 // Bloom filters, letting ForEachMatch reject dead-end partial assignments
-// without touching the table.
+// without touching the table. A plan stops after per_network_k results, so a
+// filter is built only once the probes it would have pruned have cost as
+// much as its build (BloomCache::Slot).
 
 #ifndef XK_ENGINE_TOPK_EXECUTOR_H_
 #define XK_ENGINE_TOPK_EXECUTOR_H_
 
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <map>
@@ -43,53 +46,73 @@ using MttonSink = std::function<bool(int plan_index,
 /// Keyed by (step signature, column): plans frequently share steps (same
 /// relation + local keyword filters), so each filter is built — one filtered
 /// scan — at most once per query. Thread-safe: the map lock covers only the
-/// entry lookup, so pool threads build filters for different keys at once.
+/// slot lookup, so pool threads build filters for different keys at once.
 class BloomCache {
  public:
+  /// One (step signature, column) filter. The top-k executor builds it by
+  /// the ski-rental rule: every unpruned probe into the step adds its cost
+  /// to `rent`, and the plan whose probe lifts the shared rent to
+  /// `build_cost` builds the filter for every plan of the query.
+  struct Slot {
+    const exec::JoinStep* step = nullptr;  // the first plan's; all are equal
+    int column = 0;
+    /// Estimated build cost in scanned-row units (the build's enumeration,
+    /// plus exec::kPageMissCost per page it reads on a paged table).
+    uint64_t build_cost = 0;
+    std::atomic<uint64_t> rent{0};
+    std::once_flag built;
+    std::unique_ptr<storage::BloomFilter> filter;
+    std::atomic<bool> ready{false};  // release-stored once `filter` is set
+
+    /// The filter once some plan built it, else null.
+    const storage::BloomFilter* Ready() const {
+      return ready.load(std::memory_order_acquire) ? filter.get() : nullptr;
+    }
+  };
+
   /// `use_indexes` is the query's ExecOptions::use_indexes: on, a build scan
   /// may run as a keyword seek; off, it never touches an index.
   explicit BloomCache(bool use_indexes) : use_indexes_(use_indexes) {}
 
-  /// The filter over `column` values of rows of `step.table` passing the
-  /// step's local filters, sized for those rows; built on first use.
-  /// `build_stats` (nullable) receives the build scan's row count.
-  const storage::BloomFilter* GetOrBuild(const exec::JoinStep& step,
-                                         const std::string& signature, int column,
-                                         ExecutionStats* build_stats);
+  /// The slot of (signature, column), created with its build cost on first
+  /// use.
+  Slot* Find(const exec::JoinStep& step, const std::string& signature,
+             int column);
+
+  /// The filter over the slot's column values among rows of its table
+  /// passing the step's local filters, sized for those rows; built by the
+  /// first caller. `build_stats` (nullable) receives the build scan's rows.
+  const storage::BloomFilter* Build(Slot* slot, ExecutionStats* build_stats);
 
  private:
-  struct Entry {
-    std::once_flag built;
-    std::unique_ptr<storage::BloomFilter> filter;
-  };
-
   const bool use_indexes_;
-  std::mutex mutex_;  // guards the map; an entry's filter is set once
-  std::map<std::string, Entry> filters_;
+  std::mutex mutex_;  // guards the map; map nodes never move
+  std::map<std::string, Slot> slots_;
 };
 
 /// Immutable per-plan precomputation: step dependencies, occurrence bindings,
 /// same-segment groups, plus the semi-join structures — per-step keyword
-/// filters intersected down to one set per column, and per-step Bloom filters
-/// over the probed join columns.
+/// filters intersected down to one set per column, and per step the
+/// BloomCache slots of the join columns it is probed on. No filter is built
+/// here.
 class PlanLayout {
  public:
-  /// `bloom_cache` may be null (disables pruning, as does
-  /// `enable_semijoin_pruning = false`).
-  PlanLayout(const opt::CtssnPlan* plan, bool enable_semijoin_pruning,
-             BloomCache* bloom_cache, ExecutionStats* build_stats);
+  /// `bloom_cache` may be null (no semi-join pruning).
+  PlanLayout(const opt::CtssnPlan* plan, BloomCache* bloom_cache);
 
   const opt::CtssnPlan& plan() const { return *plan_; }
-  /// Per-step prune filters, usable with exec::ForEachMatch or
+
+  /// Builds every step's prune filters now, for a plan that runs to
+  /// completion (the full executor's index-nested-loop path). Usable with
   /// exec::NestedLoopExecutor::set_step_blooms.
-  const std::vector<std::vector<exec::ColumnBloom>>& step_blooms() const {
-    return step_blooms_;
-  }
+  std::vector<std::vector<exec::ColumnBloom>> BuildStepBlooms(
+      ExecutionStats* build_stats) const;
 
  private:
   friend class PlanEvaluator;
 
   const opt::CtssnPlan* plan_;
+  BloomCache* bloom_cache_;
   // Per step i: deps (earlier columns read by steps >= i), CTSSN nodes first
   // bound at step i, and nodes bound at steps >= i.
   std::vector<std::vector<exec::ColumnRef>> deps_;
@@ -99,11 +122,20 @@ class PlanLayout {
   std::vector<std::vector<int>> same_segment_groups_;
   std::vector<std::vector<exec::ColumnInSet>> step_filters_;
   std::deque<storage::IdSet> owned_sets_;  // stable storage for intersections
-  std::vector<std::vector<exec::ColumnBloom>> step_blooms_;
+  std::vector<std::vector<BloomCache::Slot*>> prune_slots_;
 };
 
 /// Evaluates one CTSSN plan by depth-first nested loops with optional suffix
-/// memoization. Not thread-safe: a plan runs on one pool thread.
+/// memoization. Not thread-safe: a plan runs on one pool thread, which must
+/// be the thread that calls Run (probe costs read its page counters).
+///
+/// Semi-join filters another plan already built are adopted at
+/// construction. Each unpruned probe into a step with unbuilt filters pays
+/// rent: kSeekLookupCost plus the rows it scanned plus kPageMissCost per
+/// page it missed, counting only the probe itself, not the deeper steps it
+/// recursed into. Once a slot's shared rent reaches its build cost this
+/// evaluator builds the filter (or adopts it, if another plan won the race)
+/// and prunes with it from then on.
 class PlanEvaluator {
  public:
   PlanEvaluator(const PlanLayout* layout, exec::ExecOptions exec_options,
@@ -142,6 +174,12 @@ class PlanEvaluator {
   /// distinct objects (checked per full assignment; cached suffixes cannot
   /// pre-check against future prefixes).
   bool DistinctAcrossSegments(const std::vector<storage::ObjectId>& objs) const;
+  /// Rows this evaluator scanned plus kPageMissCost per page miss of this
+  /// thread: differences of two readings are a probe's cost.
+  uint64_t Work() const;
+  /// Adds `cost` to the rent of step `i`'s unbuilt slots and builds each
+  /// slot whose rent reached its build cost.
+  void PayRent(size_t i, uint64_t cost);
 
   const PlanLayout* layout_;
   const opt::CtssnPlan* plan_;
@@ -162,6 +200,11 @@ class PlanEvaluator {
   /// Per-depth row copies for the disk backend (RowInto): a depth's view must
   /// stay valid while deeper steps recurse, so each depth owns its scratch.
   std::vector<storage::Tuple> row_scratch_;
+  /// Per step: the prune filters the probes use, and the slots whose
+  /// filters are not built yet (they pay rent).
+  std::vector<std::vector<exec::ColumnBloom>> step_blooms_;
+  std::vector<std::vector<BloomCache::Slot*>> unbuilt_;
+  const storage::ThreadPageCounters* page_counters_ = nullptr;  // set by Run
 };
 
 /// Runs all plans of a prepared query with the thread pool, collecting up to

@@ -58,19 +58,6 @@ void FillPrefix(const std::vector<int>& key,
   }
 }
 
-// Keyword-seek cost rule, in units of one scanned row (a sequential row
-// through the filter kernels). A value lookup — a binary search plus the
-// range or run it adds — costs kSeekLookupCost; a candidate costs
-// kSeekRangeRowCost in a clustered range (sequential rows, as in the scan)
-// and kSeekMergeRowCost in a merged index run (a random row access plus its
-// share of the heap merge). The seek runs only when its lookups plus the
-// exact candidate count the lookups return cost less than scanning every
-// row. The constants are fitted to seek and scan timings on
-// connection-relation-shaped tables (EXPERIMENTS.md, A14).
-constexpr size_t kSeekLookupCost = 8;
-constexpr size_t kSeekRangeRowCost = 1;
-constexpr size_t kSeekMergeRowCost = 4;
-
 /// Where the runs of a keyword seek on one column come from; false/null
 /// when the column supports no seek.
 struct SeekSource {
@@ -253,6 +240,7 @@ bool CandidateCursor::TrySeek(const storage::Table& table,
     // are disjoint, so the sorted ranges are the scan's row sequence.
     std::sort(ranges_.begin(), ranges_.end());
     remaining_ = total;
+    seek_cost_ = lookup_cost + total * row_cost;
     return true;
   }
   for (storage::ObjectId v : *best->set) {
@@ -267,6 +255,7 @@ bool CandidateCursor::TrySeek(const storage::Table& table,
     heap_.push_back(run);
   }
   remaining_ = total;
+  seek_cost_ = lookup_cost + total * row_cost;
   if (heap_.size() == 1) {
     mode_ = Mode::kSpan;
     span_ = heap_[0];

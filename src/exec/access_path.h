@@ -26,6 +26,28 @@
 
 namespace xk::exec {
 
+// Cost constants, in units of one scanned row (a sequential row through the
+// filter kernels).
+//
+// Keyword-seek cost rule: a value lookup — a binary search plus the range or
+// run it adds — costs kSeekLookupCost; a candidate costs kSeekRangeRowCost in
+// a clustered range (sequential rows, as in the scan) and kSeekMergeRowCost
+// in a merged index run (a random row access plus its share of the heap
+// merge). The seek runs only when its lookups plus the exact candidate count
+// the lookups return cost less than scanning every row. The constants are
+// fitted to seek and scan timings on connection-relation-shaped tables
+// (EXPERIMENTS.md, A14).
+inline constexpr size_t kSeekLookupCost = 8;
+inline constexpr size_t kSeekRangeRowCost = 1;
+inline constexpr size_t kSeekMergeRowCost = 4;
+//
+// A buffer-pool page miss — an 8 KiB pread, its checksum and the frame
+// swap — costs kPageMissCost. Timed against scans of the same tables
+// (EXPERIMENTS.md, A20): a miss takes 1.2–2.8 us and a scanned row
+// 3.5–6 ns unfiltered or 8–24 ns through a keyword filter, so a miss is
+// worth 75–380 rows. End to end, 256 beat 128 and tied 384.
+inline constexpr size_t kPageMissCost = 256;
+
 /// Resolved bound-path choice: enough to position a cursor later without
 /// re-deciding. Splitting choice from positioning keeps the expensive part —
 /// the clustered-range search or index lookup — after the Bloom prune (most
@@ -77,6 +99,12 @@ class CandidateCursor {
   /// Candidates not yet consumed.
   size_t Remaining() const { return remaining_; }
 
+  /// Estimated cost of the whole enumeration, in scanned rows: for a keyword
+  /// seek its lookups plus its candidates at their row cost, as the seek
+  /// rule charges them; otherwise the candidate count. Meaningful right
+  /// after Init.
+  size_t Cost() const { return seek_cost_ != 0 ? seek_cost_ : remaining_; }
+
   /// Writes up to `cap` next candidates to `out`; returns the count.
   size_t Fill(storage::RowId* out, size_t cap);
 
@@ -90,6 +118,7 @@ class CandidateCursor {
   enum class Mode { kRanges, kSpan, kMerge };
   Mode mode_ = Mode::kRanges;
   size_t remaining_ = 0;
+  size_t seek_cost_ = 0;  // set by a successful TrySeek
   // kRanges: the current range [next_, end_), then ranges_[range_pos_..]
   // (a keyword seek on the clustering key: disjoint, sorted by start).
   storage::RowId next_ = 0;

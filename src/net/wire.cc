@@ -64,7 +64,6 @@ void PutOptions(std::string* out, const engine::QueryOptions& o) {
   PutU8(out, o.enable_cache ? 1 : 0);
   PutU64(out, o.cache_capacity);
   PutI32(out, o.num_threads);
-  PutU8(out, o.enable_semijoin_pruning ? 1 : 0);
   PutU8(out, static_cast<uint8_t>(o.full_mode));
   PutF64(out, o.anytime_cost_budget);
   PutF64(out, o.anytime_headroom);
@@ -302,7 +301,6 @@ Result<engine::QueryRequest> DecodeQueryBody(std::span<const uint8_t> payload) {
   o.enable_cache = r.GetU8() != 0;
   o.cache_capacity = r.GetU64();
   o.num_threads = r.GetI32();
-  o.enable_semijoin_pruning = r.GetU8() != 0;
   const uint8_t full_mode = r.GetU8();
   if (full_mode > static_cast<uint8_t>(engine::FullMode::kHashJoin)) {
     return MalformedError("bad full mode");

@@ -77,7 +77,6 @@ TEST(AnswerCacheKeyTest, PerformanceKnobsAndServingContractDoNot) {
   QueryRequest other = base;
   other.options.num_threads = 16;
   other.options.enable_cache = false;
-  other.options.enable_semijoin_pruning = false;
   EXPECT_EQ(AnswerCache::CanonicalKey(other), key);
   other = base;
   other.deadline = milliseconds(5);

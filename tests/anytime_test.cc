@@ -306,8 +306,7 @@ TEST_F(AnytimeTest, RowAllowanceStopsOnAPrefixOfTheUnboundedRun) {
   size_t plans_checked = 0;
   for (const opt::CtssnPlan& plan : q.plans) {
     if (plan.query.steps.size() < 2) continue;
-    engine::PlanLayout layout(&plan, /*enable_semijoin_pruning=*/false,
-                              /*bloom_cache=*/nullptr, /*build_stats=*/nullptr);
+    engine::PlanLayout layout(&plan, /*bloom_cache=*/nullptr);
     auto run = [&](uint64_t allowance) {
       engine::PlanEvaluator evaluator(&layout, q.exec_options, options.enable_cache,
                                       options.cache_capacity);

@@ -71,7 +71,6 @@ QueryRequest NonDefaultRequest() {
   o.enable_cache = false;
   o.cache_capacity = 99;
   o.num_threads = 3;
-  o.enable_semijoin_pruning = false;
   o.full_mode = engine::FullMode::kHashJoin;
   o.anytime_cost_budget = 123.5;
   o.anytime_headroom = 2.5;
@@ -141,7 +140,6 @@ TEST(WireTest, QueryFrameRoundTrip) {
   EXPECT_EQ(got.enable_cache, want.enable_cache);
   EXPECT_EQ(got.cache_capacity, want.cache_capacity);
   EXPECT_EQ(got.num_threads, want.num_threads);
-  EXPECT_EQ(got.enable_semijoin_pruning, want.enable_semijoin_pruning);
   EXPECT_EQ(got.full_mode, want.full_mode);
   EXPECT_EQ(got.anytime_cost_budget, want.anytime_cost_budget);
   EXPECT_EQ(got.anytime_headroom, want.anytime_headroom);

@@ -709,8 +709,8 @@ TEST(StorageTierTest, PagedBloomBuildPinsEachPageOnce) {
   step.table = &table;
   engine::BloomCache cache(/*use_indexes=*/true);
   const uint64_t pins_before = Pins(*tier);
-  const storage::BloomFilter* filter =
-      cache.GetOrBuild(step, "R", /*column=*/1, /*build_stats=*/nullptr);
+  const storage::BloomFilter* filter = cache.Build(
+      cache.Find(step, "R", /*column=*/1), /*build_stats=*/nullptr);
   EXPECT_LE(Pins(*tier) - pins_before, 2 * pages);
   ASSERT_NE(filter, nullptr);
   storage::TableReadCursor cursor(table);

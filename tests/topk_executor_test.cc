@@ -1,16 +1,19 @@
 // Tests for the per-CN thread pool and semi-join pruning of the top-k
 // executor: byte-identical results vs the serial path across early-stop
-// settings, pruning that never changes results while skipping probe work,
+// settings, pay-as-you-go pruning that never changes results and builds a
+// filter only once its step's probes have paid for it,
 // stats coverage of single-object plans and of the full-result join-prefix
 // memo, and answers that no option outside the answer-cache key can change.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
 #include <utility>
 
 #include "datagen/dblp_gen.h"
 #include "engine/xkeyword.h"
+#include "exec/access_path.h"
 #include "service/answer_cache.h"
 #include "test_util.h"
 
@@ -19,6 +22,7 @@ namespace {
 
 using present::Mtton;
 using testing::RunAll;
+using testing::RunNaive;
 using testing::RunTopK;
 
 class TopKExecutorTest : public ::testing::Test {
@@ -103,54 +107,207 @@ TEST_F(TopKExecutorTest, PoolMatchesSerialWithoutCache) {
   EXPECT_EQ(actual, expected);
 }
 
-// Semi-join pruning may only skip probes that cannot match: identical result
-// lists, strictly fewer rows touched at probe time, and at least one probe
-// rejected by a Bloom filter on this workload.
-TEST_F(TopKExecutorTest, PruningPreservesResultsAndSkipsWork) {
-  QueryOptions pruned;
-  pruned.max_size_z = 6;
-  pruned.per_network_k = 1000;
-  pruned.num_threads = 1;
-  pruned.enable_semijoin_pruning = true;
-  QueryOptions unpruned = pruned;
-  unpruned.enable_semijoin_pruning = false;
-
-  bool any_skips = false;
-  for (const auto& q : std::vector<std::vector<std::string>>{
-           {"ullman", "widom"}, {"stonebraker", "author47"}}) {
-    ExecutionStats pruned_stats, unpruned_stats;
-    XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> with,
-                            RunTopK(*xk_, q, "MinClust", pruned, &pruned_stats));
-    XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> without,
-                            RunTopK(*xk_, q, "MinClust", unpruned, &unpruned_stats));
-    EXPECT_EQ(with, without) << q[0] << "," << q[1];
-    EXPECT_EQ(unpruned_stats.probes.bloom_skips, 0u);
-    if (pruned_stats.probes.bloom_skips > 0) {
-      any_skips = true;
-      // Every skipped probe saves its scan; build scans are counted apart.
-      EXPECT_LT(pruned_stats.probes.rows_scanned,
-                unpruned_stats.probes.rows_scanned);
-      EXPECT_GT(pruned_stats.bloom_build_rows, 0u);
+// Semi-join filters are built online (BloomCache::Slot's rent rule) and may
+// only skip probes that cannot match: with the pool or without, at every
+// per-network bound, the answer is the naive executor's, which neither
+// caches nor prunes.
+TEST_F(TopKExecutorTest, PayAsYouGoPruningMatchesTheNaiveOracle) {
+  const std::vector<std::vector<std::string>> queries = {
+      {"ullman", "widom"}, {"gray", "codd"}, {"stonebraker", "author47"}};
+  for (const std::string& decomposition : {std::string("MinClust"),
+                                           std::string("XKeyword")}) {
+    for (size_t k : {size_t{1}, size_t{10}, size_t{1000}}) {
+      QueryOptions options;
+      options.max_size_z = 6;
+      options.per_network_k = k;
+      for (const auto& q : queries) {
+        XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> expected,
+                                RunNaive(*xk_, q, decomposition, options));
+        for (int threads : {1, 4}) {
+          options.num_threads = threads;
+          XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> actual,
+                                  RunTopK(*xk_, q, decomposition, options));
+          EXPECT_EQ(actual, expected)
+              << decomposition << " k=" << k << " threads=" << threads << " "
+              << q[0] << "," << q[1];
+        }
+      }
     }
   }
-  EXPECT_TRUE(any_skips);
 }
 
-// Pruning and the per-CN pool compose without changing results.
-TEST_F(TopKExecutorTest, PruningComposesWithThePool) {
-  QueryOptions base;
-  base.max_size_z = 6;
-  base.per_network_k = 50;
-  base.num_threads = 1;
-  base.enable_semijoin_pruning = false;
-  QueryOptions both = base;
-  both.enable_semijoin_pruning = true;
-  both.num_threads = 4;
-  XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> expected,
-                          RunTopK(*xk_, {"gray", "codd"}, "MinClust", base));
-  XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> actual,
-                          RunTopK(*xk_, {"gray", "codd"}, "MinClust", both));
-  EXPECT_EQ(actual, expected);
+// A network stopped after its first result pays too little rent for any
+// filter to be worth its build scan, so none is built.
+TEST_F(TopKExecutorTest, OneResultPerNetworkBuildsNoFilter) {
+  QueryOptions options;
+  options.max_size_z = 6;
+  options.per_network_k = 1;
+  options.num_threads = 1;
+  for (const auto& q : std::vector<std::vector<std::string>>{
+           {"ullman", "widom"}, {"ullman", "gray"}, {"widom", "codd"}}) {
+    ExecutionStats stats;
+    XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> results,
+                            RunTopK(*xk_, q, "XKeyword", options, &stats));
+    ASSERT_FALSE(results.empty());
+    EXPECT_GT(stats.probes.probes, 0u);
+    EXPECT_EQ(stats.bloom_build_rows, 0u) << q[0] << "," << q[1];
+    EXPECT_EQ(stats.probes.bloom_skips, 0u) << q[0] << "," << q[1];
+  }
+}
+
+// Networks enumerated far past their first results probe dead ends into the
+// same steps over and over: the rent reaches the build cost, the filters are
+// built, and later probes are skipped without touching the table.
+TEST_F(TopKExecutorTest, DeadProbeHeavyStepsBuildTheirFilters) {
+  QueryOptions options;
+  options.max_size_z = 6;
+  options.per_network_k = 1000;
+  options.num_threads = 1;
+  for (const auto& q : std::vector<std::vector<std::string>>{
+           {"ullman", "widom"}, {"stonebraker", "author47"}}) {
+    ExecutionStats stats;
+    XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> results,
+                            RunTopK(*xk_, q, "MinClust", options, &stats));
+    (void)results;
+    EXPECT_GT(stats.bloom_build_rows, 0u) << q[0] << "," << q[1];
+    EXPECT_GT(stats.probes.bloom_skips, 0u) << q[0] << "," << q[1];
+  }
+}
+
+// Runs one plan with its own evaluator against `cache`, stopping after `k`
+// results as the executor does.
+ExecutionStats RunPlan(const opt::CtssnPlan& plan, BloomCache* cache,
+                       const PreparedQuery& query, size_t k) {
+  PlanLayout layout(&plan, cache);
+  PlanEvaluator evaluator(&layout, query.exec_options, /*enable_cache=*/true,
+                          /*cache_capacity=*/1 << 16);
+  size_t emitted = 0;
+  evaluator.Run([&](const std::vector<storage::ObjectId>&) { return ++emitted < k; });
+  return evaluator.stats();
+}
+
+// Plans that share a step signature pay into one rent: a pair of plans
+// neither of which reaches a shared filter's build cost alone builds it when
+// run one after the other on one cache. The build is once per query: later
+// evaluators adopt the built filter and pay it no rent.
+TEST_F(TopKExecutorTest, PlansSharingAStepPoolTheirRent) {
+  constexpr size_t kPerNetwork = 10;
+  QueryOptions options;
+  options.max_size_z = 6;
+  size_t pooled = 0;
+  for (const auto& keywords : std::vector<std::vector<std::string>>{
+           {"ullman", "widom"}, {"gray", "codd"}, {"stonebraker", "author47"}}) {
+    XK_ASSERT_OK_AND_ASSIGN(PreparedQuery q,
+                            xk_->Prepare(keywords, "MinClust", options));
+    // Rent each plan pays alone into each of its slots, keyed as the cache
+    // keys them.
+    struct Paid {
+      size_t plan;
+      const exec::JoinStep* step;
+      std::string signature;
+      int column;
+      uint64_t rent;
+      uint64_t cost;
+    };
+    std::vector<Paid> paid;
+    for (size_t p = 0; p < q.plans.size(); ++p) {
+      const opt::CtssnPlan& plan = q.plans[p];
+      BloomCache alone(q.exec_options.use_indexes);
+      RunPlan(plan, &alone, q, kPerNetwork);
+      for (size_t i = 1; i < plan.query.steps.size(); ++i) {
+        for (const auto& [col, ref] : plan.query.steps[i].eq) {
+          (void)ref;
+          BloomCache::Slot* slot =
+              alone.Find(plan.query.steps[i], plan.step_signatures[i], col);
+          paid.push_back({p, &plan.query.steps[i], plan.step_signatures[i], col,
+                          slot->rent.load(), slot->build_cost});
+        }
+      }
+    }
+    for (const Paid& a : paid) {
+      for (const Paid& b : paid) {
+        if (a.plan >= b.plan || a.signature != b.signature ||
+            a.column != b.column || a.rent >= a.cost || b.rent >= b.cost ||
+            a.rent + b.rent < a.cost) {
+          continue;
+        }
+        ++pooled;
+        BloomCache shared(q.exec_options.use_indexes);
+        RunPlan(q.plans[a.plan], &shared, q, kPerNetwork);
+        BloomCache::Slot* slot = shared.Find(*a.step, a.signature, a.column);
+        EXPECT_EQ(slot->Ready(), nullptr);
+        RunPlan(q.plans[b.plan], &shared, q, kPerNetwork);
+        ASSERT_NE(slot->Ready(), nullptr) << a.signature;
+        // Both plans again: they adopt the filter when they start, so they
+        // pay it no more rent and never rebuild it.
+        const uint64_t rent = slot->rent.load();
+        RunPlan(q.plans[a.plan], &shared, q, kPerNetwork);
+        RunPlan(q.plans[b.plan], &shared, q, kPerNetwork);
+        EXPECT_EQ(slot->rent.load(), rent) << a.signature;
+      }
+    }
+  }
+  EXPECT_GT(pooled, 0u);
+}
+
+// On the disk backend every page a probe misses adds kPageMissCost to its
+// rent. A plan runs the same probes on the same data in memory and on disk
+// (paged tables keep the bound paths of in-memory ones), so each filter it
+// leaves unbuilt in both is paid exactly the in-memory rent plus a whole
+// number of misses, and some of these queries' probes miss.
+TEST_F(TopKExecutorTest, PageMissesAddToTheRent) {
+  if (xk_->data().storage_options.backend != storage::StorageBackend::kDisk) {
+    GTEST_SKIP() << "needs the disk backend (topk_executor_test_disk_backend)";
+  }
+  // The same data in memory: lift the override that pages the fixture for
+  // this one load.
+  const std::string backend = std::getenv("XK_STORAGE_BACKEND");
+  ::setenv("XK_STORAGE_BACKEND", "memory", 1);
+  auto loaded = XKeyword::Load(&db_->graph(), &db_->schema(), &db_->tss());
+  ::setenv("XK_STORAGE_BACKEND", backend.c_str(), 1);
+  XK_ASSERT_OK(loaded.status());
+  std::unique_ptr<XKeyword> memory = std::move(loaded).MoveValueUnsafe();
+  ASSERT_EQ(memory->data().storage_options.backend, storage::StorageBackend::kMemory);
+  XK_ASSERT_OK(memory->AddDecomposition(
+      decomp::MakeXKeyword(db_->tss(), 2, 6).MoveValueUnsafe()));
+
+  constexpr size_t kPerNetwork = 10;
+  QueryOptions options;
+  options.max_size_z = 6;
+  uint64_t miss_rent = 0;
+  for (const auto& keywords : std::vector<std::vector<std::string>>{
+           {"ullman", "widom"}, {"gray", "codd"}, {"stonebraker", "author47"}}) {
+    XK_ASSERT_OK_AND_ASSIGN(PreparedQuery on_disk,
+                            xk_->Prepare(keywords, "XKeyword", options));
+    XK_ASSERT_OK_AND_ASSIGN(PreparedQuery in_memory,
+                            memory->Prepare(keywords, "XKeyword", options));
+    ASSERT_EQ(on_disk.plans.size(), in_memory.plans.size());
+    for (size_t p = 0; p < on_disk.plans.size(); ++p) {
+      const opt::CtssnPlan& disk_plan = on_disk.plans[p];
+      const opt::CtssnPlan& memory_plan = in_memory.plans[p];
+      BloomCache disk_cache(on_disk.exec_options.use_indexes);
+      BloomCache memory_cache(in_memory.exec_options.use_indexes);
+      RunPlan(disk_plan, &disk_cache, on_disk, kPerNetwork);
+      RunPlan(memory_plan, &memory_cache, in_memory, kPerNetwork);
+      for (size_t i = 1; i < disk_plan.query.steps.size(); ++i) {
+        for (const auto& [col, ref] : disk_plan.query.steps[i].eq) {
+          (void)ref;
+          BloomCache::Slot* d = disk_cache.Find(disk_plan.query.steps[i],
+                                                disk_plan.step_signatures[i], col);
+          BloomCache::Slot* m = memory_cache.Find(
+              memory_plan.query.steps[i], memory_plan.step_signatures[i], col);
+          if (d->Ready() != nullptr || m->Ready() != nullptr) continue;
+          const uint64_t disk_rent = d->rent.load();
+          const uint64_t memory_rent = m->rent.load();
+          ASSERT_GE(disk_rent, memory_rent) << disk_plan.step_signatures[i];
+          EXPECT_EQ((disk_rent - memory_rent) % exec::kPageMissCost, 0u)
+              << disk_plan.step_signatures[i];
+          miss_rent += disk_rent - memory_rent;
+        }
+      }
+    }
+  }
+  EXPECT_GT(miss_rent, 0u);
 }
 
 // The full-result executor's hash-join path (shared filtered scans plus the
@@ -303,8 +460,6 @@ TEST_F(GlobalKPoolTest, OptionsOutsideTheCacheKeyNeverChangeTheAnswer) {
           {"num_threads=1", [](QueryOptions* o) { o->num_threads = 1; }},
           {"enable_cache=false", [](QueryOptions* o) { o->enable_cache = false; }},
           {"cache_capacity=16", [](QueryOptions* o) { o->cache_capacity = 16; }},
-          {"enable_semijoin_pruning=false",
-           [](QueryOptions* o) { o->enable_semijoin_pruning = false; }},
           {"anytime_headroom=4", [](QueryOptions* o) { o->anytime_headroom = 4.0; }},
           {"anytime_min_plan_rows=1",
            [](QueryOptions* o) { o->anytime_min_plan_rows = 1; }},
