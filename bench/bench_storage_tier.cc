@@ -2,10 +2,11 @@
 // in-memory backend vs the disk backend under a warm pool (everything
 // resident after the first sweep) and a cold pool (budget of a few frames, so
 // every query churns through misses and evictions), the same axis for raw
-// table sweeps through TableReadCursor, the page checksum every pool miss
-// verifies, and the compressed posting-list footprint against the 24-byte
-// in-memory struct. Pool counters (hits, misses, read bytes, evictions) ride
-// along as series counters.
+// table sweeps through TableReadCursor and for paged bound lookups (clustered
+// ranges and composite runs), the page checksum every pool miss verifies,
+// and the compressed posting-list footprint against the 24-byte in-memory
+// struct. Pool counters (hits, misses, read bytes, evictions) ride along as
+// series counters.
 //
 // Caveat recorded next to the numbers: the page file lives on the build
 // machine's filesystem, so "disk" reads are usually served from the OS page
@@ -14,6 +15,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -197,6 +199,59 @@ void BM_TableSweep(benchmark::State& state, bool paged, size_t pool_pages) {
   }
 }
 
+/// Paged bound lookups on a connection-relation-shaped table (clustered on
+/// (a, b), composite index on (b, a)): one-column clustered ranges or
+/// composite runs of random existing values, through a pool of
+/// `state.range(0)` frames — 512 holds every page (warm), 2 makes most
+/// lookups miss (cold). Pins and misses per lookup ride along as counters.
+void BM_PagedLookup(benchmark::State& state, bool composite) {
+  constexpr int kRows = 100000;
+  xk::storage::Table table("lookup", {"a", "b", "c"});
+  xk::Random rng(17);
+  for (int r = 0; r < kRows; ++r) {
+    XK_CHECK(table
+                 .Append(xk::storage::Tuple{rng.Uniform(0, 5000),
+                                            rng.Uniform(0, 5000), r})
+                 .ok());
+  }
+  XK_CHECK(table.Cluster({0, 1}).ok());
+  XK_CHECK(table.BuildCompositeIndex({1, 0}).ok());
+  table.Freeze();
+  std::vector<xk::storage::ObjectId> keys(4096);
+  for (xk::storage::ObjectId& k : keys) {
+    k = table.At(static_cast<xk::storage::RowId>(rng.Uniform(0, kRows - 1)),
+                 composite ? 1 : 0);
+  }
+  StorageOptions options;
+  options.backend = StorageBackend::kDisk;
+  options.buffer_pool_bytes = static_cast<size_t>(state.range(0)) * kPageSize;
+  auto tier = xk::storage::StorageTier::Create(options).MoveValueUnsafe();
+  XK_CHECK(table.SpillToDisk(tier.get()).ok());
+  const xk::storage::CompositeIndex* index = table.GetCompositeIndex({1});
+  std::vector<xk::storage::RowId> scratch;
+  const xk::storage::BufferPoolStats before = tier->PoolStats();
+  size_t lookups = 0, rows = 0;
+  for (auto _ : state) {
+    const xk::storage::TupleView key(&keys[lookups % keys.size()], 1);
+    if (composite) {
+      rows += index->LookupPrefix(key, &scratch).size();
+    } else {
+      const auto range = table.ClusteredRange(key);
+      rows += range.second - range.first;
+    }
+    ++lookups;
+  }
+  const xk::storage::BufferPoolStats after = tier->PoolStats();
+  const double n = static_cast<double>(std::max<size_t>(lookups, 1));
+  state.counters["pins/lookup"] = benchmark::Counter(
+      static_cast<double>(after.hits + after.misses - before.hits -
+                          before.misses) / n);
+  state.counters["misses/lookup"] =
+      benchmark::Counter(static_cast<double>(after.misses - before.misses) / n);
+  state.counters["rows/lookup"] =
+      benchmark::Counter(static_cast<double>(rows) / n);
+}
+
 /// The page checksum every buffer-pool miss verifies, over one full page
 /// (16-byte header prefix + kPagePayload live bytes); bytes/s is per page.
 void BM_PageChecksum(benchmark::State& state) {
@@ -251,6 +306,15 @@ BENCHMARK_CAPTURE(BM_TableSweep, memory, false, 0)
 BENCHMARK_CAPTURE(BM_TableSweep, disk_warm, true, 512)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_TableSweep, disk_cold, true, 4)
+    ->Unit(benchmark::kMicrosecond);
+
+BENCHMARK_CAPTURE(BM_PagedLookup, clustered, false)
+    ->Arg(512)
+    ->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_PagedLookup, composite, true)
+    ->Arg(512)
+    ->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK(BM_PageChecksum);

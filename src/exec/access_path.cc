@@ -205,8 +205,10 @@ AccessPathKind CandidateCursor::Init(const PathChoice& choice,
 
 bool CandidateCursor::TrySeek(const storage::Table& table,
                               const std::vector<ColumnInSet>& in_filters) {
-  // Paged tables keep the scan: every lookup would binary-search through
-  // pinned pages, costing more page misses than the scan it replaces.
+  // Paged tables keep the scan. A lookup pins only its own pages, but the
+  // candidates of a composite run lie on scattered table pages, and a
+  // measured seek on paged tables missed more pages than the scan it
+  // replaced (EXPERIMENTS A15).
   if (table.IsPaged()) return false;
   const ColumnInSet* best = nullptr;
   SeekSource source;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <numeric>
 
 #include "common/logging.h"
@@ -177,8 +178,9 @@ CompositeIndex::CompositeIndex(const Table& table, std::vector<int> key_columns)
                       order_);
 }
 
-int CompositeIndex::ComparePrefix(RowId row, TupleView prefix) const {
-  for (size_t i = 0; i < prefix.size(); ++i) {
+int CompositeIndex::ComparePrefix(RowId row, TupleView prefix,
+                                  size_t from) const {
+  for (size_t i = from; i < prefix.size(); ++i) {
     ObjectId v = table_.At(row, key_columns_[i]);
     if (v < prefix[i]) return -1;
     if (v > prefix[i]) return 1;
@@ -186,29 +188,20 @@ int CompositeIndex::ComparePrefix(RowId row, TupleView prefix) const {
   return 0;
 }
 
-RowId CompositeIndex::OrderAt(size_t i) const {
-  if (paged_ == nullptr) return order_[i];
-  const size_t page_index = i / paged_->entries_per_page;
-  PageHandle h = paged_->tier->pool()->Pin(
-      paged_->first_page + static_cast<PageNo>(page_index));
-  const RowId* entries = reinterpret_cast<const RowId*>(h.payload());
-  return entries[i - page_index * paged_->entries_per_page];
-}
-
 std::pair<size_t, size_t> CompositeIndex::PrefixRange(TupleView prefix) const {
   XK_CHECK_LE(prefix.size(), key_columns_.size());
-  // partition_point over entry positions; every probe reads the entry (one
-  // page pin when spilled) and compares its row's key prefix.
+  // partition_point over entry positions; every probe compares its row's key
+  // prefix.
   size_t lo = 0, hi = num_entries_;
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (ComparePrefix(OrderAt(mid), prefix) < 0) lo = mid + 1; else hi = mid;
+    if (ComparePrefix(order_[mid], prefix) < 0) lo = mid + 1; else hi = mid;
   }
   const size_t lower = lo;
   hi = num_entries_;
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (ComparePrefix(OrderAt(mid), prefix) == 0) lo = mid + 1; else hi = mid;
+    if (ComparePrefix(order_[mid], prefix) == 0) lo = mid + 1; else hi = mid;
   }
   return {lower, lo};
 }
@@ -221,44 +214,147 @@ std::span<const RowId> CompositeIndex::LookupPrefix(TupleView prefix) const {
 
 std::span<const RowId> CompositeIndex::LookupPrefix(
     TupleView prefix, std::vector<RowId>* scratch) const {
+  if (paged_ != nullptr) return PagedLookupPrefix(prefix, scratch);
   auto [lower, upper] = PrefixRange(prefix);
-  if (paged_ == nullptr) {
-    return std::span<const RowId>(order_.data() + lower, upper - lower);
-  }
+  return std::span<const RowId>(order_.data() + lower, upper - lower);
+}
+
+// --- Spilled ordering ----------------------------------------------------
+
+/// One pinned index page: entries [begin, begin + size) of the ordering,
+/// their lead keys and their row ids.
+struct CompositeIndex::IndexPage {
+  PageHandle pin;
+  size_t begin = 0;
+  size_t size = 0;
+  const ObjectId* keys = nullptr;
+  const RowId* rows = nullptr;
+};
+
+CompositeIndex::IndexPage CompositeIndex::PinPage(size_t page) const {
+  IndexPage p;
+  p.pin = paged_->tier->pool()->Pin(paged_->first_page +
+                                    static_cast<PageNo>(page));
+  p.begin = page * paged_->entries_per_page;
+  p.size = std::min<size_t>(paged_->entries_per_page, num_entries_ - p.begin);
+  p.keys = reinterpret_cast<const ObjectId*>(p.pin.payload());
+  p.rows = reinterpret_cast<const RowId*>(p.keys + p.size);
+  return p;
+}
+
+RowId CompositeIndex::PagedOrderAt(size_t i) const {
+  const IndexPage p = PinPage(i / paged_->entries_per_page);
+  return p.rows[i - p.begin];
+}
+
+std::span<const RowId> CompositeIndex::PagedLookupPrefix(
+    TupleView prefix, std::vector<RowId>* scratch) const {
+  XK_CHECK_LE(prefix.size(), key_columns_.size());
   scratch->clear();
+  size_t lower = 0, upper = num_entries_;
+  // The pages the lead run's bounds were found on, kept pinned for the copy.
+  IndexPage first, last;
+  if (!prefix.empty()) {
+    // Fences are the lead keys of the pages' first entries, in key order:
+    // the run starts on the last page whose first key is below `v` (or at
+    // the start of the next) and ends on the last page whose first key is
+    // at most `v`.
+    const ObjectId v = prefix[0];
+    const std::vector<ObjectId>& fences = paged_->fences;
+    const size_t below = static_cast<size_t>(
+        std::lower_bound(fences.begin(), fences.end(), v) - fences.begin());
+    const size_t at_most = static_cast<size_t>(
+        std::upper_bound(fences.begin(), fences.end(), v) - fences.begin());
+    if (at_most == 0) return {};  // `v` is below every key
+    last = PinPage(at_most - 1);
+    upper = last.begin + static_cast<size_t>(
+        std::upper_bound(last.keys, last.keys + last.size, v) - last.keys);
+    if (below > 0) {
+      const IndexPage* page = &last;
+      if (below != at_most) {
+        first = PinPage(below - 1);
+        page = &first;
+      }
+      lower = page->begin + static_cast<size_t>(
+          std::lower_bound(page->keys, page->keys + page->size, v) - page->keys);
+      // A run starting on the next page needs this one no longer.
+      if (lower == first.begin + first.size) first.pin.Release();
+    }
+    if (prefix.size() > 1) {
+      // The rest of the key lives in the table: narrow the lead run by
+      // reading the rows of its probed entries.
+      first.pin.Release();
+      last.pin.Release();
+      size_t lo = lower, hi = upper;
+      while (lo < hi) {
+        const size_t mid = lo + (hi - lo) / 2;
+        if (ComparePrefix(PagedOrderAt(mid), prefix, 1) < 0) lo = mid + 1; else hi = mid;
+      }
+      lower = lo;
+      hi = upper;
+      while (lo < hi) {
+        const size_t mid = lo + (hi - lo) / 2;
+        if (ComparePrefix(PagedOrderAt(mid), prefix, 1) == 0) lo = mid + 1; else hi = mid;
+      }
+      upper = lo;
+    }
+  }
   scratch->reserve(upper - lower);
-  // Copy page-run-at-a-time: one pin per touched page, not per entry.
+  // Copy page-run-at-a-time: one pin per touched page, none for the pages
+  // still pinned from the search.
   size_t i = lower;
   while (i < upper) {
-    const size_t page_index = i / paged_->entries_per_page;
-    const size_t run_end =
-        std::min(upper, (page_index + 1) * paged_->entries_per_page);
-    PageHandle h = paged_->tier->pool()->Pin(
-        paged_->first_page + static_cast<PageNo>(page_index));
-    const RowId* entries = reinterpret_cast<const RowId*>(h.payload());
-    const size_t base = page_index * paged_->entries_per_page;
-    scratch->insert(scratch->end(), entries + (i - base),
-                    entries + (run_end - base));
+    const size_t page_begin = i - i % paged_->entries_per_page;
+    IndexPage pinned;
+    const IndexPage* page;
+    if (last.pin.valid() && last.begin == page_begin) {
+      page = &last;
+    } else if (first.pin.valid() && first.begin == page_begin) {
+      page = &first;
+    } else {
+      pinned = PinPage(page_begin / paged_->entries_per_page);
+      page = &pinned;
+    }
+    const size_t run_end = std::min(upper, page->begin + page->size);
+    scratch->insert(scratch->end(), page->rows + (i - page->begin),
+                    page->rows + (run_end - page->begin));
     i = run_end;
+    if (page == &first) first.pin.Release();  // the run goes on past it
   }
   return std::span<const RowId>(*scratch);
 }
 
 Status CompositeIndex::SpillToDisk(StorageTier* tier) {
   if (paged_ != nullptr) return Status::OK();
-  const uint32_t epp = static_cast<uint32_t>(kPagePayload / sizeof(RowId));
+  const uint32_t epp =
+      static_cast<uint32_t>(kPagePayload / (sizeof(ObjectId) + sizeof(RowId)));
   auto paged = std::make_unique<PagedOrder>();
   paged->tier = tier;
   paged->entries_per_page = epp;
   paged->num_pages = (num_entries_ + epp - 1) / epp;
   paged->first_page = static_cast<PageNo>(tier->store()->num_pages());
-  for (size_t start = 0; start < num_entries_; start += epp) {
-    const size_t n = std::min<size_t>(epp, num_entries_ - start);
+  paged->fences.reserve(paged->num_pages);
+  // Page images are staged a write batch at a time; the batches of one
+  // index land on consecutive pages because spills are serialized at load.
+  constexpr size_t kEntryBytes = sizeof(ObjectId) + sizeof(RowId);
+  std::vector<uint8_t> staging(kAppendBatchPages * kPagePayload);
+  std::vector<std::string_view> pages;
+  for (size_t start = 0; start < num_entries_;) {
+    pages.clear();
+    for (; start < num_entries_ && pages.size() < kAppendBatchPages; start += epp) {
+      const size_t n = std::min<size_t>(epp, num_entries_ - start);
+      uint8_t* image = staging.data() + pages.size() * kPagePayload;
+      auto* keys = reinterpret_cast<ObjectId*>(image);
+      for (size_t i = 0; i < n; ++i) {
+        keys[i] = table_.At(order_[start + i], key_columns_[0]);
+      }
+      std::memcpy(keys + n, order_.data() + start, n * sizeof(RowId));
+      paged->fences.push_back(keys[0]);
+      pages.emplace_back(reinterpret_cast<const char*>(image), n * kEntryBytes);
+    }
     XK_ASSIGN_OR_RETURN(PageNo page,
-                        tier->store()->AppendPage(PageType::kIndexOrder,
-                                                  order_.data() + start,
-                                                  n * sizeof(RowId)));
-    XK_CHECK_EQ(page, paged->first_page + start / epp);
+                        tier->store()->AppendPages(PageType::kIndexOrder, pages));
+    XK_CHECK_EQ(page, paged->first_page + paged->fences.size() - pages.size());
   }
   paged_ = std::move(paged);
   MappedVector<RowId>().swap(order_);
@@ -270,9 +366,12 @@ size_t CompositeIndex::DiskBytes() const {
 }
 
 size_t CompositeIndex::MemoryBytes() const {
-  // Ordering payload plus the key-column vector — self-contained heap use,
-  // so the ablation compares honestly against DiskBytes() once spilled.
-  return order_.capacity() * sizeof(RowId) +
+  // Ordering payload (or, once spilled, the page fences) plus the key-column
+  // vector — self-contained heap use, so the ablation compares honestly
+  // against DiskBytes() once spilled.
+  const size_t fences =
+      paged_ != nullptr ? paged_->fences.capacity() * sizeof(ObjectId) : 0;
+  return order_.capacity() * sizeof(RowId) + fences +
          key_columns_.capacity() * sizeof(int);
 }
 

@@ -104,22 +104,32 @@ class CompositeIndex {
 
   /// Row ids whose key columns start with `prefix` (prefix.size() <= arity of
   /// the key). The returned span is a contiguous, key-ordered run. Memory
-  /// backend only (the span aliases the in-memory ordering).
+  /// backend only (the span aliases the in-memory ordering); a lookup
+  /// binary-searches the ordering, reading each probed entry's key from the
+  /// table.
   std::span<const RowId> LookupPrefix(TupleView prefix) const;
 
   /// Backend-neutral prefix lookup. Memory backend: identical to the
-  /// overload above (`*scratch` untouched). Disk backend: materializes the
-  /// matching run from the paged ordering into `*scratch` and returns a span
-  /// over it — valid as long as `*scratch` is.
+  /// overload above (`*scratch` untouched). Disk backend: copies the matching
+  /// run from the paged ordering into `*scratch` and returns a span over it —
+  /// valid as long as `*scratch` is. The lead column's run is found from the
+  /// in-RAM page fences and the lead keys on the index pages, so a
+  /// one-column lookup pins the pages its run lies on plus at most the page
+  /// before, and reads no table row; each further prefix column narrows the
+  /// run by a binary search that reads table rows.
   std::span<const RowId> LookupPrefix(TupleView prefix,
                                       std::vector<RowId>* scratch) const;
 
   /// Moves the sorted ordering onto pages owned by `tier` (Table::SpillToDisk
-  /// calls this for every composite index). Idempotent.
+  /// calls this for every composite index). Each page holds
+  /// `[n x lead ObjectId][n x RowId]`; the lead key of every page's first
+  /// entry stays in RAM. Requires the table's rows still in memory.
+  /// Idempotent.
   Status SpillToDisk(StorageTier* tier);
   bool IsPaged() const { return paged_ != nullptr; }
   size_t DiskBytes() const;
 
+  /// Heap footprint: the ordering in memory; once spilled, the page fences.
   size_t MemoryBytes() const;
 
  private:
@@ -128,12 +138,19 @@ class CompositeIndex {
     PageNo first_page;
     uint32_t entries_per_page;
     size_t num_pages;
+    std::vector<ObjectId> fences;  // lead key of each page's first entry
   };
+  struct IndexPage;
 
-  /// Entry `i` of the sorted ordering, pinning its page when spilled.
-  RowId OrderAt(size_t i) const;
-  /// [lower, upper) of entries whose key starts with `prefix`.
+  /// Pins index page `page` of the spilled ordering.
+  IndexPage PinPage(size_t page) const;
+  /// Entry `i` of the spilled ordering, pinning its page.
+  RowId PagedOrderAt(size_t i) const;
+  /// [lower, upper) of entries whose key starts with `prefix` (in memory).
   std::pair<size_t, size_t> PrefixRange(TupleView prefix) const;
+  /// LookupPrefix on the spilled ordering.
+  std::span<const RowId> PagedLookupPrefix(TupleView prefix,
+                                           std::vector<RowId>* scratch) const;
 
   const Table& table_;
   std::vector<int> key_columns_;
@@ -142,8 +159,8 @@ class CompositeIndex {
   bool lead_runs_in_row_order_ = false;
   std::unique_ptr<PagedOrder> paged_;
 
-  // Compares row `row` against `prefix` on the first prefix.size() key cols.
-  int ComparePrefix(RowId row, TupleView prefix) const;
+  // Compares row `row` against `prefix` on key columns [from, prefix.size()).
+  int ComparePrefix(RowId row, TupleView prefix, size_t from = 0) const;
 };
 
 }  // namespace xk::storage

@@ -30,14 +30,14 @@ inline constexpr size_t kPageSize = 8192;
 /// Version tag of the page format. Bump it with any change to the page
 /// layout or the checksum, so that a file in an older format fails as "bad
 /// magic" instead of as a checksum mismatch on every page.
-inline constexpr uint32_t kPageMagic = 0x58504B32;  // "XPK2"
+inline constexpr uint32_t kPageMagic = 0x58504B33;  // "XPK3"
 
 /// What a page's payload holds. Purely diagnostic — readers know what they
 /// are looking for from the directory entry that pointed them at the page.
 enum class PageType : uint16_t {
   kFree = 0,
   kTableRows = 1,   // row-major ObjectId tuples, whole rows only
-  kIndexOrder = 2,  // sorted RowId entries of one composite index
+  kIndexOrder = 2,  // one composite index: n lead ObjectIds, then n RowIds
   kPostings = 3,    // delta+varint compressed posting bytes
   kBlob = 4,        // serialized target-object fragments
 };

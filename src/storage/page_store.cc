@@ -4,8 +4,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -72,47 +74,57 @@ PageStore::~PageStore() {
 
 Result<PageNo> PageStore::AppendPage(PageType type, const void* payload,
                                      size_t len) {
+  const std::string_view view(static_cast<const char*>(payload), len);
+  return AppendPages(type, std::span<const std::string_view>(&view, 1));
+}
+
+Result<PageNo> PageStore::AppendPages(
+    PageType type, std::span<const std::string_view> payloads) {
   if (!writable_) return Status::Aborted("page store is read-only");
-  if (len > kPagePayload) {
-    return Status::InvalidArgument(
-        StrFormat("page payload %zu exceeds %zu", len, kPagePayload));
+  for (std::string_view payload : payloads) {
+    if (payload.size() > kPagePayload) {
+      return Status::InvalidArgument(StrFormat(
+          "page payload %zu exceeds %zu", payload.size(), kPagePayload));
+    }
   }
   std::lock_guard<std::mutex> lock(append_mu_);
-  const PageNo page_no = static_cast<PageNo>(num_pages_.load());
-  alignas(8) char image[kPageSize];
-  std::memset(image, 0, kPageSize);
-  PageHeader h;
-  h.magic = kPageMagic;
-  h.page_no = page_no;
-  h.type = static_cast<uint16_t>(type);
-  h.reserved = 0;
-  h.payload_len = static_cast<uint32_t>(len);
-  h.checksum = ComputePageChecksum(h, payload);
-  std::memcpy(image, &h, sizeof(h));
-  if (len > 0) std::memcpy(image + sizeof(h), payload, len);
-  XK_RETURN_NOT_OK(WriteFull(fd_, image, kPageSize,
-                             static_cast<off_t>(page_no) *
-                                 static_cast<off_t>(kPageSize)));
-  // Publish only after the full page is durable in the file so a concurrent
-  // reader can never see a page number it cannot read back.
-  num_pages_.store(page_no + 1, std::memory_order_release);
-  return page_no;
+  const PageNo first = static_cast<PageNo>(num_pages_.load());
+  std::vector<char> images;
+  for (size_t done = 0; done < payloads.size();) {
+    const size_t n = std::min(kAppendBatchPages, payloads.size() - done);
+    images.assign(n * kPageSize, 0);
+    for (size_t i = 0; i < n; ++i) {
+      const std::string_view payload = payloads[done + i];
+      char* image = images.data() + i * kPageSize;
+      PageHeader h;
+      h.magic = kPageMagic;
+      h.page_no = first + static_cast<PageNo>(done + i);
+      h.type = static_cast<uint16_t>(type);
+      h.reserved = 0;
+      h.payload_len = static_cast<uint32_t>(payload.size());
+      h.checksum = ComputePageChecksum(h, payload.data());
+      std::memcpy(image, &h, sizeof(h));
+      if (!payload.empty()) {
+        std::memcpy(image + sizeof(h), payload.data(), payload.size());
+      }
+    }
+    XK_RETURN_NOT_OK(WriteFull(fd_, images.data(), images.size(),
+                               static_cast<off_t>(first + done) *
+                                   static_cast<off_t>(kPageSize)));
+    done += n;
+    // Publish only after the pages are in the file, so a concurrent reader
+    // can never see a page number it cannot read back.
+    num_pages_.store(first + done, std::memory_order_release);
+  }
+  return first;
 }
 
 Result<PageNo> PageStore::AppendBytes(PageType type, std::string_view bytes) {
-  PageNo first = static_cast<PageNo>(num_pages());
-  size_t pos = 0;
-  bool first_set = false;
-  while (pos < bytes.size()) {
-    const size_t n = std::min(kPagePayload, bytes.size() - pos);
-    XK_ASSIGN_OR_RETURN(PageNo page, AppendPage(type, bytes.data() + pos, n));
-    if (!first_set) {
-      first = page;
-      first_set = true;
-    }
-    pos += n;
+  std::vector<std::string_view> pages;
+  for (size_t pos = 0; pos < bytes.size(); pos += kPagePayload) {
+    pages.push_back(bytes.substr(pos, kPagePayload));
   }
-  return first;
+  return AppendPages(type, pages);
 }
 
 Status PageStore::ReadPage(PageNo page_no, void* buf) const {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -25,6 +26,9 @@ namespace xk::storage {
 
 /// Page number within one store file.
 using PageNo = uint32_t;
+
+/// Pages AppendPages writes per system call (256 KiB).
+inline constexpr size_t kAppendBatchPages = 32;
 
 class PageStore {
  public:
@@ -41,6 +45,12 @@ class PageStore {
 
   /// Appends one page with the given payload (<= kPagePayload bytes).
   Result<PageNo> AppendPage(PageType type, const void* payload, size_t len);
+
+  /// Appends one page per payload (each <= kPagePayload bytes), in order,
+  /// writing up to kAppendBatchPages pages per system call. Returns the
+  /// first page's number (the next page number when `payloads` is empty).
+  Result<PageNo> AppendPages(PageType type,
+                             std::span<const std::string_view> payloads);
 
   /// Appends `bytes` chunked into consecutive pages (every page payload-full
   /// except possibly the last). Returns the first page; byte `i` of the

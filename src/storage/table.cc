@@ -70,6 +70,7 @@ Status Table::Cluster(std::vector<int> key_columns) {
 std::pair<RowId, RowId> Table::ClusteredRange(TupleView prefix) const {
   XK_CHECK(clustering_.has_value());
   XK_CHECK_LE(prefix.size(), clustering_->size());
+  if (paged_ != nullptr) return PagedClusteredRange(prefix);
   const std::vector<int>& key = *clustering_;
   // Binary search over row positions (rows are physically sorted).
   auto cmp_lower = [&](RowId r) {  // true if Row(r) < prefix
@@ -143,6 +144,7 @@ const CompositeIndex* Table::GetCompositeIndex(const std::vector<int>& columns) 
 
 size_t Table::MemoryBytes() const {
   size_t bytes = rows_.capacity() * sizeof(ObjectId);
+  if (paged_ != nullptr) bytes += paged_->fences.capacity() * sizeof(ObjectId);
   for (const auto& idx : hash_indexes_) bytes += idx->MemoryBytes();
   for (const auto& idx : composite_indexes_) bytes += idx->MemoryBytes();
   return bytes;
@@ -167,18 +169,22 @@ Status Table::SpillToDisk(StorageTier* tier) {
   paged->tier = tier;
   paged->rows_per_page = rpp;
   paged->num_pages = (num_rows_ + rpp - 1) / rpp;
-  paged->first_page = static_cast<PageNo>(tier->store()->num_pages());
+  if (clustering_.has_value()) {
+    paged->fences.reserve(paged->num_pages * clustering_->size());
+  }
+  std::vector<std::string_view> pages;
+  pages.reserve(paged->num_pages);
   for (size_t start = 0; start < num_rows_; start += rpp) {
     const size_t n = std::min<size_t>(rpp, num_rows_ - start);
-    XK_ASSIGN_OR_RETURN(
-        PageNo page,
-        tier->store()->AppendPage(
-            PageType::kTableRows, rows_.data() + start * arity_,
-            n * static_cast<size_t>(arity_) * sizeof(ObjectId)));
-    // Pages of one table must be consecutive for page-of-row arithmetic;
-    // spills are serialized at load, so nothing interleaves.
-    XK_CHECK_EQ(page, paged->first_page + start / rpp);
+    if (clustering_.has_value()) {
+      for (int c : *clustering_) paged->fences.push_back(At(static_cast<RowId>(start), c));
+    }
+    pages.emplace_back(reinterpret_cast<const char*>(rows_.data() + start * arity_),
+                       n * static_cast<size_t>(arity_) * sizeof(ObjectId));
   }
+  // Pages of one table are consecutive, for page-of-row arithmetic.
+  XK_ASSIGN_OR_RETURN(paged->first_page,
+                      tier->store()->AppendPages(PageType::kTableRows, pages));
   for (const auto& idx : composite_indexes_) {
     XK_RETURN_NOT_OK(idx->SpillToDisk(tier));
   }
@@ -191,6 +197,59 @@ size_t Table::DiskBytes() const {
   size_t bytes = paged_ != nullptr ? paged_->num_pages * kPageSize : 0;
   for (const auto& idx : composite_indexes_) bytes += idx->DiskBytes();
   return bytes;
+}
+
+std::pair<RowId, RowId> Table::PagedClusteredRange(TupleView prefix) const {
+  const size_t k = prefix.size();
+  if (k == 0) return {0, static_cast<RowId>(num_rows_)};
+  const std::vector<int>& key = *clustering_;
+  const size_t stride = key.size();
+  // Sign of (the first k clustering-key values at `key_at`) - prefix.
+  auto compare = [&](auto key_at) {
+    for (size_t i = 0; i < k; ++i) {
+      const ObjectId v = key_at(i);
+      if (v != prefix[i]) return v < prefix[i] ? -1 : 1;
+    }
+    return 0;
+  };
+  // Fences hold each page's first key, in key order: the range starts on
+  // the last page whose first key is below the prefix (or at the start of
+  // the next) and ends on the last page whose first key is at most it.
+  const ObjectId* fences = paged_->fences.data();
+  auto pages_where = [&](auto pred) {
+    size_t lo = 0, hi = paged_->num_pages;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      const ObjectId* fence = fences + mid * stride;
+      if (pred(compare([&](size_t i) { return fence[i]; }))) lo = mid + 1; else hi = mid;
+    }
+    return lo;
+  };
+  const size_t below = pages_where([](int c) { return c < 0; });
+  const size_t at_most = pages_where([](int c) { return c <= 0; });
+  // First row of page `page` whose key prefix fails `pred`; consecutive
+  // calls on one page share its pin.
+  PageHandle pin;
+  const ObjectId* base = nullptr;
+  RowId page_begin = 0, page_end = 0;
+  auto bound_in_page = [&](size_t page, auto pred) {
+    const auto first_row = static_cast<RowId>(page * paged_->rows_per_page);
+    if (!pin.valid() || first_row != page_begin) {
+      pin = PinRun(first_row, &base, &page_begin, &page_end);
+    }
+    RowId lo = page_begin, hi = page_end;
+    while (lo < hi) {
+      const RowId mid = lo + (hi - lo) / 2;
+      const ObjectId* row = base + static_cast<size_t>(mid - page_begin) * arity_;
+      if (pred(compare([&](size_t i) { return row[key[i]]; }))) lo = mid + 1; else hi = mid;
+    }
+    return lo;
+  };
+  if (at_most == 0) return {0, 0};  // the prefix is below every key
+  const RowId end = bound_in_page(at_most - 1, [](int c) { return c <= 0; });
+  const RowId begin =
+      below == 0 ? 0 : bound_in_page(below - 1, [](int c) { return c < 0; });
+  return {begin, end};
 }
 
 PageHandle Table::PinRun(RowId r, const ObjectId** base, RowId* begin,

@@ -110,6 +110,8 @@ class Table {
 
   /// Row-id range [begin, end) whose clustering key starts with `prefix`.
   /// Requires IsClustered() and prefix no longer than the clustering key.
+  /// On a paged table the in-RAM page fences locate the (at most two) pages
+  /// the range's bounds lie on, and only those are pinned.
   std::pair<RowId, RowId> ClusteredRange(TupleView prefix) const;
 
   /// Builds (or returns the existing) single-attribute hash index on `column`.
@@ -149,7 +151,8 @@ class Table {
   size_t DiskBytes() const;
 
   /// Heap footprint of rows + indexes, for the space ablation bench.
-  /// Spilled rows / orderings no longer count — see DiskBytes().
+  /// Spilled rows / orderings no longer count — see DiskBytes() — but their
+  /// in-RAM page fences do.
   size_t MemoryBytes() const;
 
   /// Distinct values in `column` (computed lazily, cached after Freeze()).
@@ -166,8 +169,12 @@ class Table {
     PageNo first_page;
     uint32_t rows_per_page;
     size_t num_pages;
+    // Clustering key of each page's first row, page after page (empty when
+    // the table is not clustered).
+    std::vector<ObjectId> fences;
   };
 
+  std::pair<RowId, RowId> PagedClusteredRange(TupleView prefix) const;
   ObjectId PagedAt(RowId r, int col) const;
   void PagedRowInto(RowId r, Tuple* scratch) const;
   /// Pins the page holding `r` and exposes its contiguous row run:
