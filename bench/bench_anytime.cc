@@ -10,15 +10,19 @@
 //                            coverage must grow monotonically with B; a
 //                            summary table after the runs checks exactly that
 //                            and records the verdict in the JSON sidecar.
-//   AnytimeDeadline/us:*   — wall-clock deadlines (EWMA-calibrated plan
-//                            admission). Nondeterministic by nature, so this
-//                            series reports observed coverage/degradation
-//                            rather than asserting a shape.
+//   AnytimeDeadline/us:*   — wall-clock deadlines. A deadline only
+//                            truncates: the size-ordered plan schedule stops
+//                            where the token trips, with the plan it landed
+//                            in interrupted and later ones skipped.
+//                            Nondeterministic by nature, so this series
+//                            reports observed coverage/degradation rather
+//                            than asserting a shape.
 //
 // Per series point (and in BENCH_anytime.json):
 //   results/query       — mttons returned per query
 //   cns_executed/query  — candidate networks the engine actually ran
-//   cns_skipped/query   — CNs the budget proved unaffordable and skipped whole
+//   cns_skipped/query   — CNs skipped whole: unaffordable under the cost
+//                         budget, or never reached before the deadline
 //   exhausted_class     — mean largest CN size class fully covered (-1 none)
 //   degraded_fraction   — fraction of queries finishing kDegraded
 

@@ -14,8 +14,8 @@ void BM_FullResults(benchmark::State& state) {
   auto& fixture = xk::bench::DblpBench::Get();
   const auto& prepared = fixture.Prepared("MinNClustNIndx", /*z=*/8);
 
+  // Unindexed relations: the full-result executor runs hash joins.
   xk::engine::QueryOptions options;
-  options.full_mode = xk::engine::FullMode::kHashJoin;
   options.max_network_size = static_cast<int>(state.range(0));
 
   uint64_t reuse_hits = 0;

@@ -161,10 +161,11 @@ void RegisterAll() {
 
   // Deadline overload: the same saturated one-worker setup, but every query
   // carries a deadline armed at admission. Queue wait eats most of the
-  // budget, so late queries degrade: the anytime budget spends what is left
-  // on whole CNs (structured degraded answers with a coverage bound). The
-  // rejected counter stays comparable to ServiceOverload — degradation
-  // converts would-be bare timeouts, not admission rejections.
+  // budget, so late queries degrade: the deadline truncates the size-ordered
+  // plan schedule where it trips (structured degraded answers with a
+  // coverage bound). The rejected counter stays comparable to
+  // ServiceOverload — degradation converts would-be bare timeouts, not
+  // admission rejections.
   {
     LoopSetup deadline = overload;
     deadline.deadline = std::chrono::milliseconds(7);

@@ -41,8 +41,8 @@ void RunQuery(xk::engine::XKeyword& xk, const xk::schema::TssGraph& tss,
   request.mode = xk::engine::QueryMode::kTopK;
   request.options.max_size_z = 6;
   request.options.per_network_k = 3;
-  // Interactive budget: a runaway query returns the guaranteed prefix it
-  // could afford (response.status = kDeadlineExceeded, completeness
+  // Interactive budget: a runaway query stops where the deadline trips and
+  // returns what it found (response.status = kDeadlineExceeded, completeness
   // kDegraded, coverage says how far it got) instead of hanging the prompt.
   request.deadline = std::chrono::seconds(10);
 

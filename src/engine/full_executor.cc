@@ -1,7 +1,6 @@
 #include "engine/full_executor.h"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -14,35 +13,6 @@
 namespace xk::engine {
 
 namespace {
-
-/// Occurrence groups of one segment with >= 2 members.
-std::vector<std::vector<int>> SameSegmentGroups(const cn::Ctssn& ctssn) {
-  std::map<schema::TssId, std::vector<int>> by_segment;
-  for (int v = 0; v < ctssn.num_nodes(); ++v) {
-    by_segment[ctssn.tree.nodes[static_cast<size_t>(v)]].push_back(v);
-  }
-  std::vector<std::vector<int>> groups;
-  for (auto& [seg, occs] : by_segment) {
-    (void)seg;
-    if (occs.size() >= 2) groups.push_back(std::move(occs));
-  }
-  return groups;
-}
-
-bool DistinctAcross(const std::vector<std::vector<int>>& groups,
-                    const std::vector<storage::ObjectId>& objs) {
-  for (const std::vector<int>& group : groups) {
-    for (size_t a = 0; a < group.size(); ++a) {
-      for (size_t b = a + 1; b < group.size(); ++b) {
-        if (objs[static_cast<size_t>(group[a])] ==
-            objs[static_cast<size_t>(group[b])]) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
 
 /// Query-scoped filtered scans, keyed by the optimizer's step signatures
 /// (Section 4's common-subexpression reuse: the same keyword-filtered
@@ -309,24 +279,19 @@ Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query
     };
     if (plan.query.steps.empty()) {
       EvaluateSingleObjectPlan(query, p, emit, stats);
-      ledger.OnPlanComplete(p, 0, 0);
+      ledger.OnPlanComplete(p);
       continue;
     }
-    FullMode mode = options_.full_mode;
-    if (mode == FullMode::kAuto) {
-      bool indexed = query.exec_options.use_indexes;
-      if (indexed) {
-        indexed = false;
-        for (const exec::JoinStep& s : plan.query.steps) {
-          if (s.table->HasAnyIndex() || s.table->IsClustered()) {
-            indexed = true;
-            break;
-          }
-        }
-      }
-      mode = indexed ? FullMode::kIndexNestedLoop : FullMode::kHashJoin;
-    }
-    if (mode == FullMode::kIndexNestedLoop) {
+    // Index-nested loops where the decomposition is indexed and runs its
+    // indexes, full-scan hash joins otherwise — what the backing DBMS's
+    // optimizer would pick (the Fig 15(b) axis).
+    const bool indexed =
+        query.exec_options.use_indexes &&
+        std::any_of(plan.query.steps.begin(), plan.query.steps.end(),
+                    [](const exec::JoinStep& s) {
+                      return s.table->HasAnyIndex() || s.table->IsClustered();
+                    });
+    if (indexed) {
       RunIndexNestedLoop(plan, exec_options, &bloom_cache, stats, emit);
     } else {
       RunHashJoin(plan, &scan_cache, &memo, exec_options, stats, emit);
@@ -336,19 +301,12 @@ Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query
     if (stop_requested()) {
       ledger.OnPlanInterrupted(p);
     } else {
-      ledger.OnPlanComplete(p, 0, 0);
+      ledger.OnPlanComplete(p);
     }
   }
   if (coverage != nullptr) *coverage = ledger.Finish();
 
-  std::stable_sort(results.begin(), results.end(),
-                   [](const present::Mtton& a, const present::Mtton& b) {
-                     if (a.score != b.score) return a.score < b.score;
-                     if (a.ctssn_index != b.ctssn_index) {
-                       return a.ctssn_index < b.ctssn_index;
-                     }
-                     return a.objects < b.objects;
-                   });
+  SortMttons(&results);
   if (stats != nullptr) {
     stats->results = results.size();
     stats->reuse_hits += scan_cache.hits;

@@ -18,11 +18,11 @@
 
 namespace xk::engine {
 
-/// Full-result executor over the merged QueryOptions knobs: `full_mode`
-/// picks the join strategy, and `cancel` is polled between plans, between
-/// join steps, and inside probe scans. The hash-join path always shares
-/// keyword-filtered scans across networks and memoizes join-prefix
-/// intermediates that several networks share.
+/// Full-result executor over the merged QueryOptions knobs: the
+/// decomposition picks the join strategy, and `cancel` is polled between
+/// plans, between join steps, and inside probe scans. The hash-join path
+/// always shares keyword-filtered scans across networks and memoizes
+/// join-prefix intermediates that several networks share.
 class FullExecutor {
  public:
   explicit FullExecutor(QueryOptions options = {}) : options_(options) {}

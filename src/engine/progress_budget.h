@@ -3,27 +3,22 @@
 // ProgressBudget: the anytime-execution ledger of one query. The plan
 // schedule (opt::PlanSchedule) runs candidate networks in nondecreasing size
 // class, cheapest first inside a class; this ledger decides per plan whether
-// the remaining budget affords running it at all — so a deadline skips whole
-// CNs instead of truncating mid-CN — and records every plan's outcome so the
-// response can report a sound quality bound (engine::Coverage).
+// a deterministic cost budget affords running it at all, and records every
+// plan's outcome so the response can report a sound quality bound
+// (engine::Coverage).
 //
-// Two budget modes, combinable with plain deadline truncation:
+// The cost budget (QueryOptions::anytime_cost_budget > 0) charges the
+// optimizer's estimated_cost against a fixed budget in schedule order. It is
+// fully deterministic (the expansion-budget idiom of real-time search: spend
+// a fixed number of "expansions" where they are cheapest), which makes the
+// coverage bound reproducible and provably monotone in the budget. Decisions
+// for the whole schedule are taken up front (PreAdmit), so the multi-threaded
+// plan pool sees the same admitted set as a serial run.
 //
-//  * cost-budget (QueryOptions::anytime_cost_budget > 0) — admission charges
-//    the optimizer's estimated_cost against a fixed budget in schedule order.
-//    Fully deterministic (the expansion-budget idiom of real-time search:
-//    spend a fixed number of "expansions" where they are cheapest), which
-//    makes the coverage bound reproducible and provably monotone in the
-//    budget. Decisions for the whole schedule are taken up front (PreAdmit),
-//    so the multi-threaded plan pool sees the same admitted set as a serial
-//    run.
-//  * wall-clock (a deadline armed on the cancel token) — admission compares
-//    each plan's predicted time (estimated_cost x an EWMA of observed
-//    ns-per-cost-unit, scaled by anytime_headroom) against the remaining
-//    deadline, re-calibrated as plans complete. Additionally converts the
-//    remaining deadline into a per-plan scan-row allowance (RowAllowance)
-//    that the plan's evaluator checks against its own rows_scanned, so one
-//    mispredicted plan cannot eat the entire budget.
+// A deadline or cancel never enters admission: it trips the token the
+// executors poll per plan, per join level and per probe block, which
+// truncates the schedule where it stands; the ledger records the plan it
+// landed in as interrupted and the unvisited ones as skipped.
 //
 // Soundness of the reported bound: the schedule is nondecreasing in size
 // class, so all plans of class <= exhausted_class precede the first deviation
@@ -42,36 +37,25 @@ namespace xk::engine {
 
 class ProgressBudget {
  public:
-  /// Ledger only: tracks outcomes and never budgets (AdmitPlan always true,
-  /// no row allowance). `active[p]` = plan p participates in this query (not
-  /// size-capped).
-  ProgressBudget(const PreparedQuery& query, const std::vector<bool>& active);
-  /// Budgeting engages when a cost budget is set or a deadline is armed on
-  /// `options.cancel`; with neither the ledger only tracks outcomes, so
-  /// coverage is reported for every run.
+  /// `active[p]` = plan p participates in this query (not size-capped).
+  /// `cost_budget` > 0 engages the cost budget; 0 keeps a ledger only, which
+  /// admits every active plan and backs the coverage report.
   ProgressBudget(const PreparedQuery& query, const std::vector<bool>& active,
-                 const QueryOptions& options);
+                 double cost_budget = 0);
 
-  /// Cost-budget mode: takes every admission decision now, charging plans in
-  /// `schedule` order, so the decision set is independent of execution
-  /// interleaving. No-op in the other modes.
+  /// Takes every admission decision now, charging plans in `schedule` order,
+  /// so the decision set is independent of execution interleaving. No-op
+  /// without a cost budget.
   void PreAdmit(const std::vector<size_t>& schedule);
 
   /// Whether plan `p` should run. False records the plan as skipped.
-  /// Thread-safe; in cost-budget mode returns the PreAdmit decision.
+  /// Thread-safe; under a cost budget returns the PreAdmit decision.
   bool AdmitPlan(size_t p);
 
-  /// Wall-clock mode, once calibrated: the scan-row allowance for a plan
-  /// about to run, derived from the remaining deadline and never below
-  /// anytime_min_plan_rows. 0 = unlimited.
-  uint64_t RowAllowance();
-
   /// Plan `p` ran to completion (including an emit-cap stop, which is
-  /// semantically complete). `rows_scanned`/`elapsed_ns` feed the wall-clock
-  /// calibration; pass 0 when unknown.
-  void OnPlanComplete(size_t p, uint64_t rows_scanned, uint64_t elapsed_ns);
-  /// Plan `p` stopped mid-execution (deadline, cancel, or a spent row
-  /// allowance).
+  /// semantically complete).
+  void OnPlanComplete(size_t p);
+  /// Plan `p` stopped mid-execution (deadline or cancel).
   void OnPlanInterrupted(size_t p);
 
   /// The global-k bound was satisfied: every still-unvisited plan is
@@ -90,32 +74,16 @@ class ProgressBudget {
     kSkipped,
   };
 
-  double PlanCost(size_t p) const;
-  bool DeadlineAdmit(double cost);
   void Record(size_t p, Outcome outcome);
 
   const PreparedQuery* query_;
   std::vector<bool> active_;
-
-  // Budget configuration (fixed at construction).
-  bool cost_mode_ = false;
-  bool deadline_mode_ = false;
-  double cost_budget_ = 0;
-  double headroom_ = 1.0;
-  uint64_t min_plan_rows_ = 1;
-  const CancelToken* cancel_ = nullptr;
+  const double cost_budget_;  // 0 = no budget
 
   mutable std::mutex mutex_;
   std::vector<Outcome> outcomes_;
-  std::vector<uint8_t> pre_admitted_;  // cost mode only; parallel to plans
+  std::vector<uint8_t> pre_admitted_;  // cost budget only; parallel to plans
   bool pre_admit_done_ = false;
-  double spent_ = 0;
-  bool any_admitted_ = false;
-  bool deadline_limited_ = false;  // see Coverage::deadline_limited
-  // Wall-clock calibration from completed plans.
-  bool calibrated_ = false;
-  double ewma_ns_per_cost_ = 0;
-  double ewma_ns_per_row_ = 0;
 };
 
 }  // namespace xk::engine

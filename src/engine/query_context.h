@@ -24,15 +24,6 @@ namespace xk::engine {
 /// Ignored by the library; kept only because perfbench/xkbench.cc names it.
 enum class KernelDispatch : uint8_t { kAuto = 0, kForceScalar = 1 };
 
-/// Join strategy for full-result (QueryMode::kAll) runs.
-enum class FullMode {
-  /// Hash joins on indexed decompositions, INLJ otherwise — mirrors what the
-  /// backing DBMS's optimizer would pick.
-  kAuto,
-  kIndexNestedLoop,
-  kHashJoin,
-};
-
 /// Knobs of one keyword query.
 struct QueryOptions {
   /// Maximum MTNN size Z (Section 3.1: "the user specifies the maximum size
@@ -64,31 +55,14 @@ struct QueryOptions {
   /// Ignored by the library; kept only because perfbench/xkbench.cc names it.
   KernelDispatch kernel_dispatch = KernelDispatch::kAuto;
 
-  /// Full-result mode (QueryMode::kAll) only: join strategy.
-  FullMode full_mode = FullMode::kAuto;
-
-  /// Anytime execution engages whenever a deadline is armed on `cancel` or
-  /// `anytime_cost_budget` is set: the top-k executor budgets whole candidate
-  /// networks in schedule order instead of letting a tripped deadline
-  /// truncate mid-CN, skips CNs the budget cannot afford, and reports a
-  /// structured quality bound (QueryResponse::coverage). With neither set no
-  /// plan is skipped.
-  ///
   /// Deterministic anytime budget in cost-model units (the optimizer's
-  /// estimated_cost): every admitted plan charges its estimate; a plan whose
-  /// charge would exceed the budget is skipped whole (the first plan is
-  /// always admitted). 0 = disabled. Unlike the wall-clock deadline this is
-  /// reproducible, which the soundness/monotonicity tests rely on.
+  /// estimated_cost), top-k and naive modes only: every admitted plan
+  /// charges its estimate in schedule order; a plan whose charge would
+  /// exceed the budget is skipped whole (the first plan is always admitted),
+  /// and QueryResponse::coverage reports the structured quality bound.
+  /// 0 = disabled. Reproducible, which the soundness/monotonicity tests rely
+  /// on; a deadline on `cancel` never enters admission, it only truncates.
   double anytime_cost_budget = 0;
-  /// Safety factor on the wall-clock admission estimate: a plan is admitted
-  /// only if its predicted time, scaled by this factor, fits the remaining
-  /// deadline. Larger = more conservative (more skips, fewer mid-plan
-  /// deadline trips).
-  double anytime_headroom = 1.25;
-  /// Floor of the per-plan scan-row allowance derived from the remaining
-  /// deadline in wall-clock anytime mode, so calibration noise can never
-  /// starve a plan outright.
-  uint64_t anytime_min_plan_rows = 4096;
 
   /// Cooperative cancellation/deadline token (not owned, may be null). The
   /// executors poll it at plan and probe granularity and return whatever
@@ -108,12 +82,6 @@ struct QueryOptions {
     }
     if (anytime_cost_budget < 0) {
       return Status::InvalidArgument("anytime_cost_budget must be >= 0");
-    }
-    if (anytime_headroom < 1.0) {
-      return Status::InvalidArgument("anytime_headroom must be >= 1");
-    }
-    if (anytime_min_plan_rows == 0) {
-      return Status::InvalidArgument("anytime_min_plan_rows must be >= 1");
     }
     return Status::OK();
   }
@@ -137,15 +105,9 @@ struct Coverage {
   /// completion; the result prefix with score <= C provably matches the
   /// unbounded run. -1 = no class fully exhausted.
   int exhausted_class = -1;
-  /// True iff some plan stopped mid-execution (deadline, cancellation, or a
-  /// row-budget trip) — its partial results may be present but incomplete.
+  /// True iff some plan stopped mid-execution (deadline or cancellation) —
+  /// its partial results may be present but incomplete.
   bool interrupted = false;
-  /// True iff the wall-clock deadline, not the deterministic cost budget,
-  /// cost the answer a network: deadline admission skipped a plan, or a plan
-  /// was interrupted while deadline budgeting was on. The engine front-ends
-  /// then report kDeadlineExceeded even when the query returned before the
-  /// deadline itself passed.
-  bool deadline_limited = false;
 
   bool complete() const { return cns_skipped == 0 && !interrupted; }
 };

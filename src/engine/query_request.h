@@ -76,13 +76,13 @@ struct QueryRequest {
   /// or negative = unbounded. When it runs out the query stops cooperatively
   /// and the response carries kDeadlineExceeded plus whatever results and
   /// statistics were complete. Under QueryService the budget starts at
-  /// admission, so queue wait counts against it. Outside kAll the deadline
-  /// additionally drives whole-CN budget decisions (see QueryOptions)
-  /// instead of only truncating.
+  /// admission, so queue wait counts against it. The deadline only
+  /// truncates: it stops the size-ordered plan schedule where it trips, and
+  /// the coverage bound says which size classes are still exact.
   std::chrono::nanoseconds deadline{0};
 
-  /// Every knob of the request — execution, full-result mode, and the
-  /// anytime budget — in one struct (QueryOptions::Validate covers it).
+  /// Every knob of the request — execution and the anytime cost budget — in
+  /// one struct (QueryOptions::Validate covers it).
   QueryOptions options;
 
   /// Answer-cache interaction under service::QueryService (see CacheMode).
@@ -125,8 +125,8 @@ inline Completeness DeriveCompleteness(const Coverage& coverage,
 struct QueryResponse {
   /// OK for a complete answer (and for answers degraded only by the
   /// deterministic anytime cost budget); kDeadlineExceeded / kCancelled when
-  /// the wall-clock stop tripped or deadline admission skipped networks
-  /// (Coverage::deadline_limited; results and stats are then partial). Hard
+  /// the deadline or a cancel tripped the query's token (results and stats
+  /// are then partial). Hard
   /// failures — unknown decomposition, invalid options — surface as the
   /// error of the surrounding Result instead, with no response at all.
   Status status;

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "engine/progress_budget.h"
 #include "engine/thread_pool.h"
 #include "exec/access_path.h"
@@ -97,6 +96,34 @@ const storage::BloomFilter* BloomCache::Build(Slot* slot,
 }
 
 // --- PlanLayout ----------------------------------------------------------
+
+std::vector<std::vector<int>> SameSegmentGroups(const cn::Ctssn& ctssn) {
+  std::map<schema::TssId, std::vector<int>> by_segment;
+  for (int v = 0; v < ctssn.num_nodes(); ++v) {
+    by_segment[ctssn.tree.nodes[static_cast<size_t>(v)]].push_back(v);
+  }
+  std::vector<std::vector<int>> groups;
+  for (auto& [seg, occs] : by_segment) {
+    (void)seg;
+    if (occs.size() >= 2) groups.push_back(std::move(occs));
+  }
+  return groups;
+}
+
+bool DistinctAcross(const std::vector<std::vector<int>>& groups,
+                    const std::vector<storage::ObjectId>& objs) {
+  for (const std::vector<int>& group : groups) {
+    for (size_t a = 0; a < group.size(); ++a) {
+      for (size_t b = a + 1; b < group.size(); ++b) {
+        if (objs[static_cast<size_t>(group[a])] ==
+            objs[static_cast<size_t>(group[b])]) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
 
 PlanLayout::PlanLayout(const opt::CtssnPlan* plan, BloomCache* bloom_cache)
     : plan_(plan), bloom_cache_(bloom_cache) {
@@ -196,17 +223,7 @@ PlanLayout::PlanLayout(const opt::CtssnPlan* plan, BloomCache* bloom_cache)
     }
   }
 
-  // Occurrences sharing a segment must bind distinct objects.
-  if (plan->ctssn != nullptr) {
-    std::map<schema::TssId, std::vector<int>> by_segment;
-    for (int v = 0; v < plan->ctssn->num_nodes(); ++v) {
-      by_segment[plan->ctssn->tree.nodes[static_cast<size_t>(v)]].push_back(v);
-    }
-    for (auto& [seg, occs] : by_segment) {
-      (void)seg;
-      if (occs.size() >= 2) same_segment_groups_.push_back(std::move(occs));
-    }
-  }
+  if (plan->ctssn != nullptr) same_segment_groups_ = SameSegmentGroups(*plan->ctssn);
 }
 
 std::vector<std::vector<exec::ColumnBloom>> PlanLayout::BuildStepBlooms(
@@ -290,12 +307,10 @@ bool PlanEvaluator::Eval(
   if (exec_options_.cancel != nullptr && exec_options_.cancel->StopRequested()) {
     return false;
   }
-  // Anytime scan-row allowance, same unwind semantics.
-  if (row_allowance_spent()) return false;
   const std::vector<exec::JoinStep>& steps = plan_->query.steps;
   if (i == steps.size()) {
     ProjectToCollectors(*objs);
-    if (!DistinctAcrossSegments(*objs)) return true;
+    if (!DistinctAcross(layout_->same_segment_groups_, *objs)) return true;
     ++stats_.results;
     return emit(*objs);
   }
@@ -315,7 +330,7 @@ bool PlanEvaluator::Eval(
               completion[x];
         }
         ProjectToCollectors(*objs);
-        if (!DistinctAcrossSegments(*objs)) continue;
+        if (!DistinctAcross(layout_->same_segment_groups_, *objs)) continue;
         ++stats_.results;
         if (!emit(*objs)) return false;
       }
@@ -372,21 +387,6 @@ bool PlanEvaluator::Eval(
     if (keep_going) cache->Put(key, std::move(collector.completions));
   }
   return keep_going;
-}
-
-bool PlanEvaluator::DistinctAcrossSegments(
-    const std::vector<storage::ObjectId>& objs) const {
-  for (const std::vector<int>& group : layout_->same_segment_groups_) {
-    for (size_t a = 0; a < group.size(); ++a) {
-      for (size_t b = a + 1; b < group.size(); ++b) {
-        if (objs[static_cast<size_t>(group[a])] ==
-            objs[static_cast<size_t>(group[b])]) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
 }
 
 uint64_t PlanEvaluator::Work() const {
@@ -499,10 +499,9 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
   for (size_t p = 0; p < query.plans.size(); ++p) active[p] = !skip_plan(p);
   const std::vector<size_t> order = opt::PlanSchedule(query.plans);
 
-  // Anytime budget + per-plan outcome ledger. With no cost budget and no
-  // armed deadline every plan is admitted; the ledger then only backs the
-  // coverage report.
-  ProgressBudget budget(query, active, options);
+  // Anytime cost budget + per-plan outcome ledger. With no cost budget every
+  // plan is admitted; the ledger then only backs the coverage report.
+  ProgressBudget budget(query, active, options.anytime_cost_budget);
   budget.PreAdmit(order);
 
   // Per-CN thread pool (Section 6). Each plan emits into its own buffer,
@@ -591,10 +590,6 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
       stream_plan_done(p);
       return;
     }
-    Stopwatch plan_timer;
-    auto elapsed_ns = [&] {
-      return static_cast<uint64_t>(plan_timer.ElapsedMicros()) * 1000;
-    };
     std::vector<present::Mtton>& out = buffers[p];
     const int score = query.ctssns[p].cn_size;
     auto emit = [&](const std::vector<storage::ObjectId>& objs) {
@@ -611,23 +606,19 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
 
     if (query.plans[p].query.steps.empty()) {
       EvaluateSingleObjectPlan(query, p, emit, &per_plan_stats[p]);
-      budget.OnPlanComplete(p, per_plan_stats[p].probes.rows_scanned,
-                            elapsed_ns());
+      budget.OnPlanComplete(p);
     } else {
       PlanLayout layout(&query.plans[p], &bloom_cache);
       PlanEvaluator evaluator(&layout, exec_options, options.enable_cache,
                               options.cache_capacity);
-      evaluator.set_row_allowance(budget.RowAllowance());
       evaluator.Run(emit);
       per_plan_stats[p].Add(evaluator.stats());
       // A sink decline (per-network-k / global-k) is a complete outcome; only
-      // a deadline/cancel trip or a spent row allowance marks the plan
-      // interrupted.
-      if (stop_requested() || evaluator.row_allowance_spent()) {
+      // a deadline/cancel trip marks the plan interrupted.
+      if (stop_requested()) {
         budget.OnPlanInterrupted(p);
       } else {
-        budget.OnPlanComplete(p, per_plan_stats[p].probes.rows_scanned,
-                              elapsed_ns());
+        budget.OnPlanComplete(p);
       }
     }
     // Attribute this pool thread's page traffic to the plan it just ran

@@ -118,7 +118,7 @@ class PlanLayout {
   std::vector<std::vector<exec::ColumnRef>> deps_;
   std::vector<std::vector<std::pair<int, int>>> nodes_at_;  // (ctssn node, col)
   std::vector<std::vector<int>> suffix_nodes_;
-  /// Occurrence groups sharing a segment (only groups of size >= 2).
+  /// SameSegmentGroups of the plan's CTSSN.
   std::vector<std::vector<int>> same_segment_groups_;
   std::vector<std::vector<exec::ColumnInSet>> step_filters_;
   std::deque<storage::IdSet> owned_sets_;  // stable storage for intersections
@@ -147,18 +147,6 @@ class PlanEvaluator {
 
   const ExecutionStats& stats() const { return stats_; }
 
-  /// Caps the rows this evaluator may scan (0 = unlimited). Once its
-  /// rows_scanned reaches the allowance the evaluator unwinds exactly like a
-  /// cancellation — as if the sink declined — so no truncated suffix
-  /// enumeration is ever cached. Checked at every Eval entry, so the last
-  /// probe may overrun it.
-  void set_row_allowance(uint64_t rows) { row_allowance_ = rows; }
-
-  /// True when a row allowance is set and the rows scanned reached it.
-  bool row_allowance_spent() const {
-    return row_allowance_ != 0 && stats_.probes.rows_scanned >= row_allowance_;
-  }
-
  private:
   struct Collector {
     size_t level;
@@ -170,10 +158,6 @@ class PlanEvaluator {
             const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
   void ProjectToCollectors(const std::vector<storage::ObjectId>& objs);
   std::string CacheKey(size_t i, const std::vector<storage::TupleView>& rows) const;
-  /// MTNNs are trees of distinct nodes: occurrences of one segment must bind
-  /// distinct objects (checked per full assignment; cached suffixes cannot
-  /// pre-check against future prefixes).
-  bool DistinctAcrossSegments(const std::vector<storage::ObjectId>& objs) const;
   /// Rows this evaluator scanned plus kPageMissCost per page miss of this
   /// thread: differences of two readings are a probe's cost.
   uint64_t Work() const;
@@ -191,8 +175,6 @@ class PlanEvaluator {
       LruCache<std::string, std::vector<std::vector<storage::ObjectId>>>>>
       caches_;
   std::vector<Collector*> active_collectors_;
-  /// Anytime scan-row allowance; 0 = unlimited.
-  uint64_t row_allowance_ = 0;
   ExecutionStats stats_;
   /// Per-depth probe bindings, reused across outer rows (Eval runs once per
   /// outer row — rebuilding this vector there was a hot-loop allocation).
@@ -210,9 +192,10 @@ class PlanEvaluator {
 /// Runs all plans of a prepared query with the thread pool, collecting up to
 /// per_network_k results per network (and optionally global_k in total). The
 /// result list is byte-identical to a single-threaded run.
-/// With a cost budget or an armed deadline, whole plans the budget cannot
-/// afford are skipped (opt::PlanSchedule order) and `coverage` (nullable)
-/// reports the structured quality bound; with neither every plan runs.
+/// With a cost budget, whole plans the budget cannot afford are skipped
+/// (opt::PlanSchedule order); a deadline or cancel truncates the schedule
+/// where it trips. `coverage` (nullable) reports the structured quality
+/// bound either way.
 /// With a non-null `sink`, finalized result prefixes stream out as size
 /// classes exhaust (see engine/result_sink.h); the returned list is the same
 /// either way.
@@ -234,6 +217,17 @@ void EvaluateSingleObjectPlan(
     const PreparedQuery& query, size_t plan_index,
     const std::function<bool(const std::vector<storage::ObjectId>&)>& emit,
     ExecutionStats* stats = nullptr);
+
+/// Occurrence groups of `ctssn` that share a segment (only groups of size
+/// >= 2). MTNNs are trees of distinct nodes, so the occurrences of one group
+/// must bind distinct objects.
+std::vector<std::vector<int>> SameSegmentGroups(const cn::Ctssn& ctssn);
+
+/// Whether `objs` (an object per CTSSN occurrence) binds distinct objects
+/// inside every group of `groups`. Checked per full assignment: cached
+/// suffixes cannot pre-check against future prefixes.
+bool DistinctAcross(const std::vector<std::vector<int>>& groups,
+                    const std::vector<storage::ObjectId>& objs);
 
 /// Final ranking of every executor: stable sort by (score, ctssn_index,
 /// objects) — a total order on distinct values, so any execution order that

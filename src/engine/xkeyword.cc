@@ -185,11 +185,6 @@ Result<QueryResponse> XKeyword::Run(const QueryRequest& request,
     // last poll and here, so never report kComplete alongside a non-OK
     // status even if the ledger saw every plan finish.
     response.coverage.interrupted = true;
-  } else if (response.coverage.deadline_limited) {
-    // Deadline admission skipped networks the remaining time could not
-    // afford: degraded by the wall clock, not by the deterministic budget.
-    response.status = Status::DeadlineExceeded(
-        "query deadline exceeded: networks skipped to meet it");
   }
   response.completeness =
       DeriveCompleteness(response.coverage, !response.mttons.empty());

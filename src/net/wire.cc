@@ -64,10 +64,7 @@ void PutOptions(std::string* out, const engine::QueryOptions& o) {
   PutU8(out, o.enable_cache ? 1 : 0);
   PutU64(out, o.cache_capacity);
   PutI32(out, o.num_threads);
-  PutU8(out, static_cast<uint8_t>(o.full_mode));
   PutF64(out, o.anytime_cost_budget);
-  PutF64(out, o.anytime_headroom);
-  PutU64(out, o.anytime_min_plan_rows);
 }
 
 void PutStats(std::string* out, const engine::ExecutionStats& s) {
@@ -241,7 +238,6 @@ std::string EncodeFinalFrame(uint64_t request_id,
   PutU32(&frame, response.coverage.cns_skipped);
   PutI32(&frame, response.coverage.exhausted_class);
   PutU8(&frame, response.coverage.interrupted ? 1 : 0);
-  PutU8(&frame, response.coverage.deadline_limited ? 1 : 0);
   PutStats(&frame, response.stats);
   PutU64(&frame, static_cast<uint64_t>(tail_start));
   PutMttons(&frame, std::span<const present::Mtton>(response.mttons)
@@ -301,14 +297,7 @@ Result<engine::QueryRequest> DecodeQueryBody(std::span<const uint8_t> payload) {
   o.enable_cache = r.GetU8() != 0;
   o.cache_capacity = r.GetU64();
   o.num_threads = r.GetI32();
-  const uint8_t full_mode = r.GetU8();
-  if (full_mode > static_cast<uint8_t>(engine::FullMode::kHashJoin)) {
-    return MalformedError("bad full mode");
-  }
-  o.full_mode = static_cast<engine::FullMode>(full_mode);
   o.anytime_cost_budget = r.GetF64();
-  o.anytime_headroom = r.GetF64();
-  o.anytime_min_plan_rows = r.GetU64();
   if (!r.AtEnd()) return MalformedError("bad query body");
   return req;
 }
@@ -343,7 +332,6 @@ Result<FinalBody> DecodeFinalBody(std::span<const uint8_t> payload) {
   body.response.coverage.cns_skipped = r.GetU32();
   body.response.coverage.exhausted_class = r.GetI32();
   body.response.coverage.interrupted = r.GetU8() != 0;
-  body.response.coverage.deadline_limited = r.GetU8() != 0;
   engine::ExecutionStats& s = body.response.stats;
   s.probes.probes = r.GetU64();
   s.probes.rows_scanned = r.GetU64();

@@ -29,9 +29,9 @@ std::string AnswerCache::CanonicalKey(const engine::QueryRequest& request) {
   // partial-result cache, Bloom pruning) are byte-identity-preserving and
   // deadlines/cache_mode describe the serving contract, not the answer.
   const engine::QueryOptions& o = request.options;
-  // The anytime knobs (anytime_cost_budget, headroom, min_plan_rows) are
-  // deliberately absent: only kComplete answers are ever stored, and a
-  // complete answer is byte-identical across every anytime setting.
+  // anytime_cost_budget is deliberately absent: only kComplete answers are
+  // ever stored, and a complete answer is byte-identical across every
+  // budget.
   key += StrFormat("\x1e" "z=%d;n=%d;k=%zu;g=%zu", o.max_size_z,
                    o.max_network_size, o.per_network_k, o.global_k);
   return key;

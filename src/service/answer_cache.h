@@ -15,7 +15,7 @@
 // network-size bound, per-network and global k).
 // Performance knobs (threads, partial-result caching, Bloom pruning) are
 // excluded: results are byte-identical across them.
-// Deadlines, cache_mode and the anytime budget knobs are excluded too — a
+// Deadlines, cache_mode and the anytime cost budget are excluded too — a
 // budget changes whether an answer completes, not what the complete answer
 // is (only Completeness::kComplete answers are cached).
 //

@@ -93,14 +93,12 @@ TEST(AnswerCacheKeyTest, NetworkBoundChangesKeyAnytimeKnobsDoNot) {
   all.options.max_network_size = 3;
   EXPECT_NE(AnswerCache::CanonicalKey(all), key);
 
-  // Anytime budgets shape when a query degrades, never what the complete
-  // answer is — and only complete answers are stored, so the key must not
-  // fragment across budget settings.
+  // The anytime cost budget shapes when a query degrades, never what the
+  // complete answer is — and only complete answers are stored, so the key
+  // must not fragment across budget settings.
   QueryRequest topk = Request({"gray"});
   const std::string topk_key = AnswerCache::CanonicalKey(topk);
   topk.options.anytime_cost_budget = 42;
-  topk.options.anytime_headroom = 2.0;
-  topk.options.anytime_min_plan_rows = 1;
   EXPECT_EQ(AnswerCache::CanonicalKey(topk), topk_key);
 }
 

@@ -1,4 +1,4 @@
-// Differential harness for deadline-aware anytime execution:
+// Differential harness for anytime execution:
 //
 //  * Inertness — a cost budget that affords the whole schedule must be
 //    BYTE-IDENTICAL to an unbounded run across every mode x thread-count
@@ -10,8 +10,9 @@
 //  * Monotonicity — a larger budget never lowers exhausted_class (the
 //    schedule-prefix admission argument in DESIGN.md Section 3g), and a
 //    budget covering the whole schedule reports kComplete.
-//  * Status — the ledger tells a deadline skip from a cost-budget skip, so
-//    only the former reports kDeadlineExceeded.
+//  * Status — cost-budget skips keep the status OK.
+//  * Truncation — a cancel mid-query leaves the same sound prefix: a stop
+//    truncates the size-ordered schedule and never enters admission.
 //  * Serving — degraded answers are counted by Metrics, carry a consistent
 //    coverage bound, and are never cached (tsan-labeled: many concurrent
 //    clients degrade at once).
@@ -21,11 +22,13 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "datagen/dblp_gen.h"
 #include "engine/progress_budget.h"
+#include "engine/result_sink.h"
 #include "engine/topk_executor.h"
 #include "engine/xkeyword.h"
 #include "service/query_service.h"
@@ -42,7 +45,6 @@ using engine::QueryRequest;
 using engine::QueryResponse;
 using engine::XKeyword;
 using present::Mtton;
-using std::chrono::milliseconds;
 
 class AnytimeTest : public ::testing::Test {
  protected:
@@ -211,134 +213,113 @@ TEST_F(AnytimeTest, ExhaustedClassMonotoneInCostBudget) {
   }
 }
 
-// A skip forced by the wall-clock deadline marks the coverage
-// deadline_limited (the front-ends then report kDeadlineExceeded); the same
-// skips forced by the deterministic cost budget do not (status stays OK).
-TEST_F(AnytimeTest, DeadlineSkipsAreDeadlineLimitedCostSkipsAreNot) {
+// Skips forced by the deterministic cost budget are skips, never
+// interruptions, so the status stays OK (end to end in
+// CostBudgetExhaustedClassPrefixMatchesUnboundedRun). A ledger-only budget
+// (the full-result executor's) admits every plan.
+TEST_F(AnytimeTest, CostBudgetSkipsStayOk) {
   QueryOptions options;
   options.max_size_z = 6;
   XK_ASSERT_OK_AND_ASSIGN(engine::PreparedQuery q,
                           xk_->Prepare({"gray", "codd"}, "XKeyword", options));
   ASSERT_GE(q.plans.size(), 2u);
   const std::vector<bool> active(q.plans.size(), true);
-
-  // Wall clock: plan 0 calibrates at ~30 years per plan, so no later plan
-  // fits the second that is left.
-  CancelToken token;
-  token.SetDeadlineAfter(std::chrono::seconds(1));
-  QueryOptions timed = options;
-  timed.cancel = &token;
-  engine::ProgressBudget wall(q, active, timed);
-  ASSERT_TRUE(wall.AdmitPlan(0));
-  wall.OnPlanComplete(0, /*rows_scanned=*/1, /*elapsed_ns=*/uint64_t{1} << 60);
-  for (size_t p = 1; p < q.plans.size(); ++p) EXPECT_FALSE(wall.AdmitPlan(p));
-  const Coverage wall_cov = wall.Finish();
-  EXPECT_EQ(wall_cov.cns_skipped, q.plans.size() - 1);
-  EXPECT_TRUE(wall_cov.deadline_limited);
-
-  // Cost budget: the first plan always runs, nothing else fits.
-  QueryOptions costed = options;
-  costed.anytime_cost_budget = 1e-9;
-  engine::ProgressBudget cost(q, active, costed);
   std::vector<size_t> schedule(q.plans.size());
   for (size_t p = 0; p < schedule.size(); ++p) schedule[p] = p;
+
+  // Cost budget: the first plan always runs, nothing else fits.
+  engine::ProgressBudget cost(q, active, /*cost_budget=*/1e-9);
   cost.PreAdmit(schedule);
   ASSERT_TRUE(cost.AdmitPlan(0));
-  cost.OnPlanComplete(0, 1, 1);
+  cost.OnPlanComplete(0);
   for (size_t p = 1; p < q.plans.size(); ++p) EXPECT_FALSE(cost.AdmitPlan(p));
   const Coverage cost_cov = cost.Finish();
   EXPECT_EQ(cost_cov.cns_skipped, q.plans.size() - 1);
-  EXPECT_FALSE(cost_cov.deadline_limited);
-}
+  EXPECT_FALSE(cost_cov.interrupted);
 
-// The wall-clock row allowance: unlimited (0) until a completed plan has
-// calibrated the ns-per-row estimate; then, with the deadline already gone,
-// exactly the anytime_min_plan_rows floor for every further plan.
-TEST_F(AnytimeTest, ExpiredDeadlineAllowanceIsTheMinPlanRowsFloor) {
-  QueryOptions options;
-  options.max_size_z = 6;
-  options.anytime_min_plan_rows = 123;
-  XK_ASSERT_OK_AND_ASSIGN(engine::PreparedQuery q,
-                          xk_->Prepare({"gray", "codd"}, "XKeyword", options));
-  ASSERT_GE(q.plans.size(), 2u);
-  const std::vector<bool> active(q.plans.size(), true);
-
-  CancelToken token;
-  token.SetDeadline(std::chrono::steady_clock::now() - std::chrono::seconds(1));
-  QueryOptions timed = options;
-  timed.cancel = &token;
-  engine::ProgressBudget budget(q, active, timed);
-  ASSERT_TRUE(budget.AdmitPlan(0));
-  EXPECT_EQ(budget.RowAllowance(), 0u);
-  budget.OnPlanComplete(0, /*rows_scanned=*/1000, /*elapsed_ns=*/50'000);
-  EXPECT_EQ(budget.RowAllowance(), 123u);
-  EXPECT_EQ(budget.RowAllowance(), 123u);
-
-  // Without a deadline there is never an allowance.
-  engine::ProgressBudget unbounded(q, active, options);
-  unbounded.OnPlanComplete(0, 1000, 50'000);
-  EXPECT_EQ(unbounded.RowAllowance(), 0u);
-
-  // A ledger-only budget (the full-result executor's) never budgets, even
-  // past a deadline.
   engine::ProgressBudget ledger(q, active);
-  ASSERT_TRUE(ledger.AdmitPlan(0));
-  ledger.OnPlanComplete(0, 1000, 50'000);
-  for (size_t p = 1; p < q.plans.size(); ++p) EXPECT_TRUE(ledger.AdmitPlan(p));
-  EXPECT_EQ(ledger.RowAllowance(), 0u);
-  EXPECT_FALSE(ledger.Finish().deadline_limited);
+  ledger.PreAdmit(schedule);
+  for (size_t p = 0; p < q.plans.size(); ++p) {
+    EXPECT_TRUE(ledger.AdmitPlan(p));
+    ledger.OnPlanComplete(p);
+  }
+  EXPECT_TRUE(ledger.Finish().complete());
 }
 
-// A PlanEvaluator with a row allowance emits a prefix of its unbounded run's
-// emission sequence and stops once its rows scanned reach the allowance; an
-// allowance the plan never reaches changes nothing.
-TEST_F(AnytimeTest, RowAllowanceStopsOnAPrefixOfTheUnboundedRun) {
-  QueryOptions options;
-  options.max_size_z = 6;
-  XK_ASSERT_OK_AND_ASSIGN(engine::PreparedQuery q,
-                          xk_->Prepare({"gray", "codd"}, "XKeyword", options));
+/// Cancels the query's token on its first batch, as a client that gives up
+/// once it has a first answer would; keeps the batches it saw.
+class CancelOnFirstBatch : public engine::ResultSink {
+ public:
+  explicit CancelOnFirstBatch(CancelToken* token) : token_(token) {}
 
-  struct Run {
-    std::vector<std::vector<storage::ObjectId>> emitted;
-    uint64_t rows_scanned = 0;
-    bool spent = false;
-  };
-  size_t plans_checked = 0;
-  for (const opt::CtssnPlan& plan : q.plans) {
-    if (plan.query.steps.size() < 2) continue;
-    engine::PlanLayout layout(&plan, /*bloom_cache=*/nullptr);
-    auto run = [&](uint64_t allowance) {
-      engine::PlanEvaluator evaluator(&layout, q.exec_options, options.enable_cache,
-                                      options.cache_capacity);
-      evaluator.set_row_allowance(allowance);
-      Run out;
-      evaluator.Run([&](const std::vector<storage::ObjectId>& objs) {
-        out.emitted.push_back(objs);
-        return true;
-      });
-      out.rows_scanned = evaluator.stats().probes.rows_scanned;
-      out.spent = evaluator.row_allowance_spent();
-      return out;
-    };
-    const Run full = run(0);
-    EXPECT_FALSE(full.spent);
-    if (full.emitted.size() < 2 || full.rows_scanned < 4) continue;
-    ++plans_checked;
-
-    const Run cut = run(full.rows_scanned / 2);
-    EXPECT_TRUE(cut.spent);
-    EXPECT_GE(cut.rows_scanned, full.rows_scanned / 2);
-    EXPECT_LT(cut.rows_scanned, full.rows_scanned);
-    ASSERT_LE(cut.emitted.size(), full.emitted.size());
-    EXPECT_TRUE(std::equal(cut.emitted.begin(), cut.emitted.end(),
-                           full.emitted.begin()));
-
-    const Run roomy = run(full.rows_scanned + 1);
-    EXPECT_FALSE(roomy.spent);
-    EXPECT_EQ(roomy.emitted, full.emitted);
-    EXPECT_EQ(roomy.rows_scanned, full.rows_scanned);
+  void OnBatch(std::span<const Mtton> batch) override {
+    if (batches_.empty()) token_->RequestCancel();
+    batches_.emplace_back(batch.begin(), batch.end());
   }
-  EXPECT_GT(plans_checked, 0u);
+
+  const std::vector<std::vector<Mtton>>& batches() const { return batches_; }
+
+ private:
+  CancelToken* token_;
+  std::vector<std::vector<Mtton>> batches_;
+};
+
+// A stop only truncates: cancelled mid-query, serially or on the pool, the
+// executor's results from size classes <= exhausted_class byte-match the
+// unbounded run, and the first batch lies inside that sound prefix. The
+// coverage shows the plans the stop cut short or never started: always
+// serially; on the pool in the runs where the stop lands before the last
+// plan finishes, which on this query is nearly every run.
+TEST_F(AnytimeTest, StopMidQueryLeavesASoundPrefix) {
+  QueryOptions options;
+  options.max_size_z = 8;  // 40 networks
+  options.per_network_k = 100;
+  XK_ASSERT_OK_AND_ASSIGN(engine::PreparedQuery q,
+                          xk_->Prepare({"ullman", "widom"}, "XKeyword", options));
+  std::map<int, int> class_of;
+  for (size_t p = 0; p < q.ctssns.size(); ++p) {
+    class_of[static_cast<int>(p)] = q.ctssns[p].cn_size;
+  }
+  engine::TopKExecutor executor;
+  for (int threads : {1, 4}) {
+    options.num_threads = threads;
+    Coverage full;
+    XK_ASSERT_OK_AND_ASSIGN(const std::vector<Mtton> unbounded,
+                            executor.Run(q, options, nullptr, &full));
+    ASSERT_TRUE(full.complete());
+    const int reps = threads == 1 ? 1 : 10;
+    int cut = 0;
+    for (int rep = 0; rep < reps; ++rep) {
+      const std::string what =
+          (::testing::Message() << "threads=" << threads << " rep=" << rep)
+              .GetString();
+      CancelToken token;
+      CancelOnFirstBatch sink(&token);
+      QueryOptions stopped = options;
+      stopped.cancel = &token;
+      Coverage cov;
+      XK_ASSERT_OK_AND_ASSIGN(const std::vector<Mtton> results,
+                              executor.Run(q, stopped, nullptr, &cov, &sink));
+      if (cov.interrupted || cov.cns_skipped > 0) {
+        ++cut;
+        EXPECT_LT(cov.exhausted_class, full.exhausted_class) << what;
+      }
+      ASSERT_FALSE(sink.batches().empty()) << what;
+      const std::vector<Mtton>& first = sink.batches()[0];
+      ASSERT_FALSE(first.empty()) << what;
+      ASSERT_LE(first.size(), unbounded.size()) << what;
+      EXPECT_TRUE(std::equal(first.begin(), first.end(), unbounded.begin())) << what;
+      EXPECT_LE(class_of.at(first.back().ctssn_index), cov.exhausted_class) << what;
+      EXPECT_EQ(PrefixOfClass(results, class_of, cov.exhausted_class),
+                PrefixOfClass(unbounded, class_of, cov.exhausted_class))
+          << what;
+    }
+    if (threads == 1) {
+      EXPECT_EQ(cut, 1);
+    } else {
+      EXPECT_GT(cut, 0);
+    }
+  }
 }
 
 // Serving layer under concurrent degradation (tsan-labeled): many clients

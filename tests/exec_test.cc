@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "common/random.h"
 #include "exec/access_path.h"
@@ -470,6 +471,65 @@ TEST(BlockProbeTest, EarlyStopAndBloomPrune) {
                [](RowId) { return true; }, &dead);
   EXPECT_EQ(dead.bloom_skips, 1u);
   EXPECT_EQ(dead.rows_scanned, 0u);
+}
+
+/// Index-nested-loop row trace over one table: every row passing
+/// `outer_filter`, each followed by the rows whose column 0 equals its
+/// column 1. The inner probe runs inside the outer one's sink, so each
+/// thread holds two blocks of its thread_local block pool at once.
+std::vector<RowId> NestedTrace(const Table& t, const storage::IdSet& outer_filter,
+                               ExecOptions opts) {
+  std::vector<RowId> out;
+  ForEachMatch(t, {}, {{0, &outer_filter}}, opts,
+               [&](RowId r) {
+                 out.push_back(r);
+                 ForEachMatch(t, {{0, t.At(r, 1)}}, {}, opts,
+                              [&](RowId inner) {
+                                out.push_back(inner);
+                                return true;
+                              },
+                              nullptr);
+                 return true;
+               },
+               nullptr);
+  return out;
+}
+
+// Four threads probe one shared table at once, each in the block regime
+// (every probe has more candidates than kScalarProbeThreshold) and nested
+// two deep; each thread's trace must equal the serial one. This is the
+// pool's access pattern, for ThreadSanitizer to watch.
+TEST(BlockProbeTest, ConcurrentProbesMatchSerialTraces) {
+  constexpr int kThreads = 4;
+  constexpr int kRepetitions = 3;
+  storage::IdSet odd;
+  for (ObjectId v = 1; v < 20; v += 2) odd.insert(v);
+  for (Physical physical :
+       {Physical::kClustered, Physical::kComposite, Physical::kHash,
+        Physical::kNone}) {
+    // ~100 rows per value: bound probes too run in blocks.
+    auto t = MakeEdgeTable(physical, 13, /*rows=*/2000, /*domain=*/20);
+    for (size_t bs : {size_t{0}, size_t{7}}) {
+      const ExecOptions opts{.block_size = bs};
+      const std::vector<RowId> serial = NestedTrace(*t, odd, opts);
+      ASSERT_GT(serial.size(), 2000u);
+      std::vector<int> mismatches(kThreads, 0);
+      std::vector<std::thread> threads;
+      for (int w = 0; w < kThreads; ++w) {
+        threads.emplace_back([&, w] {
+          for (int rep = 0; rep < kRepetitions; ++rep) {
+            if (NestedTrace(*t, odd, opts) != serial) ++mismatches[w];
+          }
+        });
+      }
+      for (std::thread& thread : threads) thread.join();
+      for (int w = 0; w < kThreads; ++w) {
+        EXPECT_EQ(mismatches[w], 0)
+            << "physical=" << static_cast<int>(physical) << " block_size=" << bs
+            << " thread=" << w;
+      }
+    }
+  }
 }
 
 TEST(SelectionKernelTest, CompactAscendingWithoutAllocation) {

@@ -71,10 +71,7 @@ QueryRequest NonDefaultRequest() {
   o.enable_cache = false;
   o.cache_capacity = 99;
   o.num_threads = 3;
-  o.full_mode = engine::FullMode::kHashJoin;
   o.anytime_cost_budget = 123.5;
-  o.anytime_headroom = 2.5;
-  o.anytime_min_plan_rows = 77;
   return request;
 }
 
@@ -88,7 +85,6 @@ QueryResponse NonDefaultResponse(const std::vector<present::Mtton>& mttons) {
   response.coverage.cns_skipped = 2;
   response.coverage.exhausted_class = 1;
   response.coverage.interrupted = true;
-  response.coverage.deadline_limited = true;
   engine::ExecutionStats& s = response.stats;
   s.probes.probes = 100;
   s.probes.rows_scanned = 101;
@@ -140,10 +136,7 @@ TEST(WireTest, QueryFrameRoundTrip) {
   EXPECT_EQ(got.enable_cache, want.enable_cache);
   EXPECT_EQ(got.cache_capacity, want.cache_capacity);
   EXPECT_EQ(got.num_threads, want.num_threads);
-  EXPECT_EQ(got.full_mode, want.full_mode);
   EXPECT_EQ(got.anytime_cost_budget, want.anytime_cost_budget);
-  EXPECT_EQ(got.anytime_headroom, want.anytime_headroom);
-  EXPECT_EQ(got.anytime_min_plan_rows, want.anytime_min_plan_rows);
 }
 
 TEST(WireTest, BatchAndFinalFrameRoundTrip) {
@@ -171,7 +164,6 @@ TEST(WireTest, BatchAndFinalFrameRoundTrip) {
   EXPECT_EQ(body.response.coverage.cns_skipped, 2u);
   EXPECT_EQ(body.response.coverage.exhausted_class, 1);
   EXPECT_TRUE(body.response.coverage.interrupted);
-  EXPECT_TRUE(body.response.coverage.deadline_limited);
   const engine::ExecutionStats& want = response.stats;
   const engine::ExecutionStats& got = body.response.stats;
   EXPECT_EQ(got.probes.probes, want.probes.probes);

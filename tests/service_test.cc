@@ -133,10 +133,11 @@ class ServiceTest : public ::testing::Test {
                        decomp::MakeXKeyword(db_->tss(), /*B=*/2, /*M=*/6)
                            .MoveValueUnsafe())
                     .ok());
-    // The full-result join-prefix memo's counters are read off this one.
+    // The full-result join-prefix memo's counters are read off this one:
+    // unindexed, so kAll runs it by hash joins.
     ASSERT_TRUE(xk_->AddDecomposition(
-                       decomp::MakeMinimal(
-                           db_->tss(), decomp::PhysicalDesign::kClusterPerDirection))
+                       decomp::MakeMinimal(db_->tss(), decomp::PhysicalDesign::kNone,
+                                           /*use_indexes_at_runtime=*/false))
                     .ok());
   }
 
@@ -317,10 +318,9 @@ TEST_F(ServiceTest, SubplanCacheStatsFlowIntoMetrics) {
   // networks share a join prefix; kBypass so each submit actually executes
   // instead of riding the answer cache.
   QueryRequest request;
-  request.decomposition = "MinClust";
+  request.decomposition = "MinNClustNIndx";
   request.mode = engine::QueryMode::kAll;
   request.options.max_size_z = 6;
-  request.options.full_mode = engine::FullMode::kHashJoin;
   request.cache_mode = engine::CacheMode::kBypass;
 
   std::vector<QueryHandle> handles;
@@ -338,8 +338,9 @@ TEST_F(ServiceTest, SubplanCacheStatsFlowIntoMetrics) {
   // The memo counters surface both in the per-decomposition engine stats and
   // as serving-level totals.
   const MetricsSnapshot snap = service->metrics().Snapshot();
-  ASSERT_TRUE(snap.per_decomposition.contains("MinClust"));
-  const engine::ExecutionStats& stats = snap.per_decomposition.at("MinClust");
+  ASSERT_TRUE(snap.per_decomposition.contains("MinNClustNIndx"));
+  const engine::ExecutionStats& stats =
+      snap.per_decomposition.at("MinNClustNIndx");
   EXPECT_GT(stats.subplan_misses, 0u);
   EXPECT_GT(stats.subplan_hits, 0u);
   EXPECT_GT(stats.subplan_bytes, 0u);

@@ -41,6 +41,11 @@ class TopKExecutorTest : public ::testing::Test {
     ASSERT_TRUE(
         xk_->AddDecomposition(decomp::MakeXKeyword(db_->tss(), 2, 6).MoveValueUnsafe())
             .ok());
+    // Unindexed minimal relations: kAll runs them by hash joins.
+    ASSERT_TRUE(xk_->AddDecomposition(
+                       decomp::MakeMinimal(db_->tss(), decomp::PhysicalDesign::kNone,
+                                           /*use_indexes_at_runtime=*/false))
+                    .ok());
   }
 
   static void TearDownTestSuite() {
@@ -311,22 +316,20 @@ TEST_F(TopKExecutorTest, PageMissesAddToTheRent) {
 }
 
 // The full-result executor's hash-join path (shared filtered scans plus the
-// join-prefix memo) returns exactly what index-nested loops return, and the
-// memo resumes shared prefixes on these queries.
+// join-prefix memo, on the unindexed MinNClustNIndx) returns exactly what
+// index-nested loops return on MinClust, and the memo resumes shared
+// prefixes on these queries.
 TEST_F(TopKExecutorTest, FullExecutorSubplanMemoDifferential) {
-  QueryOptions inl;
-  inl.max_size_z = 6;
-  inl.full_mode = FullMode::kIndexNestedLoop;
-  QueryOptions hash = inl;
-  hash.full_mode = FullMode::kHashJoin;
+  QueryOptions options;
+  options.max_size_z = 6;
   uint64_t saved = 0;
   for (const auto& q : std::vector<std::vector<std::string>>{
            {"ullman", "widom"}, {"gray", "codd"}}) {
     XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> expected,
-                            RunAll(*xk_, q, "MinClust", inl));
+                            RunAll(*xk_, q, "MinClust", options));
     ExecutionStats stats;
     XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> actual,
-                            RunAll(*xk_, q, "MinClust", hash, &stats));
+                            RunAll(*xk_, q, "MinNClustNIndx", options, &stats));
     EXPECT_EQ(actual, expected) << q[0];
     saved += stats.dedup_saved_rows;
   }
@@ -339,13 +342,12 @@ TEST_F(TopKExecutorTest, FullExecutorSubplanMemoDifferential) {
 TEST_F(TopKExecutorTest, SubplanStatsAreReported) {
   QueryOptions options;
   options.max_size_z = 6;
-  options.full_mode = FullMode::kHashJoin;
   uint64_t hits = 0, misses = 0;
   for (const auto& q : std::vector<std::vector<std::string>>{
            {"ullman", "widom"}, {"gray", "codd"}, {"stonebraker", "author47"}}) {
     ExecutionStats stats;
     XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> results,
-                            RunAll(*xk_, q, "MinClust", options, &stats));
+                            RunAll(*xk_, q, "MinNClustNIndx", options, &stats));
     (void)results;
     hits += stats.subplan_hits;
     misses += stats.subplan_misses;
@@ -460,13 +462,6 @@ TEST_F(GlobalKPoolTest, OptionsOutsideTheCacheKeyNeverChangeTheAnswer) {
           {"num_threads=1", [](QueryOptions* o) { o->num_threads = 1; }},
           {"enable_cache=false", [](QueryOptions* o) { o->enable_cache = false; }},
           {"cache_capacity=16", [](QueryOptions* o) { o->cache_capacity = 16; }},
-          {"anytime_headroom=4", [](QueryOptions* o) { o->anytime_headroom = 4.0; }},
-          {"anytime_min_plan_rows=1",
-           [](QueryOptions* o) { o->anytime_min_plan_rows = 1; }},
-          {"full_mode=kIndexNestedLoop",
-           [](QueryOptions* o) { o->full_mode = FullMode::kIndexNestedLoop; }},
-          {"full_mode=kHashJoin",
-           [](QueryOptions* o) { o->full_mode = FullMode::kHashJoin; }},
       };
   for (size_t global_k : {size_t{1}, size_t{3}, size_t{7}, size_t{10}, size_t{20}}) {
     for (const std::vector<std::string>& keywords :
