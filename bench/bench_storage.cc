@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "exec/operators.h"
-#include "exec/plan.h"
 #include "storage/table.h"
 
 namespace {
@@ -72,22 +71,25 @@ void BM_Probe(benchmark::State& state, Physical physical) {
 void BM_Join(benchmark::State& state) {
   auto left = MakeTable(Physical::kHash, kRows / 4, kDomain);
   auto right = MakeTable(Physical::kHash, kRows / 4, kDomain);
-  xk::exec::JoinQuery query;
-  query.steps.push_back(xk::exec::JoinStep{left.get(), {}, {}, {}});
-  xk::exec::JoinStep step2;
-  step2.table = right.get();
-  step2.eq.push_back({0, xk::exec::ColumnRef{0, 1}});
-  query.steps.push_back(step2);
 
+  // left |><| right on right.src == left.dst: a full scan of `left` with one
+  // hash-index probe into `right` per left row.
+  const ExecOptions options;
   uint64_t rows = 0;
   for (auto _ : state) {
-    xk::exec::NestedLoopExecutor executor(&query, ExecOptions{});
-    XK_CHECK(executor
-                 .Run([&](const std::vector<xk::storage::TupleView>&) {
-                   ++rows;
+    ForEachMatch(*left, {}, {}, options,
+                 [&](xk::storage::RowId l) {
+                   ForEachMatch(*right, {ColumnBinding{0, left->At(l, 1)}}, {},
+                                options,
+                                [&](xk::storage::RowId) {
+                                  ++rows;
+                                  return true;
+                                },
+                                nullptr);
                    return true;
-                 })
-                 .ok());
+                 },
+                 nullptr);
+    benchmark::DoNotOptimize(rows);
   }
   state.counters["out_rows"] = benchmark::Counter(
       static_cast<double>(rows) / static_cast<double>(state.iterations()));

@@ -1,13 +1,12 @@
 #include "engine/full_executor.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
-#include "common/logging.h"
 #include "engine/progress_budget.h"
 #include "engine/topk_executor.h"
 #include "exec/join_hash_table.h"
-#include "exec/plan.h"
 #include "exec/row_block.h"
 
 namespace xk::engine {
@@ -207,31 +206,6 @@ void RunHashJoin(const opt::CtssnPlan& plan, ScanCache* cache, SubplanMemo* memo
   HashJoinOnScans(plan, scans, memo, exec_options, stats, emit);
 }
 
-void RunIndexNestedLoop(
-    const opt::CtssnPlan& plan, const exec::ExecOptions& exec_options,
-    BloomCache* bloom_cache, ExecutionStats* stats,
-    const std::function<bool(const std::vector<storage::ObjectId>&)>& emit) {
-  auto groups = SameSegmentGroups(*plan.ctssn);
-  exec::NestedLoopExecutor executor(&plan.query, exec_options);
-  // A kAll plan runs to completion, so every prune filter pays back its
-  // build: resolve them all up front.
-  const std::vector<std::vector<exec::ColumnBloom>> step_blooms =
-      PlanLayout(&plan, bloom_cache).BuildStepBlooms(stats);
-  executor.set_step_blooms(&step_blooms);
-  std::vector<storage::ObjectId> objs(plan.node_source.size());
-  Status st = executor.Run([&](const std::vector<storage::TupleView>& rows) {
-    for (size_t node = 0; node < plan.node_source.size(); ++node) {
-      const exec::ColumnRef& src = plan.node_source[node];
-      objs[node] = rows[static_cast<size_t>(src.step)][static_cast<size_t>(src.column)];
-    }
-    if (!DistinctAcross(groups, objs)) return true;
-    if (stats != nullptr) ++stats->results;
-    return emit(objs);
-  });
-  XK_CHECK(st.ok());
-  if (stats != nullptr) stats->probes.Add(executor.stats());
-}
-
 }  // namespace
 
 Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query,
@@ -265,13 +239,23 @@ Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query
     }
   }
 
+  // Ranking plan by plan: visiting plans in (CN size, index) order and
+  // sorting each plan's results by objects yields SortMttons' order without
+  // sorting the whole list.
+  std::vector<size_t> order(query.plans.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return query.ctssns[a].cn_size < query.ctssns[b].cn_size;
+  });
+
   auto stop_requested = [&] {
     return options_.cancel != nullptr && options_.cancel->StopRequested();
   };
-  for (size_t p = 0; p < query.plans.size(); ++p) {
+  for (size_t p : order) {
     if (stop_requested()) break;  // unvisited plans stay "skipped"
     const opt::CtssnPlan& plan = query.plans[p];
     if (!active[p]) continue;
+    const size_t first = results.size();
     auto emit = [&](const std::vector<storage::ObjectId>& objs) {
       results.push_back(
           present::Mtton{static_cast<int>(p), objs, query.ctssns[p].cn_size});
@@ -280,7 +264,7 @@ Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query
     if (plan.query.steps.empty()) {
       EvaluateSingleObjectPlan(query, p, emit, stats);
       ledger.OnPlanComplete(p);
-      continue;
+      continue;  // already in object order
     }
     // Index-nested loops where the decomposition is indexed and runs its
     // indexes, full-scan hash joins otherwise — what the backing DBMS's
@@ -292,10 +276,19 @@ Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query
                       return s.table->HasAnyIndex() || s.table->IsClustered();
                     });
     if (indexed) {
-      RunIndexNestedLoop(plan, exec_options, &bloom_cache, stats, emit);
+      // The Section-6 driver of the top-k executor, run to completion.
+      PlanLayout layout(&plan, &bloom_cache);
+      PlanEvaluator evaluator(&layout, exec_options, options_.enable_cache,
+                              options_.cache_capacity);
+      evaluator.Run(emit);
+      if (stats != nullptr) stats->Add(evaluator.stats());
     } else {
       RunHashJoin(plan, &scan_cache, &memo, exec_options, stats, emit);
     }
+    std::sort(results.begin() + static_cast<std::ptrdiff_t>(first), results.end(),
+              [](const present::Mtton& a, const present::Mtton& b) {
+                return a.objects < b.objects;
+              });
     // A stop observed right after a plan may have landed mid-plan: report it
     // as interrupted, never as complete.
     if (stop_requested()) {
@@ -306,7 +299,6 @@ Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query
   }
   if (coverage != nullptr) *coverage = ledger.Finish();
 
-  SortMttons(&results);
   if (stats != nullptr) {
     stats->results = results.size();
     stats->reuse_hits += scan_cache.hits;

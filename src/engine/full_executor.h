@@ -2,10 +2,13 @@
 //
 // Full-result execution (the "output all the results" mode of Figure 15(b)).
 // Indexed decompositions run index-nested-loops (what a DBMS picks when
-// indexes exist); unindexed ones run full-scan hash joins — the paper found
-// the latter fastest for complete outputs on the small minimal relations.
-// Keyword-filtered relation scans are materialized once per query and shared
-// across candidate networks (Section 4's common-subexpression reuse).
+// indexes exist) through the top-k executor's PlanEvaluator, with its
+// Section-6 suffix cache and pay-as-you-go Bloom filters; unindexed ones run
+// full-scan hash joins — the paper found the latter fastest for complete
+// outputs on the small minimal relations. Keyword-filtered relation scans are
+// materialized once per query and shared across candidate networks
+// (Section 4's common-subexpression reuse). Results are ranked plan by plan:
+// plans run in (CN size, index) order and each sorts its own results.
 
 #ifndef XK_ENGINE_FULL_EXECUTOR_H_
 #define XK_ENGINE_FULL_EXECUTOR_H_
@@ -19,7 +22,8 @@
 namespace xk::engine {
 
 /// Full-result executor over the merged QueryOptions knobs: the
-/// decomposition picks the join strategy, and `cancel` is polled between
+/// decomposition picks the join strategy, `enable_cache`/`cache_capacity`
+/// size the index-nested-loop suffix cache, and `cancel` is polled between
 /// plans, between join steps, and inside probe scans. The hash-join path
 /// always shares keyword-filtered scans across networks and memoizes
 /// join-prefix intermediates that several networks share.

@@ -226,18 +226,6 @@ PlanLayout::PlanLayout(const opt::CtssnPlan* plan, BloomCache* bloom_cache)
   if (plan->ctssn != nullptr) same_segment_groups_ = SameSegmentGroups(*plan->ctssn);
 }
 
-std::vector<std::vector<exec::ColumnBloom>> PlanLayout::BuildStepBlooms(
-    ExecutionStats* build_stats) const {
-  std::vector<std::vector<exec::ColumnBloom>> blooms(prune_slots_.size());
-  for (size_t i = 0; i < prune_slots_.size(); ++i) {
-    for (BloomCache::Slot* slot : prune_slots_[i]) {
-      blooms[i].push_back(
-          exec::ColumnBloom{slot->column, bloom_cache_->Build(slot, build_stats)});
-    }
-  }
-  return blooms;
-}
-
 // --- PlanEvaluator -------------------------------------------------------
 
 PlanEvaluator::PlanEvaluator(const PlanLayout* layout,
@@ -265,9 +253,7 @@ PlanEvaluator::PlanEvaluator(const PlanLayout* layout,
   if (enable_cache_ && num_steps > 1) {
     size_t per_level = std::max<size_t>(cache_capacity / (num_steps - 1), 16);
     for (size_t i = 1; i < num_steps; ++i) {
-      caches_[i] = std::make_unique<
-          LruCache<std::string, std::vector<std::vector<storage::ObjectId>>>>(
-          per_level);
+      caches_[i] = std::make_unique<LruCache<std::string, Completions>>(per_level);
     }
   }
 }
@@ -289,12 +275,16 @@ std::string PlanEvaluator::CacheKey(
 
 void PlanEvaluator::ProjectToCollectors(const std::vector<storage::ObjectId>& objs) {
   for (Collector* c : active_collectors_) {
-    std::vector<storage::ObjectId> projection;
-    projection.reserve(layout_->suffix_nodes_[c->level].size());
-    for (int node : layout_->suffix_nodes_[c->level]) {
-      projection.push_back(objs[static_cast<size_t>(node)]);
+    if (c->overflowed) continue;
+    const std::vector<int>& suffix = layout_->suffix_nodes_[c->level];
+    std::vector<storage::ObjectId>& out = c->completions.objects;
+    if (out.size() + suffix.size() > kMaxCollectedObjects) {
+      c->overflowed = true;
+      std::vector<storage::ObjectId>().swap(out);
+      continue;
     }
-    c->completions.push_back(std::move(projection));
+    for (int node : suffix) out.push_back(objs[static_cast<size_t>(node)]);
+    ++c->completions.count;
   }
 }
 
@@ -319,15 +309,16 @@ bool PlanEvaluator::Eval(
   std::string key;
   if (cache != nullptr) {
     key = CacheKey(i, *rows);
-    const std::vector<std::vector<storage::ObjectId>>* hit = cache->Get(key);
+    const Completions* hit = cache->Get(key);
     if (hit != nullptr) {
       ++stats_.cache_hits;
       // Replay the memoized suffix: each completion is a full assignment of
       // the remaining occurrences.
-      for (const std::vector<storage::ObjectId>& completion : *hit) {
-        for (size_t x = 0; x < completion.size(); ++x) {
-          (*objs)[static_cast<size_t>(layout_->suffix_nodes_[i][x])] =
-              completion[x];
+      const std::vector<int>& suffix = layout_->suffix_nodes_[i];
+      const storage::ObjectId* completion = hit->objects.data();
+      for (size_t c = 0; c < hit->count; ++c, completion += suffix.size()) {
+        for (size_t x = 0; x < suffix.size(); ++x) {
+          (*objs)[static_cast<size_t>(suffix[x])] = completion[x];
         }
         ProjectToCollectors(*objs);
         if (!DistinctAcross(layout_->same_segment_groups_, *objs)) continue;
@@ -339,7 +330,7 @@ bool PlanEvaluator::Eval(
     ++stats_.cache_misses;
   }
 
-  Collector collector{i, {}};
+  Collector collector{i, false, {}};
   if (cache != nullptr) active_collectors_.push_back(&collector);
 
   const exec::JoinStep& step = steps[i];
@@ -384,7 +375,9 @@ bool PlanEvaluator::Eval(
     XK_CHECK(active_collectors_.back() == &collector);
     active_collectors_.pop_back();
     // Only complete enumerations are reusable.
-    if (keep_going) cache->Put(key, std::move(collector.completions));
+    if (keep_going && !collector.overflowed) {
+      cache->Put(key, std::move(collector.completions));
+    }
   }
   return keep_going;
 }

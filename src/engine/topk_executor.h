@@ -1,10 +1,13 @@
 // Copyright (c) the XKeyword authors.
 //
-// The optimized top-k execution algorithm of Section 6: nested-loops joins
-// whose inner subtrees are memoized in a fixed-size cache keyed by their join
+// The optimized execution algorithm of Section 6: nested-loops joins whose
+// inner subtrees are memoized in a fixed-size cache keyed by their join
 // bindings — "when evaluating CTSSN2 for t2, the innermost loop should not be
 // executed since it will produce the same results as before". Disabling the
 // cache yields the naive algorithm of DISCOVER/DBXplorer (naive_executor.h).
+// PlanEvaluator is the engine's only index-nested-loop driver: the top-k
+// executor below runs it with per_network_k, and the full executor
+// (full_executor.h) runs it to completion on indexed decompositions.
 //
 // Parallelism is the paper's per-CN thread pool: "a thread is assigned to
 // each CN starting from the smaller ones". Each plan fills its own result
@@ -14,9 +17,9 @@
 // Semi-join keyword pruning: per plan step, the keyword filter sets are
 // intersected and the join columns later steps probe are summarized into
 // Bloom filters, letting ForEachMatch reject dead-end partial assignments
-// without touching the table. A plan stops after per_network_k results, so a
-// filter is built only once the probes it would have pruned have cost as
-// much as its build (BloomCache::Slot).
+// without touching the table. A filter is built only once the probes it
+// would have pruned have cost as much as its build (BloomCache::Slot), in
+// top-k and complete-result runs alike.
 
 #ifndef XK_ENGINE_TOPK_EXECUTOR_H_
 #define XK_ENGINE_TOPK_EXECUTOR_H_
@@ -49,8 +52,8 @@ using MttonSink = std::function<bool(int plan_index,
 /// slot lookup, so pool threads build filters for different keys at once.
 class BloomCache {
  public:
-  /// One (step signature, column) filter. The top-k executor builds it by
-  /// the ski-rental rule: every unpruned probe into the step adds its cost
+  /// One (step signature, column) filter. PlanEvaluator builds it by the
+  /// ski-rental rule: every unpruned probe into the step adds its cost
   /// to `rent`, and the plan whose probe lifts the shared rent to
   /// `build_cost` builds the filter for every plan of the query.
   struct Slot {
@@ -102,12 +105,6 @@ class PlanLayout {
 
   const opt::CtssnPlan& plan() const { return *plan_; }
 
-  /// Builds every step's prune filters now, for a plan that runs to
-  /// completion (the full executor's index-nested-loop path). Usable with
-  /// exec::NestedLoopExecutor::set_step_blooms.
-  std::vector<std::vector<exec::ColumnBloom>> BuildStepBlooms(
-      ExecutionStats* build_stats) const;
-
  private:
   friend class PlanEvaluator;
 
@@ -126,7 +123,8 @@ class PlanLayout {
 };
 
 /// Evaluates one CTSSN plan by depth-first nested loops with optional suffix
-/// memoization. Not thread-safe: a plan runs on one pool thread, which must
+/// memoization: a level's cache entry holds every completion of the
+/// occurrences bound at that level or deeper, flat. Not thread-safe: a plan runs on one pool thread, which must
 /// be the thread that calls Run (probe costs read its page counters).
 ///
 /// Semi-join filters another plan already built are adopted at
@@ -147,10 +145,23 @@ class PlanEvaluator {
 
   const ExecutionStats& stats() const { return stats_; }
 
+  /// Objects one suffix enumeration may collect for the cache; past it the
+  /// enumeration goes on but is not cached, so a huge complete-result
+  /// enumeration cannot balloon memory.
+  static constexpr size_t kMaxCollectedObjects = size_t{1} << 20;
+
  private:
+  /// The completions of one level's suffix: `count` rows of
+  /// `suffix_nodes_[level].size()` objects each, row-major in `objects`
+  /// (empty for a zero-width suffix, whose rows carry only their count).
+  struct Completions {
+    size_t count = 0;
+    std::vector<storage::ObjectId> objects;
+  };
   struct Collector {
     size_t level;
-    std::vector<std::vector<storage::ObjectId>> completions;
+    bool overflowed = false;  // passed kMaxCollectedObjects: not cached
+    Completions completions;
   };
 
   bool Eval(size_t i, std::vector<storage::TupleView>* rows,
@@ -171,9 +182,7 @@ class PlanEvaluator {
   bool enable_cache_;
 
   // One cache per step level (level 0 has no dependencies, never cached).
-  std::vector<std::unique_ptr<
-      LruCache<std::string, std::vector<std::vector<storage::ObjectId>>>>>
-      caches_;
+  std::vector<std::unique_ptr<LruCache<std::string, Completions>>> caches_;
   std::vector<Collector*> active_collectors_;
   ExecutionStats stats_;
   /// Per-depth probe bindings, reused across outer rows (Eval runs once per
@@ -229,9 +238,10 @@ std::vector<std::vector<int>> SameSegmentGroups(const cn::Ctssn& ctssn);
 bool DistinctAcross(const std::vector<std::vector<int>>& groups,
                     const std::vector<storage::ObjectId>& objs);
 
-/// Final ranking of every executor: stable sort by (score, ctssn_index,
+/// Final ranking of the top-k executors: stable sort by (score, ctssn_index,
 /// objects) — a total order on distinct values, so any execution order that
-/// produces the correct result multiset sorts to byte-identical output.
+/// produces the correct result multiset sorts to byte-identical output. The
+/// full executor produces the same order plan by plan.
 void SortMttons(std::vector<present::Mtton>* results);
 
 }  // namespace xk::engine

@@ -5,19 +5,17 @@
 // with columns of earlier steps (the join edges of the fragment tiling) and
 // restricting others to keyword containing lists.
 //
-// NestedLoopExecutor interprets such a query as pipelined index-nested loops,
-// the paper's choice for top-k queries (Section 6: "XKeyword uses nested
-// loops join, where the nesting of the loops is determined by a depth first
-// traversal"). The other join driver, full scans plus hash joins for complete
-// results (Section 7: "the full table scan and the hash join is the fastest
-// way"), is the full executor's (engine/full_executor.cc), over
-// exec::JoinHashTable.
+// Two drivers interpret such a query, both over exec::ForEachMatch probes:
+// engine::PlanEvaluator runs it as pipelined index-nested loops with the
+// Section-6 suffix cache (Section 6: "XKeyword uses nested loops join, where
+// the nesting of the loops is determined by a depth first traversal"), and
+// the full executor's HashJoinOnScans runs full scans plus hash joins over
+// exec::JoinHashTable for complete results on unindexed decompositions
+// (Section 7: "the full table scan and the hash join is the fastest way").
 
 #ifndef XK_EXEC_PLAN_H_
 #define XK_EXEC_PLAN_H_
 
-#include <functional>
-#include <limits>
 #include <vector>
 
 #include "common/status.h"
@@ -43,53 +41,13 @@ struct JoinStep {
   std::vector<ColumnBinding> const_filters;
 };
 
-/// A left-deep join query plus execution limits.
+/// A left-deep join query.
 struct JoinQuery {
   std::vector<JoinStep> steps;
 
   /// Checks referential sanity (steps non-null, eq refs strictly backward,
   /// column indexes in range).
   Status Validate() const;
-};
-
-/// Receives one output row as per-step views into base tables. Return false to
-/// stop execution.
-using RowSink =
-    std::function<bool(const std::vector<storage::TupleView>& step_rows)>;
-
-/// Pipelined nested-loops interpreter.
-class NestedLoopExecutor {
- public:
-  NestedLoopExecutor(const JoinQuery* query, ExecOptions opts)
-      : query_(query), opts_(opts) {}
-
-  /// Runs until the sink declines, `limit` rows are produced, or input is
-  /// exhausted. Reentrant: each Run starts fresh (stats accumulate).
-  Status Run(const RowSink& sink,
-             size_t limit = std::numeric_limits<size_t>::max());
-
-  /// Installs semi-join prune filters, one entry per step (may be shorter;
-  /// missing/empty entries mean "no pruning for that step"). Filters must
-  /// outlive Run.
-  void set_step_blooms(const std::vector<std::vector<ColumnBloom>>* step_blooms) {
-    step_blooms_ = step_blooms;
-  }
-
-  const ProbeStats& stats() const { return stats_; }
-
- private:
-  bool Recurse(size_t depth, std::vector<storage::TupleView>* rows,
-               const RowSink& sink, size_t limit, size_t* produced);
-
-  const JoinQuery* query_;
-  ExecOptions opts_;
-  const std::vector<std::vector<ColumnBloom>>* step_blooms_ = nullptr;
-  ProbeStats stats_;
-  /// Per-depth probe bindings, reused across rows (no inner-loop allocation).
-  std::vector<std::vector<ColumnBinding>> binding_scratch_;
-  /// Per-depth row copies for the disk backend (RowInto): a depth's view must
-  /// stay valid while deeper steps recurse, so each depth owns its scratch.
-  std::vector<storage::Tuple> row_scratch_;
 };
 
 }  // namespace xk::exec

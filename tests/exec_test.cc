@@ -1,6 +1,6 @@
-// Tests for access paths and the nested-loop join executor, including property
-// sweeps asserting that every physical design and block size returns the rows
-// a brute-force scan of the table finds.
+// Tests for access paths and the index-nested-loop driver (PlanEvaluator),
+// including property sweeps asserting that every physical design and block
+// size returns the rows a brute-force scan of the table finds.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "common/random.h"
+#include "engine/topk_executor.h"
 #include "exec/access_path.h"
 #include "exec/block_ops.h"
 #include "exec/join_hash_table.h"
@@ -291,38 +292,86 @@ std::multiset<std::vector<ObjectId>> OracleJoin(const JoinFixture& f,
   return out;
 }
 
-TEST(JoinExecutorsTest, NestedLoopMatchesBruteForceJoin) {
+/// The fixture's join as a two-step CTSSN plan whose occurrences are the
+/// four columns, in OracleJoin's order.
+opt::CtssnPlan MakeEdgePlan(JoinQuery query) {
+  opt::CtssnPlan plan;
+  plan.query = std::move(query);
+  plan.node_source = {ColumnRef{0, 0}, ColumnRef{0, 1}, ColumnRef{1, 0},
+                      ColumnRef{1, 1}};
+  plan.step_signatures = {"left", "right"};
+  return plan;
+}
+
+/// Every output of a PlanEvaluator run to completion.
+std::vector<std::vector<ObjectId>> RunToCompletion(const opt::CtssnPlan& plan,
+                                                   bool enable_cache,
+                                                   engine::ExecutionStats* stats) {
+  engine::BloomCache bloom_cache(/*use_indexes=*/true);
+  engine::PlanLayout layout(&plan, &bloom_cache);
+  engine::PlanEvaluator evaluator(&layout, ExecOptions{}, enable_cache,
+                                  /*cache_capacity=*/1 << 16);
+  std::vector<std::vector<ObjectId>> out;
+  evaluator.Run([&](const std::vector<ObjectId>& objs) {
+    out.push_back(objs);
+    return true;
+  });
+  *stats = evaluator.stats();
+  return out;
+}
+
+TEST(JoinExecutorsTest, PlanEvaluatorMatchesBruteForceJoin) {
   JoinFixture f;
   const storage::IdSet filter = {0, 1, 2};
   for (const storage::IdSet* left_filter :
        std::vector<const storage::IdSet*>{nullptr, &filter}) {
-    JoinQuery q = f.MakeQuery(left_filter);
-    std::multiset<std::vector<ObjectId>> got;
-    NestedLoopExecutor nl(&q, ExecOptions{});
-    XK_ASSERT_OK(nl.Run([&](const std::vector<storage::TupleView>& rows) {
-      std::vector<ObjectId> flat;
-      for (auto view : rows) flat.insert(flat.end(), view.begin(), view.end());
-      got.insert(std::move(flat));
-      return true;
-    }));
+    const opt::CtssnPlan plan = MakeEdgePlan(f.MakeQuery(left_filter));
     const auto expected = OracleJoin(f, left_filter);
     EXPECT_FALSE(expected.empty());
-    EXPECT_EQ(got, expected) << "filtered=" << (left_filter != nullptr);
+    for (bool enable_cache : {false, true}) {
+      engine::ExecutionStats stats;
+      const auto out = RunToCompletion(plan, enable_cache, &stats);
+      const std::multiset<std::vector<ObjectId>> got(out.begin(), out.end());
+      EXPECT_EQ(got, expected) << "filtered=" << (left_filter != nullptr)
+                               << " cache=" << enable_cache;
+      // 150 left rows over 25 join values: the suffix cache must answer most
+      // of them.
+      if (enable_cache && left_filter == nullptr) EXPECT_GT(stats.cache_hits, 0u);
+    }
   }
 }
 
-TEST(JoinExecutorsTest, LimitStopsNestedLoop) {
-  JoinFixture f;
-  JoinQuery q = f.MakeQuery();
-  size_t count = 0;
-  NestedLoopExecutor nl(&q, ExecOptions{});
-  XK_ASSERT_OK(nl.Run(
-      [&](const std::vector<storage::TupleView>&) {
-        ++count;
-        return true;
-      },
-      /*limit=*/7));
-  EXPECT_EQ(count, 7u);
+// A suffix enumeration past PlanEvaluator::kMaxCollectedObjects is not
+// cached: every outer row with that join value enumerates it again, and the
+// answer equals the cacheless run.
+TEST(JoinExecutorsTest, OversizedSuffixIsNotCached) {
+  // Three left rows share dst 7; the right side has `fanout` rows with src 7
+  // and two objects per completion.
+  auto run = [](size_t fanout, engine::ExecutionStats* cached_stats) {
+    auto left = std::make_unique<Table>("left", std::vector<std::string>{"src", "dst"});
+    for (ObjectId s = 1; s <= 3; ++s) XK_EXPECT_OK(left->Append(Tuple{s, 7}));
+    auto right = std::make_unique<Table>("right", std::vector<std::string>{"src", "dst"});
+    for (size_t j = 0; j < fanout; ++j) {
+      XK_EXPECT_OK(right->Append(Tuple{7, static_cast<ObjectId>(j)}));
+    }
+    XK_EXPECT_OK(right->BuildHashIndex(0));
+    JoinQuery q;
+    q.steps.push_back(JoinStep{left.get(), {}, {}, {}});
+    q.steps.push_back(JoinStep{right.get(), {{0, ColumnRef{0, 1}}}, {}, {}});
+    const opt::CtssnPlan plan = MakeEdgePlan(std::move(q));
+    engine::ExecutionStats naive_stats;
+    const auto cached = RunToCompletion(plan, true, cached_stats);
+    EXPECT_EQ(cached, RunToCompletion(plan, false, &naive_stats));
+    EXPECT_EQ(cached.size(), 3 * fanout);
+  };
+  engine::ExecutionStats small;
+  run(1000, &small);
+  EXPECT_EQ(small.cache_hits, 2u);
+  EXPECT_EQ(small.cache_misses, 1u);
+  engine::ExecutionStats oversized;
+  run(engine::PlanEvaluator::kMaxCollectedObjects / 2 + 1, &oversized);
+  EXPECT_EQ(oversized.cache_hits, 0u);
+  EXPECT_EQ(oversized.cache_misses, 3u);
 }
 
 // --- The probe against a brute-force oracle --------------------------------

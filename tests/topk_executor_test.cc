@@ -3,7 +3,8 @@
 // settings, pay-as-you-go pruning that never changes results and builds a
 // filter only once its step's probes have paid for it,
 // stats coverage of single-object plans and of the full-result join-prefix
-// memo, and answers that no option outside the answer-cache key can change.
+// memo, complete results against the naive oracle, and answers that no option
+// outside the answer-cache key can change.
 
 #include <gtest/gtest.h>
 
@@ -355,6 +356,41 @@ TEST_F(TopKExecutorTest, SubplanStatsAreReported) {
   }
   EXPECT_GT(misses, 0u);
   EXPECT_GT(hits, 0u);
+}
+
+// The independent oracle of the complete-result ranking. kAll ranks plan by
+// plan (PlanEvaluator on indexed decompositions, each plan's results sorted
+// by objects); kNaive with an unbounded per-network k is the serial cacheless
+// top-k executor, whose whole-list SortMttons orders the same result set. A
+// per-plan ranking bug changes the kAll list and not the kNaive one. The
+// cached kAll run must also equal the cacheless one and actually hit.
+TEST_F(TopKExecutorTest, CompleteResultsMatchTheNaiveOracle) {
+  const std::vector<std::vector<std::string>> queries = {
+      {"ullman", "widom"}, {"gray", "codd"}, {"stonebraker", "author47"}};
+  for (const std::string& decomposition : {std::string("XKeyword"),
+                                           std::string("MinClust")}) {
+    QueryOptions cached;
+    cached.max_size_z = 6;
+    QueryOptions cacheless = cached;
+    cacheless.enable_cache = false;
+    QueryOptions naive = cached;
+    naive.per_network_k = SIZE_MAX;
+    uint64_t hits = 0;
+    for (const auto& q : queries) {
+      ExecutionStats stats;
+      XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> all,
+                              RunAll(*xk_, q, decomposition, cached, &stats));
+      XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> oracle,
+                              RunNaive(*xk_, q, decomposition, naive));
+      XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> uncached,
+                              RunAll(*xk_, q, decomposition, cacheless));
+      EXPECT_FALSE(all.empty()) << decomposition << " " << q[0];
+      EXPECT_EQ(all, oracle) << decomposition << " " << q[0];
+      EXPECT_EQ(all, uncached) << decomposition << " " << q[0];
+      hits += stats.cache_hits;
+    }
+    EXPECT_GT(hits, 0u) << decomposition;
+  }
 }
 
 // Single-object plans (one-keyword queries join nothing) must show up in the
